@@ -49,6 +49,7 @@ from .complexes import (
 from .dvr import (
     DeformationReport,
     DivisorProfile,
+    DualityError,
     TorsionModuleSummary,
     analyze,
     check_duality_pairing,
@@ -122,6 +123,7 @@ __all__ = [
     "singularity_exponent",
     "analyze",
     "check_duality_pairing",
+    "DualityError",
     "JumpRecord",
     "ArgPairing",
     "EtaProfile",

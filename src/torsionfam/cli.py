@@ -16,6 +16,7 @@ runs on identical inputs.  Exit status is 0 when every check passes,
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from dataclasses import dataclass, field
@@ -32,7 +33,7 @@ from .complexes import (
     torsion,
 )
 from .corpus import bundled_direct_sum, circle_family, torus3_family
-from .dvr import analyze
+from .dvr import DualityError, analyze
 from .eta import (
     ArgPairing,
     EtaProfile,
@@ -171,7 +172,7 @@ def rational_real_roots(p: Poly) -> tuple[list[Fraction], int]:
     real = work * work.conj()
     denom_lcm = 1
     for c in real.coeffs:
-        denom_lcm = denom_lcm * c.re.denominator // _gcd(denom_lcm, c.re.denominator)
+        denom_lcm = denom_lcm * c.re.denominator // math.gcd(denom_lcm, c.re.denominator)
     ints = [int(c.re * denom_lcm) for c in real.coeffs]
     const = next(c for c in ints if c != 0)
     lead = ints[-1]
@@ -186,12 +187,6 @@ def rational_real_roots(p: Poly) -> tuple[list[Fraction], int]:
         accounted += work.valuation_at(GaussRat(r))
     roots.extend(found)
     return sorted(roots), p.degree - accounted
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def discover_centers(value: RatFunc) -> tuple[list[Fraction], int]:
@@ -311,7 +306,10 @@ def _cmd_analyze(job: JobSpec) -> Report:
         report.item("torsion.value", value)
         for t0 in _resolve_centers(report, value, job.options.get("t0")):
             key = _key_of_point(t0)
-            rep = analyze(cplx, t0, duality=pairing)
+            try:
+                rep, rejected = analyze(cplx, t0, duality=pairing), None
+            except DualityError as exc:
+                rep, rejected = analyze(cplx, t0), str(exc)
             report.item(f"analysis.{key}.nu", rep.nu)
             report.item(f"analysis.{key}.chi", rep.chi)
             report.item(
@@ -321,7 +319,10 @@ def _cmd_analyze(job: JobSpec) -> Report:
                 report.item(f"analysis.{key}.middle_parity", rep.middle_dim_parity)
             report.item(f"analysis.{key}.sign_flip", rep.sign_flip)
             report.check(f"{path}:{key}:nu-equals-chi", rep.nu == rep.chi)
-            if rep.duality_ok is not None:
+            if rejected is not None:
+                report.note(f"{path}:{key}: duality pairing rejected: {rejected}")
+                report.check(f"{path}:{key}:duality", False)
+            elif rep.duality_ok is not None:
                 report.check(f"{path}:{key}:duality", rep.duality_ok)
     return report
 

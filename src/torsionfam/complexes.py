@@ -15,8 +15,9 @@ exponent convention is frozen under the tag ``FT-cal-1``:
     torsion = product over k of det(D_k) ** ((-1) ** (k+1))
 
 where D_k is the square submatrix of d_k on the rows left uncovered in
-degree k-1 and the chosen columns in degree k.  The calibration makes
-the valuation of the torsion at a degeneration point equal the Euler
+degree k-1 and the chosen columns in degree k; det(D_k) is read off
+the elimination that picks the columns.  The calibration makes the
+valuation of the torsion at a degeneration point equal the Euler
 number of the local torsion modules (see the deformation module), with
 the circle family 0 -> R --(z-1)--> R -> 0 as the pinned example:
 its torsion is (z - 1)**(+1).
@@ -25,13 +26,15 @@ Column subsets are chosen greedily (leftmost independent columns,
 ties broken by lowest index), so the output is deterministic including
 its sign.  A second, rightmost-scanning strategy is provided purely to
 let tests certify that the valuation does not depend on the choice.
+The completed staircase also certifies acyclicity: it completes
+exactly when the complex is generically acyclic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix
+from .linalg import Matrix, _eliminate
 from .ratfunc import RatFunc
 
 __all__ = [
@@ -125,16 +128,24 @@ class TorsionValue:
             raise ValueError("torsion value cannot be zero")
 
 
-def _boundary_ranks(c: BasedChainComplex) -> list[int]:
-    """Generic ranks of d_1 .. d_m, padded with 0 at both ends.
+def _staircase(c: BasedChainComplex, rightmost: bool):
+    """Eliminations of d_1 .. d_m on the rows left uncovered below.
 
-    Entry [k] is rank(d_k); [0] and [m+1] are 0 for uniform formulas.
+    None when a step lacks full row rank or C_m is not used up, which
+    happens exactly when the complex is not generically acyclic.
     """
-    m = c.top_degree
-    out = [0] * (m + 2)
-    for k in range(1, m + 1):
-        out[k] = c.boundary(k).rank()
-    return out
+    steps = []
+    uncovered = range(c.ranks[0])  # rows of degree k-1 not chosen there
+    for k in range(1, c.top_degree + 1):
+        mat = c.boundary(k)
+        order = range(mat.ncols - 1, -1, -1) if rightmost else range(mat.ncols)
+        step = _eliminate([list(mat.rows[j]) for j in uncovered], order)
+        if len(step[0]) != len(uncovered):
+            return None
+        steps.append(step)
+        chosen = set(step[0])
+        uncovered = [j for j in range(c.ranks[k]) if j not in chosen]
+    return None if uncovered else steps
 
 
 def is_generically_acyclic(c: BasedChainComplex) -> bool:
@@ -143,36 +154,26 @@ def is_generically_acyclic(c: BasedChainComplex) -> bool:
     Equivalent to acyclicity of the evaluated complex for all but
     finitely many parameter values.
     """
-    r = _boundary_ranks(c)
-    m = c.top_degree
-    return all(c.ranks[k] == r[k] + r[k + 1] for k in range(m + 1))
+    return _staircase(c, rightmost=False) is not None
 
 
 def _subset_determinants(c: BasedChainComplex, rightmost: bool) -> list[RatFunc]:
     """Staircase determinants D_1 .. D_m of the subset algorithm.
 
-    Raises when the complex is not generically acyclic (the staircase
-    cannot be completed).
+    D_k is the product of the pivots that picked the columns, negated
+    when the row swaps and the sort of the picked columns have opposite
+    parity.  Raises when the complex is not generically acyclic.
     """
-    m = c.top_degree
-    r = _boundary_ranks(c)
-    if not all(c.ranks[k] == r[k] + r[k + 1] for k in range(m + 1)):
+    steps = _staircase(c, rightmost)
+    if steps is None:
         raise ValueError("torsion undefined: complex not generically acyclic")
     dets: list[RatFunc] = []
-    uncovered = list(range(c.ranks[0]))  # rows of degree k-1 not chosen there
-    for k in range(1, m + 1):
-        mat = c.boundary(k)
-        rows = mat.submatrix(uncovered, range(mat.ncols))
-        order = range(mat.ncols - 1, -1, -1) if rightmost else None
-        chosen = sorted(rows.pivot_columns(order))
-        if len(chosen) != r[k]:
-            raise ValueError("torsion undefined: complex not generically acyclic")
-        square = rows.submatrix(range(rows.nrows), chosen)
-        dets.append(_ONE if square.nrows == 0 else square.det())
-        chosen_set = set(chosen)
-        uncovered = [j for j in range(c.ranks[k]) if j not in chosen_set]
-    if uncovered:
-        raise ValueError("torsion undefined: complex not generically acyclic")
+    for picked, pivots, odd in steps:
+        det = _ONE
+        for pivot in pivots:
+            det = det * pivot
+        inversions = sum(a > b for i, a in enumerate(picked) for b in picked[i + 1:])
+        dets.append(-det if odd != (inversions % 2 == 1) else det)
     return dets
 
 

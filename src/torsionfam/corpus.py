@@ -321,10 +321,6 @@ def _hermitian_block(rng: random.Random, m: int, centers) -> FamilySpec:
     return FamilySpec("hermitian", cplx, tuple(pairing), tuple(centers))
 
 
-def _circle_block(rng: random.Random, centers) -> FamilySpec:
-    return circle_family(_divisor(rng, centers, real_only=False), centers=centers)
-
-
 def random_family(rng: random.Random, index: int) -> FamilySpec:
     """One random self-dual, generically acyclic family complex.
 

@@ -40,7 +40,7 @@ from .complexes import (
     is_generically_acyclic,
     torsion,
 )
-from .linalg import Matrix
+from .linalg import Matrix, _clear_below
 from .ratfunc import RatFunc
 from .scalars import GaussRat
 
@@ -54,10 +54,15 @@ __all__ = [
     "singularity_exponent",
     "analyze",
     "check_duality_pairing",
+    "DualityError",
 ]
 
 _ZERO = RatFunc.zero()
 _ONE = RatFunc.one()
+
+
+class DualityError(ValueError):
+    """A duality pairing that is not a local chain isomorphism at a point."""
 
 
 @dataclass(frozen=True)
@@ -150,9 +155,10 @@ def _require_local(mat: Matrix, t0: GaussRat) -> None:
 def snf_local(mat: Matrix, t0, strategy: str = "first") -> DivisorProfile:
     """Elementary divisors of a matrix over the local ring at t0.
 
-    Pivots on an entry of minimal valuation, clears its row and column
-    with transformations invertible over the local ring, and recurses;
-    the divisor valuations come out sorted automatically.  ``strategy``
+    Pivots on an entry of minimal valuation, clears the rows below it
+    with transformations invertible over the local ring (every ratio
+    has valuation >= 0), and recurses on the rest; the pivot row is
+    never read again, so no column operations are needed.  ``strategy``
     picks among minimal-valuation pivots ("first" or "last" in
     row-major scan order); the result is pivot-order independent, and
     tests assert exactly that.
@@ -184,22 +190,7 @@ def snf_local(mat: Matrix, t0, strategy: str = "first") -> DivisorProfile:
         work[lo], work[pj] = work[pj], work[lo]
         for row in work:
             row[lo], row[pk] = row[pk], row[lo]
-        p = work[lo][lo]
-        for j in range(lo + 1, nr):
-            e = work[j][lo]
-            if e.is_zero():
-                continue
-            ratio = e / p  # valuation >= 0: regular at t0
-            row_j, row_p = work[j], work[lo]
-            for k in range(lo, nc):
-                row_j[k] = row_j[k] - ratio * row_p[k]
-        for k in range(lo + 1, nc):
-            e = work[lo][k]
-            if e.is_zero():
-                continue
-            ratio = e / p
-            for j in range(lo, nr):
-                work[j][k] = work[j][k] - ratio * work[j][lo]
+        _clear_below(work, lo, lo, range(lo + 1, nc))
         vals.append(pivot_val)
         lo += 1
     return DivisorProfile(tuple(sorted(vals)), free_rank=nr - len(vals))
@@ -244,32 +235,33 @@ def check_duality_pairing(
     The pairing is a list of matrices P_i : C_i -> dual(C)_i, one per
     degree, forming a chain isomorphism onto the conjugate-transpose
     dual, with every P_i invertible over the local ring at t0 (entries
-    regular, determinant a unit).  Raises with a description on any
-    failure.
+    regular, determinant a unit).  Raises :class:`DualityError` with a
+    description on any failure.
     """
     t0 = GaussRat.coerce(t0)
     m = c.top_degree
     dual = dual_complex(c)
     if len(pairing) != m + 1:
-        raise ValueError(f"duality pairing needs {m + 1} matrices, got {len(pairing)}")
+        raise DualityError(f"duality pairing needs {m + 1} matrices, got {len(pairing)}")
     for i, p in enumerate(pairing):
         want = (dual.ranks[i], c.ranks[i])
         if p.shape() != want:
-            raise ValueError(f"duality matrix {i} has shape {p.shape()}, expected {want}")
-        _require_local(p, t0)
+            raise DualityError(f"duality matrix {i} has shape {p.shape()}, expected {want}")
+        if not all(e.is_regular_at(t0) for e in p.entries()):
+            raise DualityError(f"duality matrix {i} not defined over the local ring")
         if p.nrows != p.ncols:
-            raise ValueError(f"duality matrix {i} is not square")
+            raise DualityError(f"duality matrix {i} is not square")
         if p.nrows:
             det = p.det()
             if det.is_zero() or det.valuation(t0) != 0:
-                raise ValueError(
+                raise DualityError(
                     f"duality matrix {i} is not invertible over the local ring"
                 )
     for i in range(1, m + 1):
         lhs = dual.boundary(i).mul_with_zero(pairing[i], _ZERO)
         rhs = pairing[i - 1].mul_with_zero(c.boundary(i), _ZERO)
         if lhs != rhs:
-            raise ValueError(f"duality pairing is not a chain map in degree {i}")
+            raise DualityError(f"duality pairing is not a chain map in degree {i}")
 
 
 def analyze(

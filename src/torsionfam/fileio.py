@@ -37,6 +37,9 @@ __all__ = [
 
 _ZERO = RatFunc.zero()
 
+# largest rank load_complex accepts in any degree
+MAX_RANK = 1000
+
 
 class ParseError(ValueError):
     """Parse failure with file, line, and offending token context."""
@@ -138,6 +141,9 @@ def load_complex(
     if toks[0] != "ranks" or len(toks) < 2:
         reader.error(lineno, "expected 'ranks r0 r1 ...'", toks[0])
     ranks = [_read_int(reader, lineno, tok) for tok in toks[1:]]
+    for tok, r in zip(toks[1:], ranks):
+        if r > MAX_RANK:
+            reader.error(lineno, f"rank above the cap of {MAX_RANK}", tok)
     m = len(ranks) - 1
     boundaries = []
     for k in range(1, m + 1):

@@ -23,7 +23,7 @@ d_1 . d_2 = phi(r) - 1 = 0 for every relator r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .linalg import Matrix
 from .ratfunc import RatFunc
@@ -42,6 +42,9 @@ __all__ = [
 
 _ZERO = RatFunc.zero()
 _ONE = RatFunc.one()
+
+# longest word parse_word expands, in letters
+MAX_WORD_LETTERS = 10_000
 
 
 class Word:
@@ -215,14 +218,14 @@ class RepFamily:
     image must have nonzero determinant over the function field.  The
     ``unitary`` flag asserts image . conj(image^T) = 1 as a matrix
     identity, ``special`` asserts det(image) = 1; both are validated.
-    ``center_hint`` optionally records the intended degeneration point.
+    ``inverses[g]`` is the inverse of ``images[g]``, computed once.
     """
 
     rank: int
     images: tuple
     unitary: bool = False
     special: bool = False
-    center_hint: object = None
+    inverses: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         images = tuple(self.images)
@@ -242,6 +245,7 @@ class RepFamily:
             if self.special:
                 if det != _ONE:
                     raise ValueError(f"image of generator {g} has determinant != 1")
+        object.__setattr__(self, "inverses", tuple(mat.inverse() for mat in images))
 
     @property
     def ngens(self) -> int:
@@ -253,7 +257,8 @@ class RepFamily:
         return self.images[g]
 
     def image_inverse(self, g: int) -> Matrix:
-        return self.image(g).inverse()
+        self.image(g)  # range check
+        return self.inverses[g]
 
 
 def specialize_word(w: Word, rho: RepFamily) -> Matrix:
@@ -344,7 +349,9 @@ def parse_word(text: str, names: list[str]) -> Word:
     """Parse a letter-exponent word over the named generators.
 
     Tokens are generator names with an optional ``^k`` exponent for a
-    nonzero integer k (so ``x^-2`` means two inverse letters).
+    nonzero integer k (so ``x^-2`` means two inverse letters).  A word
+    that would expand past ``MAX_WORD_LETTERS`` letters is rejected
+    before it is expanded.
     """
     letters: list[tuple[int, int]] = []
     for tok in text.split():
@@ -360,6 +367,10 @@ def parse_word(text: str, names: list[str]) -> Word:
             raise ValueError(f"unknown generator {name!r} in word")
         if exp == 0:
             continue
+        if len(letters) + abs(exp) > MAX_WORD_LETTERS:
+            raise ValueError(
+                f"word token {tok!r} expands past the cap of {MAX_WORD_LETTERS} letters"
+            )
         g = names.index(name)
         step = 1 if exp > 0 else -1
         letters.extend((g, step) for _ in range(abs(exp)))

@@ -6,9 +6,11 @@ complexes), stores entries as a tuple of row tuples, and works for any
 entry type with field arithmetic and ``is_zero`` -- in practice
 GaussRat and RatFunc.
 
-Elimination routines use exact division, no pivot-size heuristics:
-the first nonzero candidate in scan order is the pivot, which keeps
-every computation deterministic.
+All elimination is one forward-elimination kernel, :func:`_eliminate`,
+whose pivot is the first nonzero entry in scan order (exact division,
+no pivot-size heuristics, so every computation is deterministic).
+``rank``, ``pivot_columns``, ``det``, ``inverse``, the torsion staircase
+and the local Smith form all run through it or its row update.
 """
 
 from __future__ import annotations
@@ -81,12 +83,6 @@ class Matrix:
     def entries(self):
         for row in self.rows:
             yield from row
-
-    def _any_entry(self):
-        for row in self.rows:
-            for e in row:
-                return e
-        raise ValueError("matrix has no entries")
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
         row_idx = list(row_idx)
@@ -173,31 +169,7 @@ class Matrix:
 
     def rank(self) -> int:
         """Rank over the entry field, by exact Gaussian elimination."""
-        work = [list(r) for r in self.rows]
-        nr, nc = self.nrows, self.ncols
-        rank = 0
-        for col in range(nc):
-            pivot_row = None
-            for j in range(rank, nr):
-                if not work[j][col].is_zero():
-                    pivot_row = j
-                    break
-            if pivot_row is None:
-                continue
-            work[rank], work[pivot_row] = work[pivot_row], work[rank]
-            pivot = work[rank][col]
-            for j in range(rank + 1, nr):
-                factor = work[j][col]
-                if factor.is_zero():
-                    continue
-                ratio = factor / pivot
-                row_j, row_p = work[j], work[rank]
-                for k in range(col, nc):
-                    row_j[k] = row_j[k] - ratio * row_p[k]
-            rank += 1
-            if rank == nr:
-                break
-        return rank
+        return len(_eliminate([list(r) for r in self.rows], range(self.ncols))[0])
 
     def pivot_columns(self, col_order=None) -> list[int]:
         """Columns picked as pivots when scanning in ``col_order``.
@@ -206,34 +178,8 @@ class Matrix:
         is the rank, and the corresponding column submatrix has full
         column rank.  Deterministic for a fixed order.
         """
-        order = list(range(self.ncols)) if col_order is None else list(col_order)
-        work = [list(r) for r in self.rows]
-        nr = self.nrows
-        rank = 0
-        picked = []
-        for col in order:
-            pivot_row = None
-            for j in range(rank, nr):
-                if not work[j][col].is_zero():
-                    pivot_row = j
-                    break
-            if pivot_row is None:
-                continue
-            work[rank], work[pivot_row] = work[pivot_row], work[rank]
-            pivot = work[rank][col]
-            for j in range(rank + 1, nr):
-                factor = work[j][col]
-                if factor.is_zero():
-                    continue
-                ratio = factor / pivot
-                row_j, row_p = work[j], work[rank]
-                for k in range(self.ncols):
-                    row_j[k] = row_j[k] - ratio * row_p[k]
-            picked.append(col)
-            rank += 1
-            if rank == nr:
-                break
-        return picked
+        order = range(self.ncols) if col_order is None else list(col_order)
+        return _eliminate([list(r) for r in self.rows], order)[0]
 
     def det(self):
         """Determinant of a square matrix with at least one entry."""
@@ -241,122 +187,41 @@ class Matrix:
             raise ValueError("determinant of a non-square matrix")
         if self.nrows == 0:
             raise ValueError("0x0 determinant needs an explicit one; see caller")
-        work = [list(r) for r in self.rows]
-        n = self.nrows
-        sample = work[0][0]
-        det = sample.__class__.one()
-        sign_flip = False
-        for col in range(n):
-            pivot_row = None
-            for j in range(col, n):
-                if not work[j][col].is_zero():
-                    pivot_row = j
-                    break
-            if pivot_row is None:
-                return sample.__class__.zero()
-            if pivot_row != col:
-                work[col], work[pivot_row] = work[pivot_row], work[col]
-                sign_flip = not sign_flip
-            pivot = work[col][col]
+        cls = self.rows[0][0].__class__
+        picked, pivots, odd = _eliminate([list(r) for r in self.rows], range(self.ncols))
+        if len(picked) < self.nrows:
+            return cls.zero()
+        det = cls.one()
+        for pivot in pivots:
             det = det * pivot
-            for j in range(col + 1, n):
-                factor = work[j][col]
-                if factor.is_zero():
-                    continue
-                ratio = factor / pivot
-                row_j, row_p = work[j], work[col]
-                for k in range(col, n):
-                    row_j[k] = row_j[k] - ratio * row_p[k]
-        return -det if sign_flip else det
+        return -det if odd else det
 
     def inverse(self) -> "Matrix":
-        """Inverse of a nonsingular square matrix (Gauss-Jordan)."""
+        """Inverse of a nonsingular square matrix.
+
+        Eliminates [A | 1], then back-substitutes by eliminating the
+        upper triangle upside down, right to left.
+        """
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
         if n == 0:
             return Matrix([], 0)
-        sample = self.rows[0][0]
-        one = sample.__class__.one()
-        zero = sample.__class__.zero()
+        cls = self.rows[0][0].__class__
+        one, zero = cls.one(), cls.zero()
         work = [
-            list(self.rows[j]) + [one if k == j else zero for k in range(n)]
-            for j in range(n)
+            list(row) + [one if k == j else zero for k in range(n)]
+            for j, row in enumerate(self.rows)
         ]
-        for col in range(n):
-            pivot_row = None
-            for j in range(col, n):
-                if not work[j][col].is_zero():
-                    pivot_row = j
-                    break
-            if pivot_row is None:
-                raise ValueError("matrix is singular")
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            pivot = work[col][col]
-            inv_p = one / pivot
-            work[col] = [e * inv_p for e in work[col]]
-            for j in range(n):
-                if j == col:
-                    continue
-                factor = work[j][col]
-                if factor.is_zero():
-                    continue
-                row_j, row_c = work[j], work[col]
-                for k in range(2 * n):
-                    row_j[k] = row_j[k] - factor * row_c[k]
-        return Matrix([row[n:] for row in work], n)
-
-    def kernel_basis(self) -> "Matrix":
-        """Columns spanning the right kernel over the entry field."""
-        if self.ncols == 0:
-            return Matrix([], 0)
-        if self.nrows == 0:
-            # everything is in the kernel; need an entry type for 1/0
-            raise ValueError("kernel of an empty-row matrix needs entry type")
-        sample = self.rows[0][0]
-        one = sample.__class__.one()
-        zero = sample.__class__.zero()
-        # reduced row echelon form
-        work = [list(r) for r in self.rows]
-        nr, nc = self.nrows, self.ncols
-        pivots = []
-        rank = 0
-        for col in range(nc):
-            pivot_row = None
-            for j in range(rank, nr):
-                if not work[j][col].is_zero():
-                    pivot_row = j
-                    break
-            if pivot_row is None:
-                continue
-            work[rank], work[pivot_row] = work[pivot_row], work[rank]
-            pivot = work[rank][col]
-            inv_p = one / pivot
-            work[rank] = [e * inv_p for e in work[rank]]
-            for j in range(nr):
-                if j == rank:
-                    continue
-                factor = work[j][col]
-                if factor.is_zero():
-                    continue
-                row_j, row_p = work[j], work[rank]
-                for k in range(nc):
-                    row_j[k] = row_j[k] - factor * row_p[k]
-            pivots.append(col)
-            rank += 1
-            if rank == nr:
-                break
-        free = [c for c in range(nc) if c not in pivots]
-        cols = []
-        for fcol in free:
-            vec = [zero] * nc
-            vec[fcol] = one
-            for prow, pcol in enumerate(pivots):
-                vec[pcol] = -work[prow][fcol]
-            cols.append(vec)
-        if not cols:
-            return Matrix([[] for _ in range(nc)], 0)
-        return Matrix(list(zip(*cols)), len(cols))
+        if _eliminate(work, range(2 * n))[0] != list(range(n)):
+            raise ValueError("matrix is singular")
+        # below the diagonal the forward pass left stale entries; zero them
+        work = [[zero] * j + work[j][j:] for j in range(n - 1, -1, -1)]
+        _, pivots, _ = _eliminate(work, [*range(n - 1, -1, -1), *range(n, 2 * n)])
+        return Matrix(
+            [[e / p for e in row[n:]] for row, p in zip(reversed(work), reversed(pivots))],
+            n,
+        )
 
     # -- comparison ----------------------------------------------------
 
@@ -379,3 +244,50 @@ def _dot(row, col):
     for a, b in it:
         acc = acc + a * b
     return acc
+
+
+def _eliminate(work, order):
+    """Forward elimination of the row lists ``work``, in place.
+
+    Scans the columns of the sequence ``order``, pivots on the first
+    nonzero entry at or below the current rank, swaps its row up and
+    clears the rows below on the columns not scanned yet.  Returns the
+    picked columns in scan order, their pivots, and whether the number
+    of row swaps is odd.
+    """
+    nrows = len(work)
+    picked, pivots, odd = [], [], False
+    for i, col in enumerate(order):
+        rank = len(picked)
+        if rank == nrows:
+            break
+        for j in range(rank, nrows):
+            if not work[j][col].is_zero():
+                break
+        else:
+            continue
+        if j != rank:
+            work[rank], work[j] = work[j], work[rank]
+            odd = not odd
+        _clear_below(work, rank, col, order[i + 1:])
+        picked.append(col)
+        pivots.append(work[rank][col])
+    return picked, pivots, odd
+
+
+def _clear_below(work, top, col, cols) -> None:
+    """Clear column ``col`` below row ``top`` by row operations.
+
+    Only the columns ``cols`` are written: column ``col`` keeps stale
+    entries, which callers never read again.
+    """
+    row_p = work[top]
+    pivot = row_p[col]
+    cols = [k for k in cols if not row_p[k].is_zero()]
+    for row_j in work[top + 1:]:
+        factor = row_j[col]
+        if factor.is_zero():
+            continue
+        ratio = factor / pivot
+        for k in cols:
+            row_j[k] = row_j[k] - ratio * row_p[k]

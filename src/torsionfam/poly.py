@@ -174,10 +174,6 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def divides_exactly(self, other: "Poly") -> bool:
-        """True when ``self`` divides ``other`` with zero remainder."""
-        return (other % self).is_zero()
-
     def monic(self) -> "Poly":
         if self.is_zero():
             raise ValueError("zero polynomial cannot be made monic")

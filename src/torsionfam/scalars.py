@@ -25,9 +25,6 @@ __all__ = [
     "sign_of_real",
 ]
 
-RatLike = "int | Fraction"
-
-
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x

@@ -174,3 +174,19 @@ def test_selftest_seed_changes_samples_not_verdict():
     a = selftest(seed=1)
     b = selftest(seed=2)
     assert a.all_pass and b.all_pass
+
+
+def test_rejected_pairing_fails_a_check(capsys, tmp_path):
+    bad = tmp_path / "bad_pairing.cplx"
+    text = (DATA / "circle.cplx").read_text()
+    bad.write_text(text.replace("pairing 0\n[i,1]/[-i,1]\n", "pairing 0\n[0,1]\n"))
+    good = DATA / "circle.cplx"
+    code, out, err = invoke(
+        capsys, "analyze", str(bad), str(good), "--t0", "0", "--format", "structured",
+    )
+    assert code == 1 and err == ""
+    assert f"check {bad}:0:duality fail" in out
+    assert f"note {bad}:0: duality pairing rejected: duality matrix 0 is not invertible" in out
+    assert f"check {good}:0:duality pass" in out
+    assert out.count("item analysis.0.nu 1") == 2
+    assert out.endswith("verdict fail\n")

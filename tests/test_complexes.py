@@ -242,3 +242,70 @@ def test_sign_flip_law_on_corpus():
                 sp = torsion_sign_at(fam.complex, GaussRat(c + delta))
                 sm = torsion_sign_at(fam.complex, GaussRat(c - delta))
                 assert sp * sm == (-1) ** nu
+
+
+# -- old paths as oracles of the one-elimination staircase ---------------------
+
+
+def _rank_criterion(c):
+    r = [0] + [c.boundary(k).rank() for k in range(1, c.top_degree + 1)] + [0]
+    return all(c.ranks[k] == r[k] + r[k + 1] for k in range(c.top_degree + 1))
+
+
+@pytest.fixture(scope="module")
+def small_corpus():
+    return [fam.complex for fam in acceptance_corpus(12, 8080)]
+
+
+@pytest.mark.parametrize("rightmost", [False, True])
+def test_staircase_determinants_match_submatrix_det(small_corpus, rightmost):
+    """Each D_k read off the picking elimination equals det of its square."""
+    from torsionfam.complexes import _staircase, _subset_determinants
+
+    for c in small_corpus:
+        steps = _staircase(c, rightmost)
+        dets = _subset_determinants(c, rightmost)
+        uncovered = list(range(c.ranks[0]))
+        for k, ((picked, _, _), d) in enumerate(zip(steps, dets), start=1):
+            square = c.boundary(k).submatrix(uncovered, sorted(picked))
+            assert d == (ONE if square.nrows == 0 else square.det())
+            uncovered = [j for j in range(c.ranks[k]) if j not in picked]
+
+
+def test_acyclicity_certificate_matches_rank_criterion(small_corpus):
+    """The completed staircase agrees with rank(d_k) + rank(d_k+1) == rank C_k."""
+    rng = random.Random(8081)
+    non_acyclic = 0
+    for c in small_corpus:
+        assert is_generically_acyclic(c) and _rank_criterion(c)
+        # d_k into the highest nonzero degree is injective: zeroing its
+        # first column keeps d.d = 0 and always breaks acyclicity
+        top = max(k for k in range(1, c.top_degree + 1) if c.ranks[k])
+        variants = [(top, [(j, 0) for j in range(c.ranks[top - 1])])]
+        for _ in range(4):
+            k = rng.randrange(1, c.top_degree + 1)
+            mat = c.boundary(k)
+            if mat.nrows and mat.ncols:
+                variants.append((k, [(rng.randrange(mat.nrows), rng.randrange(mat.ncols))]))
+        for k, cells in variants:
+            rows = [list(r) for r in c.boundary(k).rows]
+            for j, col in cells:
+                rows[j][col] = ZERO
+            bnds = list(c.boundaries)
+            bnds[k - 1] = Matrix(rows, c.ranks[k])
+            try:
+                v = BasedChainComplex(c.ranks, bnds)
+            except ValueError:
+                continue  # zeroing broke d.d = 0
+            assert is_generically_acyclic(v) == _rank_criterion(v)
+            non_acyclic += not is_generically_acyclic(v)
+        # an extra top cell with zero boundary: every step keeps full row
+        # rank, only the top degree is left over
+        m = c.top_degree
+        rows = [list(r) + [ZERO] for r in c.boundary(m).rows]
+        extra = BasedChainComplex(
+            c.ranks[:-1] + (c.ranks[m] + 1,),
+            list(c.boundaries[:-1]) + [Matrix(rows, c.ranks[m] + 1)],
+        )
+        assert not is_generically_acyclic(extra) and not _rank_criterion(extra)
+    assert non_acyclic >= len(small_corpus)

@@ -5,6 +5,7 @@ import pytest
 from torsionfam.corpus import acceptance_corpus, circle_family, torus3_family
 from torsionfam.eta import ArgPairing, EtaProfile, JumpRecord
 from torsionfam.fileio import (
+    MAX_RANK,
     ParseError,
     dump_complex,
     dump_knot,
@@ -15,7 +16,7 @@ from torsionfam.fileio import (
     load_ledger,
     load_presentation,
 )
-from torsionfam.groupring import RepFamily, parse_word
+from torsionfam.groupring import MAX_WORD_LETTERS, RepFamily, parse_word
 from torsionfam.knots import bundled_knots
 from torsionfam.linalg import Matrix
 from torsionfam.ratfunc import cayley
@@ -166,3 +167,15 @@ def test_comments_and_blank_lines_skipped():
     )
     cplx, _ = load_complex(text)
     assert cplx.ranks == (1, 1)
+
+
+def test_size_caps_fail_fast():
+    with pytest.raises(ParseError, match=f"cap of {MAX_RANK}"):
+        load_complex("complex v1\nranks 0 100000000\nboundary 1\nend\n")
+    knot = "knot v1\ngenerators x y\nrelator x^99999999999 y\nend\n"
+    with pytest.raises(ParseError, match=f"cap of {MAX_WORD_LETTERS} letters"):
+        load_knot(knot)
+    with pytest.raises(ParseError, match="cap of"):
+        load_presentation(knot.replace("knot v1", "presentation v1"))
+    with pytest.raises(ValueError, match="cap of"):
+        parse_word(" ".join(["x^5000"] * 3), ["x"])
