@@ -340,10 +340,17 @@ def _cmd_eta_check(job: JobSpec) -> Report:
         if complex_path:
             cplx, inline = _load_family(complex_path)
             pairing = _load_duality(job, inline)
-            reports = [
-                analyze(cplx, GaussRat(rec.t0), duality=pairing)
-                for rec in profile.jumps
-            ]
+            reports = []
+            for rec in profile.jumps:
+                t0 = GaussRat(rec.t0)
+                try:
+                    reports.append(analyze(cplx, t0, duality=pairing))
+                except DualityError as exc:
+                    reports.append(analyze(cplx, t0))
+                    report.note(
+                        f"{path}:jump-{rec.t0}: duality pairing rejected: {exc}"
+                    )
+                    report.check(f"{path}:jump-{rec.t0}:duality", False)
             for rec, rep in zip(profile.jumps, reports):
                 parity_ok = (
                     rep.middle_dim_parity == rec.sigma_odd % 2

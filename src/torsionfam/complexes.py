@@ -28,6 +28,12 @@ its sign.  A second, rightmost-scanning strategy is provided purely to
 let tests certify that the valuation does not depend on the choice.
 The completed staircase also certifies acyclicity: it completes
 exactly when the complex is generically acyclic.
+
+A complex is immutable, so what is derived from it alone is computed
+once and kept in a private memo on the object: the staircase and the
+torsion value of each strategy, and (filled by the deformation module)
+the parameter-independent part of each accepted duality pairing.  The
+memo lives and dies with the complex.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ _ONE = RatFunc.one()
 class BasedChainComplex:
     """Finite free based chain complex with RatFunc boundary matrices."""
 
-    __slots__ = ("ranks", "boundaries")
+    __slots__ = ("ranks", "boundaries", "_memo")
 
     def __init__(self, ranks, boundaries):
         ranks = tuple(int(r) for r in ranks)
@@ -84,6 +90,8 @@ class BasedChainComplex:
                 raise ValueError(f"boundary condition fails: d_{k} . d_{k + 1} != 0")
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "boundaries", boundaries)
+        # derived data, keyed by what derived it; see the module docstring
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("BasedChainComplex is immutable")
@@ -148,13 +156,27 @@ def _staircase(c: BasedChainComplex, rightmost: bool):
     return None if uncovered else steps
 
 
+def _memoized(c: BasedChainComplex, key, compute):
+    """``compute()``, run once per complex and ``key``."""
+    memo = c._memo
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _steps(c: BasedChainComplex, rightmost: bool):
+    """The memoized staircase of one strategy."""
+    return _memoized(c, ("staircase", rightmost), lambda: _staircase(c, rightmost))
+
+
 def is_generically_acyclic(c: BasedChainComplex) -> bool:
     """Exactness over the rational function field.
 
     Equivalent to acyclicity of the evaluated complex for all but
-    finitely many parameter values.
+    finitely many parameter values.  Reads the memoized leftmost
+    staircase, the one ``torsion`` uses.
     """
-    return _staircase(c, rightmost=False) is not None
+    return _steps(c, rightmost=False) is not None
 
 
 def _subset_determinants(c: BasedChainComplex, rightmost: bool) -> list[RatFunc]:
@@ -164,7 +186,7 @@ def _subset_determinants(c: BasedChainComplex, rightmost: bool) -> list[RatFunc]
     when the row swaps and the sort of the picked columns have opposite
     parity.  Raises when the complex is not generically acyclic.
     """
-    steps = _staircase(c, rightmost)
+    steps = _steps(c, rightmost)
     if steps is None:
         raise ValueError("torsion undefined: complex not generically acyclic")
     dets: list[RatFunc] = []
@@ -184,10 +206,20 @@ def torsion(c: BasedChainComplex, _strategy: str = "leftmost") -> TorsionValue:
     sign.  ``_strategy`` ("leftmost" or "rightmost") switches the
     column-subset scan and exists for the subset-independence checks;
     the published convention is the leftmost scan.
+
+    The value and its staircase are memoized on the complex, one entry
+    per strategy, so repeated calls (``torsion_sign_at``,
+    ``singularity_exponent``, the deformation analysis at every point)
+    return the stored value.  A complex that is not generically acyclic
+    raises on every call.
     """
     if _strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown subset strategy {_strategy!r}")
-    dets = _subset_determinants(c, rightmost=_strategy == "rightmost")
+    return _memoized(c, ("torsion", _strategy), lambda: _torsion(c, _strategy))
+
+
+def _torsion(c: BasedChainComplex, strategy: str) -> TorsionValue:
+    dets = _subset_determinants(c, rightmost=strategy == "rightmost")
     value = _ONE
     for k, d in enumerate(dets, start=1):
         value = value * d if k % 2 == 1 else value / d
@@ -256,7 +288,8 @@ def torsion_sign_at(c: BasedChainComplex, t) -> int:
 
     The evaluated torsion must be a nonzero real number there; families
     assembled from self-dual blocks have exactly real torsion on the
-    real line, which is what the sign-flip law quantifies.
+    real line, which is what the sign-flip law quantifies.  The torsion
+    function is the memoized one; only its evaluation runs per point.
     """
     from .scalars import sign_of_real
 

@@ -34,6 +34,7 @@ from .ratfunc import RatFunc, cayley, conj_family, uniformizer
 from .scalars import GaussRat
 
 __all__ = [
+    "ACCEPTANCE_SIZE",
     "FamilySpec",
     "elementary_complex",
     "swap_pairing",
@@ -44,6 +45,9 @@ __all__ = [
     "acceptance_corpus",
     "bundled_direct_sum",
 ]
+
+# number of families in the acceptance corpus (tests/test_acceptance.py)
+ACCEPTANCE_SIZE = 55
 
 _ZERO = RatFunc.zero()
 _ONE = RatFunc.one()
@@ -347,7 +351,7 @@ def random_family(rng: random.Random, index: int) -> FamilySpec:
     return combine(f"fam{index:03d}-m{m}", parts)
 
 
-def acceptance_corpus(count: int = 60, seed: int = 20250) -> list[FamilySpec]:
+def acceptance_corpus(count: int = ACCEPTANCE_SIZE, seed: int = 20250) -> list[FamilySpec]:
     """Deterministic corpus of duality-equipped family complexes."""
     rng = random.Random(seed)
     out = []

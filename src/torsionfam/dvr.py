@@ -237,31 +237,43 @@ def check_duality_pairing(
     dual, with every P_i invertible over the local ring at t0 (entries
     regular, determinant a unit).  Raises :class:`DualityError` with a
     description on any failure.
+
+    The chain-map identity and the determinants of the P_i do not
+    depend on t0; once a pairing has been accepted they are memoized on
+    the complex, keyed by the pairing.  The shape checks, the
+    regularity of the entries at t0 and the unit check of each
+    determinant at t0 run on every call.
     """
     t0 = GaussRat.coerce(t0)
     m = c.top_degree
-    dual = dual_complex(c)
     if len(pairing) != m + 1:
         raise DualityError(f"duality pairing needs {m + 1} matrices, got {len(pairing)}")
+    key = ("duality", tuple(pairing))
+    known = c._memo.get(key)  # determinants of the accepted pairing
+    dets = []
     for i, p in enumerate(pairing):
-        want = (dual.ranks[i], c.ranks[i])
+        want = (c.ranks[m - i], c.ranks[i])  # the dual's ranks are reversed
         if p.shape() != want:
             raise DualityError(f"duality matrix {i} has shape {p.shape()}, expected {want}")
         if not all(e.is_regular_at(t0) for e in p.entries()):
             raise DualityError(f"duality matrix {i} not defined over the local ring")
         if p.nrows != p.ncols:
             raise DualityError(f"duality matrix {i} is not square")
-        if p.nrows:
-            det = p.det()
-            if det.is_zero() or det.valuation(t0) != 0:
-                raise DualityError(
-                    f"duality matrix {i} is not invertible over the local ring"
-                )
+        det = known[i] if known is not None else p.det() if p.nrows else None
+        if det is not None and (det.is_zero() or det.valuation(t0) != 0):
+            raise DualityError(
+                f"duality matrix {i} is not invertible over the local ring"
+            )
+        dets.append(det)
+    if known is not None:
+        return
+    dual = dual_complex(c)
     for i in range(1, m + 1):
         lhs = dual.boundary(i).mul_with_zero(pairing[i], _ZERO)
         rhs = pairing[i - 1].mul_with_zero(c.boundary(i), _ZERO)
         if lhs != rhs:
             raise DualityError(f"duality pairing is not a chain map in degree {i}")
+    c._memo[key] = tuple(dets)
 
 
 def analyze(
@@ -273,6 +285,13 @@ def analyze(
     Euler number of the local torsion modules) and requires them to
     agree exactly; that is the calibration cross-check of the frozen
     sign convention and it is enforced as a hard failure.
+
+    The acyclicity certificate (the completed staircase), the torsion
+    function and the parameter-independent part of the duality check
+    come from the complex's memo, so analyzing a family at many points
+    computes them once.  The local Smith forms, the valuations at t0,
+    the ``nu == chi`` check and the local checks of the pairing run at
+    every point.
     """
     t0 = GaussRat.coerce(t0)
     if not is_generically_acyclic(c):

@@ -238,12 +238,17 @@ class Matrix:
 
 
 def _dot(row, col):
-    it = zip(row, col)
-    a, b = next(it)
-    acc = a * b
-    for a, b in it:
-        acc = acc + a * b
-    return acc
+    """Sum of the products of the nonzero pairs; the typed zero if none.
+
+    Skipping zero terms leaves the result unchanged: entry normal forms
+    are canonical, so 0 + x is x.
+    """
+    acc = None
+    for a, b in zip(row, col):
+        if a.is_zero() or b.is_zero():
+            continue
+        acc = a * b if acc is None else acc + a * b
+    return row[0] * col[0] if acc is None else acc
 
 
 def _eliminate(work, order):

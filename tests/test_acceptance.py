@@ -18,7 +18,7 @@ from torsionfam.complexes import (
     torsion,
     torsion_sign_at,
 )
-from torsionfam.corpus import acceptance_corpus
+from torsionfam.corpus import ACCEPTANCE_SIZE, acceptance_corpus
 from torsionfam.dvr import analyze, snf_local
 from torsionfam.eta import (
     ArgPairing,
@@ -45,13 +45,12 @@ from torsionfam.poly import Poly
 from torsionfam.ratfunc import RatFunc, conj_family
 from torsionfam.scalars import GaussRat
 
-CORPUS_SIZE = 55
 CORPUS_SEED = 20250
 
 
 @pytest.fixture(scope="module")
 def corpus():
-    return acceptance_corpus(CORPUS_SIZE, CORPUS_SEED)
+    return acceptance_corpus(ACCEPTANCE_SIZE, CORPUS_SEED)
 
 
 @pytest.fixture(scope="module")

@@ -190,3 +190,29 @@ def test_rejected_pairing_fails_a_check(capsys, tmp_path):
     assert f"check {good}:0:duality pass" in out
     assert out.count("item analysis.0.nu 1") == 2
     assert out.endswith("verdict fail\n")
+
+
+def test_eta_check_rejected_pairing_fails_a_check(capsys, tmp_path):
+    bad = tmp_path / "bad_pairing.cplx"
+    text = (DATA / "circle.cplx").read_text()
+    bad.write_text(text.replace("pairing 0\n[i,1]/[-i,1]\n", "pairing 0\n[0,1]\n"))
+    ledger = DATA / "ledger_circle.eta"
+    again = tmp_path / "again.eta"
+    again.write_text(ledger.read_text())
+    code, out, err = invoke(
+        capsys, "eta-check", str(ledger), str(again), "--complex", str(bad),
+        "--format", "structured",
+    )
+    assert code == 1 and err == ""
+    for path in (ledger, again):
+        assert f"check {path}:jump-0:duality fail" in out
+        assert (
+            f"note {path}:jump-0: duality pairing rejected: "
+            "duality matrix 0 is not invertible" in out
+        )
+        # the point is still analyzed, without the pairing
+        assert f"check {path}:jump-0:family-parity pass" in out
+        assert f"check {path}:jump-0:nu-matches-family pass" in out
+        assert f"check {path}:ray-invariance pass" in out
+    assert out.count("item signs.synthesized + -") == 2
+    assert out.endswith("verdict fail\n")

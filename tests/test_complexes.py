@@ -16,6 +16,7 @@ from torsionfam.complexes import (
 )
 from torsionfam.corpus import acceptance_corpus, elementary_complex
 from torsionfam.dvr import singularity_exponent
+from torsionfam.fileio import dump_complex, load_complex
 from torsionfam.linalg import Matrix
 from torsionfam.ratfunc import RatFunc, cayley, conj_family
 from torsionfam.scalars import GaussRat
@@ -309,3 +310,32 @@ def test_acyclicity_certificate_matches_rank_criterion(small_corpus):
         )
         assert not is_generically_acyclic(extra) and not _rank_criterion(extra)
     assert non_acyclic >= len(small_corpus)
+
+
+# -- the memo on the complex ---------------------------------------------------
+
+
+def _fresh(c):
+    """An equal complex with an empty memo, through the file format."""
+    return load_complex(dump_complex(c))[0]
+
+
+def test_rightmost_torsion_not_served_from_the_leftmost_memo():
+    a, b = T - 1, T + 2
+    c = BasedChainComplex([1, 2, 1], [Matrix([[a, b]]), Matrix([[-b], [a]])])
+    left = torsion(c).value
+    right = torsion(c, "rightmost").value
+    # here the two scans give opposite signs: a / a and b / (-b)
+    assert (left, right) == (ONE, -ONE)
+    assert right == torsion(_fresh(c), "rightmost").value
+    assert torsion(c).value == left
+
+
+def test_memoized_torsion_matches_fresh(small_corpus):
+    for c in small_corpus:
+        for order in (("leftmost", "rightmost"), ("rightmost", "leftmost")):
+            memo = _fresh(c)
+            first = [torsion(memo, s) for s in order]
+            again = [torsion(memo, s) for s in order]
+            fresh = [torsion(_fresh(c), s) for s in order]
+            assert first == again == fresh

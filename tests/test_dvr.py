@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from torsionfam.complexes import BasedChainComplex, direct_sum, torsion
+from torsionfam.complexes import BasedChainComplex, direct_sum, torsion, torsion_sign_at
 from torsionfam.corpus import (
     acceptance_corpus,
     circle_family,
@@ -14,6 +14,7 @@ from torsionfam.corpus import (
 from torsionfam.dvr import (
     DeformationReport,
     DivisorProfile,
+    DualityError,
     TorsionModuleSummary,
     analyze,
     check_duality_pairing,
@@ -336,3 +337,97 @@ def test_analyze_additive_over_direct_sums():
         da = ra.dims.dims + (0,) * (len(rs.dims.dims) - len(ra.dims.dims))
         db = rb.dims.dims + (0,) * (len(rs.dims.dims) - len(rb.dims.dims))
         assert rs.dims.dims == tuple(x + y for x, y in zip(da, db))
+
+
+# -- what is memoized on the complex, and what still runs per point -------------
+
+
+def test_rejected_pairing_stays_rejected_with_a_filled_memo():
+    fam = circle_family(cayley() - 1, centers=(Fraction(0),))
+    c, good = fam.complex, list(fam.pairing)
+    assert analyze(c, 0, duality=good).duality_ok  # fills the memo
+    not_chain = [Matrix([[ONE]]), Matrix([[ONE]])]
+    singular = [Matrix([[ZERO]]), good[1]]
+    for bad, why in ((not_chain, "not a chain map"), (singular, "not invertible")):
+        for _ in range(2):
+            with pytest.raises(DualityError, match=why):
+                check_duality_pairing(c, bad, 0)
+            with pytest.raises(DualityError, match=why):
+                analyze(c, 0, duality=bad)
+
+
+def test_other_pairing_verified_anew_after_one_is_memoized():
+    fam = torus3_family()
+    c, good = fam.complex, list(fam.pairing)
+    check_duality_pairing(c, good, 0)
+    check_duality_pairing(c, [-p for p in good], 0)
+    # d_i != 0 and P_(i-1) is invertible, so negating one P_i breaks a square
+    for i in range(len(good)):
+        flipped = good[:i] + [-good[i]] + good[i + 1:]
+        with pytest.raises(DualityError, match="not a chain map"):
+            check_duality_pairing(c, flipped, 0)
+    check_duality_pairing(c, good, 0)
+
+
+@pytest.mark.parametrize("vanishing_point_first", [True, False])
+def test_scaled_pairing_rejected_only_where_it_vanishes(vanishing_point_first):
+    """(t - 1) P is still a chain map; its determinants vanish at 1 only."""
+    fam = torus3_family()
+    c = fam.complex
+    scaled = [p.scale(T - 1) for p in fam.pairing]
+    points = [GaussRat(1), GaussRat(0)]
+    if not vanishing_point_first:
+        points.reverse()
+    for _ in range(2):
+        for t0 in points:
+            if t0 == GaussRat(1):
+                with pytest.raises(DualityError, match="matrix 0 is not invertible"):
+                    check_duality_pairing(c, scaled, t0)
+            else:
+                check_duality_pairing(c, scaled, t0)
+
+
+def test_family_pipeline_analyzes_the_complex_once(monkeypatch):
+    """torsion, analyze at two centers and the sign-flip windows of one
+    family run the staircase once and the duality products once."""
+    import torsionfam.complexes as complexes_module
+    import torsionfam.dvr as dvr_module
+
+    fam = next(f for f in acceptance_corpus(12, 8080) if len(f.centers) == 2)
+    c, pairing = fam.complex, list(fam.pairing)
+    fresh = BasedChainComplex(c.ranks, c.boundaries)
+    calls = {"staircase": [], "dual": 0, "mul": 0}
+    staircase = complexes_module._staircase
+    dual_complex = dvr_module.dual_complex
+    mul_with_zero = Matrix.mul_with_zero
+
+    def counting_staircase(cplx, rightmost):
+        calls["staircase"].append(rightmost)
+        return staircase(cplx, rightmost)
+
+    def counting_dual(cplx):
+        calls["dual"] += 1
+        return dual_complex(cplx)
+
+    def counting_mul(self, other, zero):
+        calls["mul"] += 1
+        return mul_with_zero(self, other, zero)
+
+    monkeypatch.setattr(complexes_module, "_staircase", counting_staircase)
+    monkeypatch.setattr(dvr_module, "dual_complex", counting_dual)
+    monkeypatch.setattr(Matrix, "mul_with_zero", counting_mul)
+    check_duality_pairing(fresh, pairing, fam.centers[0])
+    one_check = calls["mul"]
+    assert one_check > 0 and calls["dual"] == 1
+    calls.update(staircase=[], dual=0, mul=0)
+
+    torsion(c)
+    for center in fam.centers:
+        rep = analyze(c, GaussRat(center), duality=pairing)
+        assert rep.duality_ok and rep.nu == rep.chi
+        for delta in (Fraction(1, 1000), Fraction(1, 10000)):
+            for t in (center + delta, center - delta):
+                torsion_sign_at(c, GaussRat(t))
+    assert calls["staircase"] == [False]
+    assert calls["dual"] == 1
+    assert calls["mul"] == one_check

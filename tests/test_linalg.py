@@ -128,3 +128,61 @@ def test_pivot_columns_is_greedy_in_scan_order():
             if mat.submatrix(range(n), kept + [col]).rank() > len(kept):
                 kept.append(col)
         assert mat.pivot_columns(order) == kept
+
+
+# -- the zero-skipping product against a dense reference ---------------------------
+
+
+def naive_product(a, b):
+    """Dense triple loop: every term, zeros included, summed left to right."""
+    rows = []
+    for j in range(a.nrows):
+        row = []
+        for k in range(b.ncols):
+            acc = a[j, 0] * b[0, k]
+            for m in range(1, a.ncols):
+                acc = acc + a[j, m] * b[m, k]
+            row.append(acc)
+        rows.append(row)
+    return Matrix(rows, b.ncols)
+
+
+def sparse_matrix(rng, n, m, pool, zero, zero_rows=(), zero_cols=()):
+    """About 70% zero entries, plus the given all-zero rows and columns."""
+    return Matrix(
+        [
+            [
+                zero
+                if j in zero_rows or k in zero_cols or rng.random() < 0.7
+                else rng.choice(pool)
+                for k in range(m)
+            ]
+            for j in range(n)
+        ],
+        m,
+    )
+
+
+@pytest.mark.parametrize("cls", [RatFunc, GaussRat])
+def test_product_skipping_zeros_matches_dense_reference(cls):
+    rng = random.Random(7070)
+    zero = cls.zero()
+    if cls is RatFunc:
+        pool = [ONE, T, T + 1, T * T, RatFunc.coerce(GaussRat(0, 1)), 2 - T, ONE / (T + 3)]
+    else:
+        pool = [GaussRat(1), GaussRat(-2), GaussRat(0, 1), GaussRat(3, -1), GaussRat(1, 2)]
+    for _ in range(40):
+        n, inner, m = rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(1, 6)
+        a = sparse_matrix(rng, n, inner, pool, zero, zero_rows={rng.randrange(n)})
+        b = sparse_matrix(rng, inner, m, pool, zero, zero_cols={rng.randrange(m)})
+        want = naive_product(a, b)
+        assert a @ b == want
+        assert a.mul_with_zero(b, zero) == want
+    # A only reads columns 0, 1 and B only has rows 2, 3: the product is zero
+    a = sparse_matrix(rng, 3, 4, pool, zero, zero_cols={2, 3})
+    b = sparse_matrix(rng, 4, 3, pool, zero, zero_rows={0, 1})
+    want = naive_product(a, b)
+    for prod in (a @ b, a.mul_with_zero(b, zero)):
+        assert prod == want
+        for e in prod.entries():
+            assert type(e) is cls and e == zero and e.is_zero()
