@@ -37,7 +37,8 @@ __all__ = [
 
 _ZERO = RatFunc.zero()
 
-# largest rank load_complex accepts in any degree
+# largest rank load_complex accepts in any degree and load_knot as a
+# Seifert rank
 MAX_RANK = 1000
 
 
@@ -305,6 +306,8 @@ def load_knot(
             if toks[:2] != ["seifert", "rank"] or len(toks) != 3:
                 reader.error(lineno, "expected 'seifert rank n'", toks[0])
             n = _read_int(reader, lineno, toks[2])
+            if not 0 <= n <= MAX_RANK:
+                reader.error(lineno, f"rank outside 0 to the cap of {MAX_RANK}", toks[2])
             rows = []
             for _ in range(n):
                 lineno, line = reader.next_line()

@@ -12,11 +12,13 @@ The Conway form substitutes z = s - 1/s with s^2 = t, staying in
 integer Laurent arithmetic throughout.
 
 The independent oracle computes det(s V - (1/s) V^T) from a Seifert
-matrix V and rewrites it in z; for a genuine knot Seifert matrix the
-constant term is 1, which pins the sign.  Both paths must agree
-exactly on the bundled knots, and they do; that agreement is the
-package's computable version of the statement that the torsion
-function of a knot determines its Conway polynomial.
+matrix V by Bareiss fraction-free elimination over Z[s, 1/s] (O(n^3)
+Laurent products, exact division at every step) and rewrites it in z;
+for a genuine knot Seifert matrix the constant term is 1, which pins
+the sign.  Both paths must agree exactly on the bundled knots, and
+they do; that agreement is the package's computable version of the
+statement that the torsion function of a knot determines its Conway
+polynomial.
 """
 
 from __future__ import annotations
@@ -107,6 +109,35 @@ class LaurentInt:
     def shift(self, k: int) -> "LaurentInt":
         """Multiply by the k-th power of the variable."""
         return LaurentInt({e + k: c for e, c in self.terms.items()})
+
+    def exact_div(self, other: "LaurentInt") -> "LaurentInt":
+        """The q with q * other == self, by long division from the top term.
+
+        Raises ``ArithmeticError`` when a coefficient does not divide or
+        q would reach below ``min(self) - min(other)``: other does not
+        divide self.
+        """
+        if other.is_zero():
+            raise ZeroDivisionError("LaurentInt division by zero")
+        top = max(other.terms)
+        lead = other.terms[top]
+        rem = dict(self.terms)
+        floor = min(rem) - min(other.terms) if rem else 0
+        quot: dict[int, int] = {}
+        while rem:
+            e = max(rem)
+            q, r = divmod(rem[e], lead)
+            if r or e - top < floor:
+                raise ArithmeticError(f"{other!r} does not divide {self!r}")
+            quot[e - top] = q
+            for eb, cb in other.terms.items():
+                at = e - top + eb
+                new = rem.get(at, 0) - q * cb
+                if new:
+                    rem[at] = new
+                else:
+                    del rem[at]
+        return LaurentInt(quot)
 
     def evaluate_at_one(self) -> int:
         return sum(self.terms.values())
@@ -268,26 +299,24 @@ def alexander_from_fox(k: KnotPresentation) -> LaurentInt:
         if c.im or c.re.denominator != 1:
             raise ValueError("degenerate presentation: non-integral Alexander data")
         terms[e + shift] = int(c.re)
-    delta = LaurentInt(terms)
-    return _normalize_alexander(delta)
+    return _centered_unit_form(LaurentInt(terms), "degenerate presentation")
 
 
-def _normalize_alexander(delta: LaurentInt) -> LaurentInt:
+def _centered_unit_form(delta: LaurentInt, prefix: str) -> LaurentInt:
+    """delta shifted symmetric about t^0 with Delta(1) = 1, or "<prefix>: <why>" raised."""
     if delta.is_zero():
-        raise ValueError("degenerate presentation: Alexander polynomial is zero")
+        raise ValueError(f"{prefix}: zero polynomial")
     support = delta.support()
     lo, hi = support[0], support[-1]
     if (lo + hi) % 2:
-        raise ValueError("degenerate presentation: asymmetric exponent span")
+        raise ValueError(f"{prefix}: exponent span is odd")
     centered = delta.shift(-(lo + hi) // 2)
     if not centered.is_symmetric():
-        raise ValueError("degenerate presentation: Alexander polynomial not symmetric")
+        raise ValueError(f"{prefix}: Delta(t) != Delta(1/t)")
     at_one = centered.evaluate_at_one()
-    if at_one == 1:
-        return centered
-    if at_one == -1:
-        return -centered
-    raise ValueError("degenerate presentation: Delta(1) is not a unit")
+    if at_one not in (1, -1):
+        raise ValueError(f"{prefix}: Delta(1) must be +1 or -1")
+    return centered if at_one == 1 else -centered
 
 
 def conway_normalize(delta: LaurentInt) -> ConwayPolynomial:
@@ -296,53 +325,9 @@ def conway_normalize(delta: LaurentInt) -> ConwayPolynomial:
     The input must satisfy Delta(t) = Delta(1/t) after centering and
     Delta(1) = +-1; the output is sign-determined by Conway(0) = 1.
     """
-    if delta.is_zero():
-        raise ValueError("asymmetric input: zero polynomial")
-    support = delta.support()
-    lo, hi = support[0], support[-1]
-    if (lo + hi) % 2:
-        raise ValueError("asymmetric input: exponent span is odd")
-    centered = delta.shift(-(lo + hi) // 2)
-    if not centered.is_symmetric():
-        raise ValueError("asymmetric input: Delta(t) != Delta(1/t)")
-    at_one = centered.evaluate_at_one()
-    if at_one not in (1, -1):
-        raise ValueError("Delta(1) must be +1 or -1")
-    if at_one == -1:
-        centered = -centered
-    # write Delta = c_0 + sum c_k (t^k + t^-k) and use the recursion
-    # q_0 = 2, q_1 = w + 2, q_{k+1} = (w + 2) q_k - q_{k-1} for
-    # q_k = t^k + t^-k with w = t + 1/t - 2; finally w = z^2.
-    top = centered.support()[-1]
-    w_plus_2 = [2, 1]  # ascending coefficients in w
-
-    def poly_mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return out
-
-    def poly_add(a, b, scale=1):
-        out = list(a) + [0] * max(0, len(b) - len(a))
-        for j, cb in enumerate(b):
-            out[j] += scale * cb
-        return out
-
-    q_prev, q_cur = [2], [2, 1]
-    qs = [q_prev, q_cur]
-    for _ in range(2, top + 1):
-        nxt = poly_add(poly_mul(w_plus_2, q_cur), q_prev, scale=-1)
-        qs.append(nxt)
-        q_prev, q_cur = q_cur, nxt
-    acc = [centered.coeff(0)]
-    for k in range(1, top + 1):
-        acc = poly_add(acc, qs[k], scale=centered.coeff(k))
-    # w = z^2: spread coefficients over even powers
-    coeffs = [0] * (2 * len(acc) - 1) if acc else [0]
-    for j, c in enumerate(acc):
-        coeffs[2 * j] = c
-    return ConwayPolynomial(tuple(coeffs))
+    centered = _centered_unit_form(delta, "asymmetric input")
+    # with t = s^2, z^2 = s^2 - 2 + s^-2 is t + 1/t - 2
+    return _conway_in_z(LaurentInt({2 * e: c for e, c in centered.terms.items()}))
 
 
 def conway_from_seifert(v: SeifertMatrix) -> ConwayPolynomial:
@@ -351,55 +336,62 @@ def conway_from_seifert(v: SeifertMatrix) -> ConwayPolynomial:
     Independent of the Fox-calculus path end to end; the two must
     agree exactly, sign included, for genuine knot data.
     """
-    n = v.size
-    if n == 0:
-        return ConwayPolynomial((1,))
-    det = _laurent_det(
-        [
-            [
-                LaurentInt({1: v.entries[j][k], -1: -v.entries[k][j]})
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
+    n, e = v.size, v.entries
+    return _conway_in_z(
+        _laurent_det(
+            [[LaurentInt({1: e[j][k], -1: -e[k][j]}) for k in range(n)] for j in range(n)]
+        )
     )
+
+
+def _conway_in_z(work: LaurentInt) -> ConwayPolynomial:
+    """Rewrite a Laurent polynomial in s in z = s - 1/s, top term first."""
     coeffs: dict[int, int] = {}
     z = LaurentInt({1: 1, -1: -1})
     zpowers = [LaurentInt.constant(1)]
-    work = det
     while not work.is_zero():
         d = work.support()[-1]
         if d < 0:
-            raise ValueError("Seifert determinant is not a polynomial in z")
+            raise ValueError("Laurent polynomial is not a polynomial in z = s - 1/s")
         a = work.coeff(d)
         coeffs[d] = a
         while len(zpowers) <= d:
             zpowers.append(zpowers[-1] * z)
         work = work - zpowers[d] * LaurentInt.constant(a)
-    out = [0] * (max(coeffs) + 1 if coeffs else 1)
-    for e, c in coeffs.items():
-        out[e] = c
-    return ConwayPolynomial(tuple(out))
+    top = max(coeffs, default=0)
+    return ConwayPolynomial(tuple(coeffs.get(d, 0) for d in range(top + 1)))
 
 
 def _laurent_det(rows: list[list[LaurentInt]]) -> LaurentInt:
-    """Cofactor-expansion determinant; fine at Seifert-matrix sizes."""
-    n = len(rows)
-    if n == 0:
-        return LaurentInt.constant(1)
-    if n == 1:
-        return rows[0][0]
-    total = LaurentInt({})
+    """Bareiss fraction-free determinant over Z[s, 1/s], O(n^3) products.
+
+    Step k replaces every entry right of and below the pivot by the
+    2x2 minor ``a_ij a_kk - a_ik a_kj`` divided by the previous pivot;
+    Sylvester's identity makes that division exact in the integral
+    domain Z[s, 1/s].  The pivot is the first nonzero entry of its
+    column, every row swap flips the sign, and the last pivot is the
+    determinant.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    prev, sign = LaurentInt.constant(1), 1
     for k in range(n):
-        c = rows[0][k]
-        if c.is_zero():
-            continue
-        minor = [
-            [rows[j][col] for col in range(n) if col != k] for j in range(1, n)
-        ]
-        term = c * _laurent_det(minor)
-        total = total + term if k % 2 == 0 else total - term
-    return total
+        piv = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
+        if piv is None:
+            return LaurentInt({})
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot, pivot_row = a[k][k], a[k]
+        for row in a[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                entry = row[j] * pivot
+                if not lead.is_zero():
+                    entry = entry - lead * pivot_row[j]
+                row[j] = entry.exact_div(prev)
+        prev = pivot
+    return prev if sign > 0 else -prev
 
 
 def _two_bridge_presentation(p: int, q: int) -> KnotPresentation:

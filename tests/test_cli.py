@@ -216,3 +216,21 @@ def test_eta_check_rejected_pairing_fails_a_check(capsys, tmp_path):
         assert f"check {path}:ray-invariance pass" in out
     assert out.count("item signs.synthesized + -") == 2
     assert out.endswith("verdict fail\n")
+
+
+def test_conway_oracle_failure_is_isolated_per_file(capsys, tmp_path):
+    bad = tmp_path / "bad.knot"
+    bad.write_text(
+        "knot v1\ngenerators x\nseifert rank 2\n1 0\n0 1\nend\n"
+    )
+    good = DATA / "trefoil.knot"
+    code, out, err = invoke(capsys, "conway", str(bad), str(good), "--format", "structured")
+    assert code == 1 and err == ""
+    assert f"check {bad}:oracle-agreement fail" in out
+    assert (
+        f"note {bad}: Seifert oracle rejected the matrix: "
+        "Conway normalization failed: constant term is not 1" in out
+    )
+    assert f"check {good}:oracle-agreement pass" in out
+    assert "item conway.oracle 1 + z^2" in out
+    assert out.endswith("verdict fail\n")

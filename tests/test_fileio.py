@@ -179,3 +179,13 @@ def test_size_caps_fail_fast():
         load_presentation(knot.replace("knot v1", "presentation v1"))
     with pytest.raises(ValueError, match="cap of"):
         parse_word(" ".join(["x^5000"] * 3), ["x"])
+
+
+def test_seifert_rank_outside_the_cap_rejected():
+    for rank in (-2, MAX_RANK + 1):
+        text = f"knot v1\ngenerators x\nseifert rank {rank}\nend\n"
+        with pytest.raises(ParseError, match=f"cap of {MAX_RANK}") as info:
+            load_knot(text, "k.knot")
+        assert info.value.lineno == 3 and info.value.token == str(rank)
+    _, seifert, _ = load_knot("knot v1\ngenerators x\nseifert rank 0\nend\n")
+    assert seifert.size == 0

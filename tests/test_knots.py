@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from torsionfam.groupring import Word
@@ -6,6 +9,7 @@ from torsionfam.knots import (
     KnotPresentation,
     LaurentInt,
     SeifertMatrix,
+    _laurent_det,
     alexander_from_fox,
     bundled_knots,
     conway_from_seifert,
@@ -35,6 +39,167 @@ def test_laurent_arithmetic():
     assert (a - a).is_zero()
     assert a.reciprocal() == -a
     assert LaurentInt({0: 3, 2: 1}).evaluate_at_one() == 4
+
+
+def test_exact_div():
+    a = LaurentInt({1: 1, -1: -1})
+    b = LaurentInt({0: 2, 1: -3, 3: 5})
+    assert (a * b).exact_div(b) == a
+    assert (a * b).exact_div(a) == b
+    # quotients with negative exponents, and a monomial divisor
+    c = LaurentInt({-4: 3, -2: -1})
+    assert (c * a).exact_div(a) == c
+    assert LaurentInt({-3: 6, 2: -4}).exact_div(LaurentInt({-1: 2})) == LaurentInt(
+        {-2: 3, 3: -2}
+    )
+    assert LaurentInt({}).exact_div(b).is_zero()
+
+
+def test_exact_div_raises_when_inexact():
+    # a coefficient that the leading coefficient does not divide
+    with pytest.raises(ArithmeticError):
+        LaurentInt({0: 3}).exact_div(LaurentInt({0: 2}))
+    with pytest.raises(ArithmeticError):
+        LaurentInt({2: 2, 0: 1}).exact_div(LaurentInt({1: 2}))
+    # the quotient would drop below min(a) - min(b): (1 + t) does not
+    # divide 1 + t^2, the remainder 2 never clears
+    with pytest.raises(ArithmeticError):
+        LaurentInt({0: 1, 2: 1}).exact_div(LaurentInt({0: 1, 1: 1}))
+    with pytest.raises(ArithmeticError):
+        LaurentInt({-1: 1, 1: 1}).exact_div(LaurentInt({-1: 1, 0: 1}))
+    with pytest.raises(ZeroDivisionError):
+        LaurentInt({0: 1}).exact_div(LaurentInt({}))
+
+
+# -- Seifert determinant against slow-path oracles ----------------------------
+
+
+def _cofactor_det(rows):
+    """Cofactor expansion along the first row: the O(n!) reference."""
+    n = len(rows)
+    if n == 0:
+        return LaurentInt.constant(1)
+    total = LaurentInt({})
+    for k in range(n):
+        c = rows[0][k]
+        if c.is_zero():
+            continue
+        minor = [[rows[j][col] for col in range(n) if col != k] for j in range(1, n)]
+        term = c * _cofactor_det(minor)
+        total = total + term if k % 2 == 0 else total - term
+    return total
+
+
+def _seifert_form(v):
+    """The matrix s V - (1/s) V^T whose determinant the oracle takes."""
+    n = len(v)
+    return [[LaurentInt({1: v[j][k], -1: -v[k][j]}) for k in range(n)] for j in range(n)]
+
+
+def _random_seifert(rng, n, density):
+    return [
+        [rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+def _seifert_cases(seed, sizes):
+    """Dense, sparse, singular and zero-first-column integer matrices."""
+    rng = random.Random(seed)
+    for n in sizes:
+        for density in (1.0, 0.5, 0.25):
+            for _ in range(4):
+                yield _random_seifert(rng, n, density)
+        if n >= 2:
+            v = _random_seifert(rng, n, 1.0)
+            yield [row[:] for row in v[:-1]] + [v[0][:]]  # repeated row
+            for row in v:
+                row[0] = 0
+            yield v  # zero first column of V: the first pivot needs a swap
+            v = [row[:] for row in v]
+            v[0] = [0] * n
+            yield v  # zero first row too: the first column of sV - V^T/s vanishes
+            v = _random_seifert(rng, n, 1.0)
+            for j in range(n):
+                v[j][j] = 0
+            yield v  # zero diagonal: every pivot may need a swap
+
+
+def _random_laurent(rng, density):
+    if rng.random() >= density:
+        return LaurentInt({})
+    return LaurentInt({rng.randint(-2, 2): rng.randint(-4, 4) for _ in range(3)})
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_bareiss_det_equals_cofactor_det(seed):
+    for v in _seifert_cases(seed, range(7)):
+        rows = _seifert_form(v)
+        assert _laurent_det(rows) == _cofactor_det(rows), v
+    # entries of several terms, so pivots are not monomials
+    rng = random.Random(seed)
+    for n in range(6):
+        for density in (1.0, 0.6, 0.3):
+            rows = [[_random_laurent(rng, density) for _ in range(n)] for _ in range(n)]
+            assert _laurent_det(rows) == _cofactor_det(rows), rows
+
+
+def test_bareiss_det_needs_row_swaps_with_their_signs():
+    a, b = LaurentInt({1: 2, -1: -1}), LaurentInt({0: 3})
+    zero = LaurentInt({})
+    # det [[0, a], [b, 0]] = -a b, reached only by swapping the rows
+    assert _laurent_det([[zero, a], [b, zero]]) == -(a * b)
+    perm = [[zero, zero, a], [zero, b, zero], [b, zero, zero]]
+    assert _laurent_det(perm) == _cofactor_det(perm) == -(a * b * b)
+    assert _laurent_det([[zero, a], [zero, b]]).is_zero()
+
+
+def test_bareiss_det_equals_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    s = sympy.Symbol("s")
+    ring = sympy.ZZ[s]
+    for v in _seifert_cases(13, range(11)):
+        n = len(v)
+        # s^n det(s V - V^T / s) = det(s^2 V - V^T), a polynomial determinant
+        m = DomainMatrix(
+            [[ring.from_sympy(s**2 * v[j][k] - v[k][j]) for k in range(n)] for j in range(n)],
+            (n, n),
+            ring,
+        )
+        det = _laurent_det(_seifert_form(v))
+        ours = sum((c * s ** (e + n) for e, c in det.terms.items()), sympy.Integer(0))
+        assert sympy.expand(ring.to_sympy(m.det()) - ours) == 0, v
+
+
+def _congruent(rng, v):
+    """P V P^T for a unimodular P drawn from elementary row moves."""
+    n = len(v)
+    p = [[int(j == k) for k in range(n)] for j in range(n)]
+    for _ in range(2 * n):
+        j, k = rng.sample(range(n), 2)
+        c = rng.choice((1, -1))
+        p[j] = [a + c * b for a, b in zip(p[j], p[k])]
+    rng.shuffle(p)
+    pv = [[sum(p[j][i] * v[i][k] for i in range(n)) for k in range(n)] for j in range(n)]
+    return [[sum(pv[j][i] * p[k][i] for i in range(n)) for k in range(n)] for j in range(n)]
+
+
+def test_genus_five_oracle():
+    """Five trefoils: a 10x10 Seifert matrix, far past cofactor expansion."""
+    trefoil = bundled_knots()["trefoil"][1].entries
+    v = [[0] * 10 for _ in range(10)]
+    for b in range(5):
+        for j in range(2):
+            v[2 * b + j][2 * b : 2 * b + 2] = trefoil[j]
+    v = _congruent(random.Random(5), v)
+    assert sum(e != 0 for row in v for e in row) > 50
+    start = time.perf_counter()
+    nabla = conway_from_seifert(SeifertMatrix(tuple(map(tuple, v))))
+    assert time.perf_counter() - start < 5.0
+    # the Conway polynomial of a connected sum is the product: (1 + z^2)^5
+    assert nabla.coefficients == (1, 0, 5, 0, 10, 0, 10, 0, 5, 0, 1)
 
 
 # -- Fox path: spec examples ----------------------------------------------------
@@ -115,6 +280,26 @@ def test_normalize_uncentered_input():
     # t^2(t - 1 + 1/t) is the trefoil polynomial shifted by a unit
     shifted = LaurentInt({1: 1, 2: -1, 3: 1})
     assert conway_normalize(shifted).coefficients == (1, 0, 1)
+
+
+def test_normalize_is_delta_of_s_squared_in_z():
+    """Conway(s - 1/s) = Delta(s^2) for random symmetric Delta with Delta(1) = +-1."""
+    rng = random.Random(17)
+    z = LaurentInt({1: 1, -1: -1})
+    for _ in range(40):
+        sym = {k: rng.randint(-5, 5) for k in range(1, rng.randint(1, 9))}
+        unit = rng.choice((1, -1))
+        terms = {0: unit - 2 * sum(sym.values())}
+        for k, c in sym.items():
+            terms[k] = terms[-k] = c
+        delta = LaurentInt(terms)
+        nabla = conway_normalize(delta.shift(rng.randint(-3, 3)))
+        assert nabla.even_only()
+        value, power = LaurentInt({}), LaurentInt.constant(1)
+        for c in nabla.coefficients:
+            value = value + power * LaurentInt.constant(c)
+            power = power * z
+        assert value == LaurentInt({2 * e: unit * c for e, c in delta.terms.items()})
 
 
 # -- Seifert oracle: spec examples ---------------------------------------------------
