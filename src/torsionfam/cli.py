@@ -395,7 +395,12 @@ def _cmd_conway(job: JobSpec) -> Report:
     for path in job.input_paths:
         pres, seifert, _names = load_knot(_read_text(path), path)
         report.item("input", path)
-        delta = alexander_from_fox(pres)
+        try:
+            delta = alexander_from_fox(pres)
+        except ValueError as exc:
+            report.note(f"{path}: {exc}")
+            report.check(f"{path}:alexander", False)
+            continue
         nabla = conway_normalize(delta)
         report.item("alexander", repr(delta))
         report.item("conway", repr(nabla))

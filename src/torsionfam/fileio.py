@@ -143,8 +143,8 @@ def load_complex(
         reader.error(lineno, "expected 'ranks r0 r1 ...'", toks[0])
     ranks = [_read_int(reader, lineno, tok) for tok in toks[1:]]
     for tok, r in zip(toks[1:], ranks):
-        if r > MAX_RANK:
-            reader.error(lineno, f"rank above the cap of {MAX_RANK}", tok)
+        if not 0 <= r <= MAX_RANK:
+            reader.error(lineno, f"rank outside 0 to the cap of {MAX_RANK}", tok)
     m = len(ranks) - 1
     boundaries = []
     for k in range(1, m + 1):

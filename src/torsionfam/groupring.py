@@ -13,7 +13,8 @@ which forces d(x^-1)/dx = -x^-1.
 A :class:`RepFamily` assigns an invertible RatFunc matrix to each
 generator; :func:`specialize` pushes group-ring elements through it as
 a ring homomorphism.  :func:`presentation_complex` assembles the
-twisted chain complex of the 2-complex of a presentation.  Cells are
+twisted chain complex of the 2-complex of a presentation, reading its
+Fox Jacobian off one prefix pass per relator.  Cells are
 ordered as given in the input and lifted at the base point; tensor
 factors are ordered cell-major, then bundle coordinate.  With the
 boundary matrices in column convention this means each Fox-derivative
@@ -285,7 +286,12 @@ def presentation_complex(generators, relators, rho: RepFamily):
     blocks are rho.rank wide.  d_2 carries the Fox derivatives, d_1 the
     blocks rho(x_j) - 1 (both transposed into column convention), and
     d_1 . d_2 = 0 exactly by the fundamental identity of the free
-    calculus whenever every relator maps to the identity.
+    calculus whenever every relator maps to the identity.  One pass per
+    relator carries P = rho(prefix) from 1: x_g adds P to block g, then
+    P <- P rho(x_g); x_g^-1 sets P <- P rho(x_g)^-1, then subtracts P, so
+    L letters cost L products (:func:`fox_derivative` is the O(L^2)
+    reference).  The last P, rho(r), must be 1; relators are checked in
+    order, for undeclared generators first.
     """
     from .complexes import BasedChainComplex
 
@@ -297,37 +303,31 @@ def presentation_complex(generators, relators, rho: RepFamily):
         raise ValueError(
             f"representation covers {rho.ngens} generators, presentation has {ngens}"
         )
-    for rel in relators:
-        if rel.max_generator() >= ngens:
-            raise ValueError(
-                f"relator {format_word(rel)!r} uses an undeclared generator"
-            )
-        img = specialize_word(rel, rho)
-        if img != Matrix.identity(rho.rank, _ONE, _ZERO):
-            raise ValueError(
-                f"relator {format_word(rel)!r} is not respected by the representation"
-            )
     d = rho.rank
     ident = Matrix.identity(d, _ONE, _ZERO)
 
     # d_1 : C_1 -> C_0, block row of (rho(x_j) - 1)^T
-    d1_rows = [[_ZERO] * (ngens * d) for _ in range(d)]
-    for j in range(ngens):
-        block = (rho.image(j) - ident).transpose()
-        for a in range(d):
-            for b in range(d):
-                d1_rows[a][j * d + b] = block[a, b]
-    d1 = Matrix(d1_rows, ngens * d)
+    d1 = Matrix([r for j in range(ngens) for r in (rho.images[j] - ident).rows], d).transpose()
 
-    # d_2 : C_2 -> C_1, block (j, i) = rho(d r_i / d x_j)^T
-    d2_rows = [[_ZERO] * (len(relators) * d) for _ in range(ngens * d)]
-    for i, rel in enumerate(relators):
-        for j in range(ngens):
-            block = specialize(fox_derivative(rel, j), rho).transpose()
-            for a in range(d):
-                for b in range(d):
-                    d2_rows[j * d + a][i * d + b] = block[a, b]
-    d2 = Matrix(d2_rows, len(relators) * d)
+    # d_2 : C_2 -> C_1, the Fox Jacobian transposed: block (j, i) = rho(d r_i / d x_j)^T
+    jacobian = []
+    for rel in relators:
+        if rel.max_generator() >= ngens:
+            raise ValueError(f"relator {format_word(rel)!r} uses an undeclared generator")
+        blocks, prefix = [Matrix.zeros(d, d, _ZERO)] * ngens, ident
+        for g, e in rel.letters:
+            if e == 1:
+                blocks[g] = blocks[g] + prefix
+                prefix = prefix @ rho.images[g]
+            else:
+                prefix = prefix @ rho.inverses[g]
+                blocks[g] = blocks[g] - prefix
+        if prefix != ident:
+            raise ValueError(
+                f"relator {format_word(rel)!r} is not respected by the representation"
+            )
+        jacobian += [[x for block in blocks for x in block.rows[a]] for a in range(d)]
+    d2 = Matrix(jacobian, ngens * d).transpose()
 
     ranks = [d, ngens * d, len(relators) * d]
     boundaries = [d1, d2]

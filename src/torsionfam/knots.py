@@ -24,6 +24,7 @@ polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .complexes import torsion
 from .groupring import RepFamily, Word, presentation_complex
@@ -398,8 +399,13 @@ def _two_bridge_presentation(p: int, q: int) -> KnotPresentation:
     """Standard 2-generator presentation of the (p, q) two-bridge knot.
 
     The relator is w x w^-1 y^-1 with w = x^{e_1} y^{e_2} x^{e_3} ...
-    alternating over p - 1 letters, e_i = (-1)^floor(i q / p).
+    alternating over p - 1 letters, e_i = (-1)^floor(i q / p).  The
+    word needs q odd, so an even q is replaced by q - p, the same knot.
     """
+    if p % 2 == 0 or gcd(p, q) != 1:
+        raise ValueError(f"S({p}, {q}) is not a two-bridge knot: p must be odd and prime to q")
+    if q % 2 == 0:
+        q -= p
     letters = []
     for i in range(1, p):
         gen = 0 if i % 2 == 1 else 1

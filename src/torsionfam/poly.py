@@ -230,9 +230,13 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over Q(i)[t]; gcd(0, 0) = 0.
 
     Remainders are renormalized monic at each step, which keeps the
-    coefficients in canonical reduced form and the loop numerically
-    tame (everything is exact anyway).
+    coefficients in canonical reduced form.  A nonzero monomial c t^m
+    skips the loop: the gcd is t^min(m, ord_0 y), y the other argument.
     """
+    for m, y in ((a, b), (b, a)):
+        if m.coeffs and all(c.is_zero() for c in m.coeffs[:-1]):
+            k = next((k for k, c in enumerate(y.coeffs) if not c.is_zero()), m.degree)
+            return Poly([GaussRat.zero()] * min(k, m.degree) + [GaussRat.one()])
     while not b.is_zero():
         a, b = b, (a % b)
         if not b.is_zero():

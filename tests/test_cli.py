@@ -234,3 +234,16 @@ def test_conway_oracle_failure_is_isolated_per_file(capsys, tmp_path):
     assert f"check {good}:oracle-agreement pass" in out
     assert "item conway.oracle 1 + z^2" in out
     assert out.endswith("verdict fail\n")
+
+
+def test_conway_degenerate_presentation_is_isolated_per_file(capsys, tmp_path):
+    bad = tmp_path / "bad.knot"
+    bad.write_text("knot v1\ngenerators x y\nrelator x y x^-1 y^-1\nend\n")
+    good = DATA / "trefoil.knot"
+    code, out, err = invoke(capsys, "conway", str(bad), str(good), "--format", "structured")
+    assert code == 1 and err == ""
+    assert f"check {bad}:alexander fail" in out
+    assert f"note {bad}: degenerate presentation: exponent span is odd" in out
+    assert f"check {good}:oracle-agreement pass" in out
+    assert "item conway 1 + z^2" in out
+    assert out.endswith("verdict fail\n")

@@ -181,6 +181,12 @@ def test_size_caps_fail_fast():
         parse_word(" ".join(["x^5000"] * 3), ["x"])
 
 
+def test_negative_complex_rank_reported_at_the_ranks_line():
+    with pytest.raises(ParseError, match=f"rank outside 0 to the cap of {MAX_RANK}") as info:
+        load_complex("complex v1\nranks 0 -2\nend\n")
+    assert info.value.lineno == 2 and info.value.token == "-2"
+
+
 def test_seifert_rank_outside_the_cap_rejected():
     for rank in (-2, MAX_RANK + 1):
         text = f"knot v1\ngenerators x\nseifert rank {rank}\nend\n"

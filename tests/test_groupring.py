@@ -204,3 +204,97 @@ def test_word_text_round_trip():
     assert text == "x0 x1 x0^-1 x1^-1"
     with pytest.raises(ValueError, match="unknown generator"):
         parse_word("z", names)
+
+
+# -- prefix pass against the Fox reference ------------------------------------------
+
+I_ = RatFunc.coerce(GaussRat.i())
+T = RatFunc.var()
+
+
+def _m(rows):
+    return Matrix([[RatFunc.coerce(e) for e in row] for row in rows])
+
+
+def _t_family():
+    """Rank 1, every generator to t: x_a x_b^-1 is in the kernel."""
+    rho = RepFamily(rank=1, images=tuple(Matrix([[T]]) for _ in range(4)))
+    return rho, [Word([(a, 1), (b, -1)]) for a in range(3) for b in range(3) if a != b]
+
+
+def _rank_two_family(unitary):
+    """Rank 2, image(x2) = image(x0) image(x1): x0 x1 x2^-1 is in the kernel.
+
+    Generator 3 occurs in no relator.
+    """
+    if unitary:
+        a = _m([[cayley(1), 0], [0, 1]])
+        b = _m([[0, I_], [I_, 0]])
+        extra = _m([[1, 0], [0, cayley(2)]])
+    else:
+        a = _m([[1, T], [0, I_]])
+        b = _m([[1 + I_, 0], [T, 1]])
+        extra = _m([[T, 1], [1, 0]])
+    rho = RepFamily(rank=2, images=(a, b, a @ b, extra), unitary=unitary)
+    return rho, [Word([(0, 1), (1, 1), (2, -1)])]
+
+
+def _kernel_relators(rng, kernel, count):
+    """Products of conjugates w k^+-1 w^-1, written out letter by letter
+    so that free reduction has something to cancel."""
+    rels, shortened = [], 0
+    for _ in range(count):
+        letters = []
+        for _ in range(rng.randrange(1, 4)):
+            w = [(rng.randrange(3), rng.choice([1, -1])) for _ in range(rng.randrange(0, 5))]
+            k = rng.choice(kernel)
+            k = k if rng.random() < 0.5 else k.inverse()
+            letters += w + list(k.letters) + [(g, -e) for g, e in reversed(w)]
+        rel = Word(letters)
+        shortened += len(rel) < len(letters)
+        rels.append(rel)
+    assert shortened > 0
+    return rels
+
+
+@pytest.mark.parametrize(
+    "family",
+    [_t_family, lambda: _rank_two_family(False), lambda: _rank_two_family(True)],
+    ids=["t", "gaussian-rank-2", "unitary-rank-2"],
+)
+def test_prefix_pass_equals_specialized_fox_derivatives(family):
+    rng = random.Random(35)
+    rho, kernel = family()
+    d = rho.rank
+    relators = _kernel_relators(rng, kernel, 6) + [Word.identity()]
+    assert any(e == -1 for rel in relators for _, e in rel.letters)
+    cplx = presentation_complex(4, relators, rho)
+    d2 = cplx.boundary(2)
+    for i, rel in enumerate(relators):
+        for j in range(4):
+            want = specialize(fox_derivative(rel, j), rho).transpose()
+            got = d2.submatrix(range(j * d, (j + 1) * d), range(i * d, (i + 1) * d))
+            assert got == want, (format_word(rel), j)
+        assert specialize_word(rel, rho) == Matrix.identity(d, ONE, ZERO)
+    # generator 3 occurs in no relator: its block row is zero
+    assert d2.submatrix(range(3 * d, 4 * d), range(d2.ncols)).is_zero()
+    d1, ident = cplx.boundary(1), Matrix.identity(d, ONE, ZERO)
+    for j in range(4):
+        block = d1.submatrix(range(d), range(j * d, (j + 1) * d))
+        assert block == (rho.images[j] - ident).transpose()
+    assert d1.mul_with_zero(d2, ZERO).is_zero()
+
+
+def test_presentation_names_the_first_bad_relator():
+    rho = unitary_pair()
+    undeclared = X * Word.generator(2) * X.inverse() * Word.generator(2, -1)
+    unrespected = X * Y
+    bad_first = f"relator {format_word(undeclared)!r} uses an undeclared generator"
+    with pytest.raises(ValueError) as info:
+        presentation_complex(2, [COMM, undeclared, unrespected], rho)
+    assert str(info.value) == bad_first
+    with pytest.raises(ValueError) as info:
+        presentation_complex(2, [COMM, unrespected, undeclared], rho)
+    assert str(info.value) == (
+        f"relator {format_word(unrespected)!r} is not respected by the representation"
+    )

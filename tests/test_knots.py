@@ -1,5 +1,6 @@
 import random
 import time
+from math import gcd
 
 import pytest
 
@@ -10,6 +11,7 @@ from torsionfam.knots import (
     LaurentInt,
     SeifertMatrix,
     _laurent_det,
+    _two_bridge_presentation,
     alexander_from_fox,
     bundled_knots,
     conway_from_seifert,
@@ -240,6 +242,59 @@ def test_degenerate_presentation_rejected():
     pres = KnotPresentation(strands=2, wirtinger_relators=(rel,))
     with pytest.raises(ValueError, match="degenerate presentation"):
         alexander_from_fox(pres)
+
+
+@pytest.mark.parametrize("p, q, name", [(5, 2, "figure8"), (7, 2, "5_2"), (7, 4, "5_2")])
+def test_two_bridge_even_q_is_the_same_knot(p, q, name):
+    delta = alexander_from_fox(_two_bridge_presentation(p, q))
+    assert delta == LaurentInt(EXPECTED_DELTA[name])
+
+
+@pytest.mark.parametrize("p, q", [(6, 1), (8, 3), (9, 3), (15, 10)])
+def test_two_bridge_rejects_non_knot_parameters(p, q):
+    with pytest.raises(ValueError, match=rf"^S\({p}, {q}\) is not a two-bridge knot"):
+        _two_bridge_presentation(p, q)
+
+
+def _unit_centered(delta):
+    lo, hi = delta.support()[0], delta.support()[-1]
+    centered = delta.shift(-(lo + hi) // 2)
+    return centered if centered.evaluate_at_one() == 1 else -centered
+
+
+def _hartley(p, q):
+    """Hartley's closed form sum_{k<p} (-1)^k t^sigma_k for odd q."""
+    terms, sigma = {}, 0
+    for k in range(p):
+        if k:
+            sigma += (-1) ** ((k * q) // p)
+        terms[sigma] = terms.get(sigma, 0) + (-1) ** k
+    return _unit_centered(LaurentInt(terms))
+
+
+def test_two_bridge_corpus():
+    """Every S(p, q) with odd p <= 21: Hartley, Schubert and |Delta(-1)| = p.
+
+    94 knots through the Fox path; about 3 s on a 2-CPU x86 machine.
+    """
+    start = time.perf_counter()
+    deltas = {
+        (p, q): alexander_from_fox(_two_bridge_presentation(p, q))
+        for p in range(3, 22, 2)
+        for q in range(1, p)
+        if gcd(p, q) == 1
+    }
+    elapsed = time.perf_counter() - start
+    assert len(deltas) == 94
+    for (p, q), delta in deltas.items():
+        if q % 2:
+            assert delta == _hartley(p, q), (p, q)
+        inv = pow(q, -1, p)
+        for partner in (p - q, inv, p - inv):
+            assert deltas[p, partner] == delta, (p, q, partner)
+        at_minus_one = sum(c * (-1) ** (e % 2) for e, c in delta.terms.items())
+        assert abs(at_minus_one) == p, (p, q)
+    assert elapsed < 15.0
 
 
 def test_presentation_shape_validation():

@@ -70,6 +70,35 @@ def test_gcd_is_monic_common_divisor():
             assert (d % g.monic()).is_zero()
 
 
+def _euclid_gcd(a, b):
+    """The remainder sequence alone: the reference for poly_gcd."""
+    while not b.is_zero():
+        a, b = b, (a % b)
+        if not b.is_zero():
+            b = b.monic()
+    return a.monic() if not a.is_zero() else a
+
+
+def test_gcd_equals_remainder_sequence():
+    rng = random.Random(6)
+    t = Poly.var()
+    cases = [(Poly.zero(), Poly.zero()), (Poly.zero(), Poly.constant(GaussRat(0, 3)))]
+    seen = set()
+    for _ in range(80):
+        c = GaussRat(rng.choice([-3, -1, 1, 2]), rng.randrange(-2, 3))
+        m = rng.randrange(0, 4)
+        y = rand_poly(rng, 3) * t ** rng.randrange(0, 6)
+        if not y.is_zero():
+            ord_y = next(k for k, b in enumerate(y.coeffs) if not b.is_zero())
+            seen.add((ord_y > m) - (ord_y < m))
+        cases += [(t**m * c, y), (y, Poly.constant(c)), (Poly.zero(), y)]
+        cases.append((rand_poly(rng, 3), rand_poly(rng, 3)))
+    assert seen == {-1, 0, 1}  # ord_0 y below, at and above m
+    for a, b in cases:
+        assert poly_gcd(a, b) == _euclid_gcd(a, b), (a, b)
+        assert poly_gcd(b, a) == _euclid_gcd(b, a), (b, a)
+
+
 def test_evaluate_horner():
     p = Poly([1, GaussRat(0, 2), 3])  # 1 + 2i t + 3 t^2
     x = GaussRat(2, -1)
