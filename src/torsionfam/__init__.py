@@ -9,8 +9,9 @@ honest, and recovers Conway polynomials of knots through the same
 torsion engine.
 
 Everything is exact: scalars are Gaussian rationals on top of
-``fractions.Fraction``, function-field elements are reduced rational
-functions with monic denominators, and every algorithm is
+``fractions.Fraction``, polynomials are Gaussian-integer numerators
+over one common denominator, function-field elements are reduced
+rational functions with monic denominators, and every algorithm is
 deterministic including signs.
 """
 
@@ -47,6 +48,7 @@ from .complexes import (
     torsion,
 )
 from .dvr import (
+    CalibrationError,
     DeformationReport,
     DivisorProfile,
     DualityError,
@@ -124,6 +126,7 @@ __all__ = [
     "analyze",
     "check_duality_pairing",
     "DualityError",
+    "CalibrationError",
     "JumpRecord",
     "ArgPairing",
     "EtaProfile",

@@ -33,7 +33,7 @@ from .complexes import (
     torsion,
 )
 from .corpus import bundled_direct_sum, circle_family, torus3_family
-from .dvr import DualityError, analyze
+from .dvr import CalibrationError, DualityError, analyze
 from .eta import (
     ArgPairing,
     EtaProfile,
@@ -128,6 +128,11 @@ class Report:
 # -- degeneration point discovery -------------------------------------------
 
 
+# Largest number of (numerator, denominator) divisor pairs the rational
+# root search of ``--t0 auto`` will try.
+AUTO_CANDIDATE_CAP = 20_000
+
+
 def _integer_divisors(n: int, limit: int = 10**12) -> list[int]:
     n = abs(n)
     if n == 0:
@@ -153,7 +158,9 @@ def rational_real_roots(p: Poly) -> tuple[list[Fraction], int]:
     rational root and leftover is the degree still unaccounted for
     after dividing out those roots with multiplicity; a positive
     leftover means zeros outside the exact rational search (complex or
-    irrational).
+    irrational).  A root a/b of the integer polynomial p * conj(p),
+    divided by its content, has a | constant term and b | leading
+    term; more than AUTO_CANDIDATE_CAP such pairs is refused.
     """
     if p.is_zero():
         raise ValueError("root search on the zero polynomial")
@@ -168,17 +175,19 @@ def rational_real_roots(p: Poly) -> tuple[list[Fraction], int]:
             work = work // lin
     if work.degree == 0:
         return roots, 0
-    # real integer-cleared polynomial p * conj(p)
-    real = work * work.conj()
-    denom_lcm = 1
-    for c in real.coeffs:
-        denom_lcm = denom_lcm * c.re.denominator // math.gcd(denom_lcm, c.re.denominator)
-    ints = [int(c.re * denom_lcm) for c in real.coeffs]
-    const = next(c for c in ints if c != 0)
-    lead = ints[-1]
+    # p * conj(p) is real; its numerators over the content are integers
+    ints = (work * work.conj()).re
+    content = math.gcd(*ints)
+    const, lead = ints[0] // content, ints[-1] // content
+    tops, bottoms = _integer_divisors(const), _integer_divisors(lead)
+    if len(tops) * len(bottoms) > AUTO_CANDIDATE_CAP:
+        raise ValueError(
+            f"auto discovery infeasible: {len(tops) * len(bottoms)} divisor pairs "
+            f"exceed the cap of {AUTO_CANDIDATE_CAP}, supply --t0"
+        )
     candidates: set[Fraction] = set()
-    for a in _integer_divisors(const):
-        for b in _integer_divisors(lead):
+    for a in tops:
+        for b in bottoms:
             candidates.add(Fraction(a, b))
             candidates.add(Fraction(-a, b))
     found = [r for r in sorted(candidates) if work.evaluate(GaussRat(r)).is_zero()]
@@ -292,6 +301,29 @@ def _load_duality(job: JobSpec, inline: Optional[list[Matrix]]):
     return pairing
 
 
+def _analyze_point(cplx, t0, pairing):
+    """Deformation report at t0, and why the pairing was rejected there.
+
+    A pairing rejected at t0 is dropped and the point analyzed without
+    it.  A calibration failure (nu != chi) does not stop the run: its
+    report is returned, and the caller reports the failed check.
+    """
+    try:
+        return analyze(cplx, t0, duality=pairing), None
+    except CalibrationError as exc:
+        return exc.report, None
+    except DualityError as exc:
+        rejected = str(exc)
+    try:
+        return analyze(cplx, t0), rejected
+    except CalibrationError as exc:
+        return exc.report, rejected
+
+
+def _calibration_note(rep) -> str:
+    return f"convention calibration violated: nu = {rep.nu}, chi = {rep.chi}"
+
+
 def _cmd_analyze(job: JobSpec) -> Report:
     report = Report("analyze")
     for path in job.input_paths:
@@ -306,10 +338,7 @@ def _cmd_analyze(job: JobSpec) -> Report:
         report.item("torsion.value", value)
         for t0 in _resolve_centers(report, value, job.options.get("t0")):
             key = _key_of_point(t0)
-            try:
-                rep, rejected = analyze(cplx, t0, duality=pairing), None
-            except DualityError as exc:
-                rep, rejected = analyze(cplx, t0), str(exc)
+            rep, rejected = _analyze_point(cplx, t0, pairing)
             report.item(f"analysis.{key}.nu", rep.nu)
             report.item(f"analysis.{key}.chi", rep.chi)
             report.item(
@@ -318,6 +347,8 @@ def _cmd_analyze(job: JobSpec) -> Report:
             if rep.middle_dim_parity is not None:
                 report.item(f"analysis.{key}.middle_parity", rep.middle_dim_parity)
             report.item(f"analysis.{key}.sign_flip", rep.sign_flip)
+            if rep.nu != rep.chi:
+                report.note(f"{path}:{key}: {_calibration_note(rep)}")
             report.check(f"{path}:{key}:nu-equals-chi", rep.nu == rep.chi)
             if rejected is not None:
                 report.note(f"{path}:{key}: duality pairing rejected: {rejected}")
@@ -342,15 +373,16 @@ def _cmd_eta_check(job: JobSpec) -> Report:
             pairing = _load_duality(job, inline)
             reports = []
             for rec in profile.jumps:
-                t0 = GaussRat(rec.t0)
-                try:
-                    reports.append(analyze(cplx, t0, duality=pairing))
-                except DualityError as exc:
-                    reports.append(analyze(cplx, t0))
+                rep, rejected = _analyze_point(cplx, GaussRat(rec.t0), pairing)
+                reports.append(rep)
+                if rejected is not None:
                     report.note(
-                        f"{path}:jump-{rec.t0}: duality pairing rejected: {exc}"
+                        f"{path}:jump-{rec.t0}: duality pairing rejected: {rejected}"
                     )
                     report.check(f"{path}:jump-{rec.t0}:duality", False)
+                if rep.nu != rep.chi:
+                    report.note(f"{path}:jump-{rec.t0}: {_calibration_note(rep)}")
+                    report.check(f"{path}:jump-{rec.t0}:nu-equals-chi", False)
             for rec, rep in zip(profile.jumps, reports):
                 parity_ok = (
                     rep.middle_dim_parity == rec.sigma_odd % 2

@@ -55,6 +55,7 @@ __all__ = [
     "analyze",
     "check_duality_pairing",
     "DualityError",
+    "CalibrationError",
 ]
 
 _ZERO = RatFunc.zero()
@@ -63,6 +64,20 @@ _ONE = RatFunc.one()
 
 class DualityError(ValueError):
     """A duality pairing that is not a local chain isomorphism at a point."""
+
+
+class CalibrationError(ValueError):
+    """nu != chi at a point: the frozen sign convention is broken.
+
+    ``report`` is the full deformation report with the two disagreeing
+    exponents, so a caller can report the failure and go on.
+    """
+
+    def __init__(self, report: "DeformationReport"):
+        super().__init__(
+            f"convention calibration violated: nu = {report.nu}, chi = {report.chi}"
+        )
+        self.report = report
 
 
 @dataclass(frozen=True)
@@ -284,7 +299,9 @@ def analyze(
     Computes the singularity exponent two ways (torsion valuation and
     Euler number of the local torsion modules) and requires them to
     agree exactly; that is the calibration cross-check of the frozen
-    sign convention and it is enforced as a hard failure.
+    sign convention.  A disagreement raises :class:`CalibrationError`,
+    which carries the finished report; a rejected pairing raises
+    :class:`DualityError` first.
 
     The acyclicity certificate (the completed staircase), the torsion
     function and the parameter-independent part of the duality check
@@ -299,8 +316,6 @@ def analyze(
     dims = torsion_modules(c, t0)
     chi = euler_number(dims)
     nu = singularity_exponent(c, t0)
-    if nu != chi:
-        raise ValueError("convention calibration violated")
     duality_ok: Optional[bool] = None
     if duality is not None:
         check_duality_pairing(c, duality, t0)
@@ -309,7 +324,7 @@ def analyze(
             dims.dims[i] == dims.dims[m - 1 - i] for i in range(m)
         ) and dims.dims[m] == 0
     mid = dims.middle_dim()
-    return DeformationReport(
+    report = DeformationReport(
         t0=t0,
         nu=nu,
         chi=chi,
@@ -318,3 +333,6 @@ def analyze(
         sign_flip=nu % 2 == 1,
         duality_ok=duality_ok,
     )
+    if nu != chi:
+        raise CalibrationError(report)
+    return report

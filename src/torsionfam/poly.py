@@ -1,36 +1,111 @@
 """Dense univariate polynomials over the Gaussian rationals.
 
-A polynomial c0 + c1*t + ... + cn*t^n is the coefficient tuple
-(c0, c1, ..., cn) with nonzero leading coefficient; the empty tuple is
-the zero polynomial.  The parameter is called ``t`` throughout.
+A polynomial (a0 + a1*t + ... + an*t^n) / d is stored as Gaussian-integer
+numerators a_k over one integer denominator d > 0: the tuples ``re``
+and ``im`` hold the real and imaginary parts of a0, ..., an, and
+``den`` holds d.  The form is canonical: a_n != 0, and d shares no
+factor with every part of every a_k (gcd(d, re, im) = 1).  The zero
+polynomial is the empty vector over 1.  Two equal polynomials
+therefore have equal fields, and equality and hashing compare them.
+The parameter is called ``t`` throughout.
+
+Every kernel works on plain Python integers (Knuth, TAOCP vol. 2,
+4.6.1): a product is an integer convolution, a sum works over the lcm
+of the two denominators, division divides once by the monic associate
+of the divisor without fractions and reduces once, and evaluation is a
+homogeneous Horner pass.  The ``GaussRat`` view of the coefficients,
+``coeffs``, is built on demand for printing and for the few callers
+that read coefficients one by one.
 
 Coefficients live in Q(i), so division is exact and gcds are
-normalized monic; two equal polynomials are structurally identical.
+normalized monic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .scalars import GaussRat, format_gauss, parse_gauss
 
 __all__ = ["Poly", "poly_gcd", "format_poly", "parse_poly"]
 
+_set = object.__setattr__
 
-def _coerce_coeff(c) -> GaussRat:
-    return GaussRat.coerce(c)
+
+def _parts(x) -> tuple[int, int, int]:
+    """Integers (re, im, d) with x = (re + im*i) / d and d > 0."""
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    if isinstance(x, GaussRat):
+        r, s = x.re, x.im
+        rd, sd = r.denominator, s.denominator
+        if rd == sd:
+            return r.numerator, s.numerator, rd
+        d = lcm(rd, sd)
+        return r.numerator * (d // rd), s.numerator * (d // sd), d
+    raise TypeError(f"cannot coerce {type(x).__name__} to GaussRat")
+
+
+def _gauss(re: int, im: int, den: int) -> GaussRat:
+    if den == 1:
+        return GaussRat(re, im)
+    return GaussRat(Fraction(re, den), Fraction(im, den))
+
+
+def _raw(re: tuple, im: tuple, den: int) -> "Poly":
+    """Trusted constructor: the fields are already canonical."""
+    p = object.__new__(Poly)
+    _set(p, "re", re)
+    _set(p, "im", im)
+    _set(p, "den", den)
+    return p
+
+
+def _make(re: list, im: list, den: int) -> "Poly":
+    """Canonical polynomial from numerator lists and a denominator > 0."""
+    n = len(re)
+    while n and not re[n - 1] and not im[n - 1]:
+        n -= 1
+    if not n:
+        return _ZERO
+    if n < len(re):
+        del re[n:], im[n:]
+    if den != 1:
+        g = gcd(den, *re, *im)
+        if g != 1:
+            den //= g
+            re = [x // g for x in re]
+            im = [y // g for y in im]
+    return _raw(tuple(re), tuple(im), den)
+
+
+def _times(re, im, cr: int, ci: int) -> tuple[list, list]:
+    """Numerators times the Gaussian integer cr + ci*i."""
+    if not ci:
+        return [x * cr for x in re], [y * cr for y in im]
+    return (
+        [x * cr - y * ci for x, y in zip(re, im)],
+        [x * ci + y * cr for x, y in zip(re, im)],
+    )
 
 
 class Poly:
-    """Polynomial in ``t`` with GaussRat coefficients.  Immutable."""
+    """Polynomial in ``t`` with Gaussian-rational coefficients.  Immutable."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("re", "im", "den")
 
     def __init__(self, coeffs=()):
-        cs = [_coerce_coeff(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        parts = [_parts(c) for c in coeffs]
+        den = lcm(*(d for _, _, d in parts))
+        re = [x * (den // d) for x, _, d in parts]
+        im = [y * (den // d) for _, y, d in parts]
+        p = _make(re, im, den)
+        _set(self, "re", p.re)
+        _set(self, "im", p.im)
+        _set(self, "den", p.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -39,20 +114,21 @@ class Poly:
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls(())
+        return _ZERO
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls((GaussRat.one(),))
+        return _ONE
 
     @classmethod
     def var(cls) -> "Poly":
         """The polynomial ``t``."""
-        return cls((GaussRat.zero(), GaussRat.one()))
+        return _VAR
 
     @classmethod
     def constant(cls, c) -> "Poly":
-        return cls((GaussRat.coerce(c),))
+        x, y, d = _parts(c)
+        return _make([x], [y], d)
 
     @classmethod
     def coerce(cls, x) -> "Poly":
@@ -72,32 +148,62 @@ class Poly:
     # -- structure ----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[GaussRat, ...]:
+        """The coefficients c0, ..., cn as GaussRat values."""
+        d = self.den
+        return tuple(_gauss(x, y, d) for x, y in zip(self.re, self.im))
+
+    @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self.re) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.re
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.re)
 
     def leading(self) -> GaussRat:
-        if not self.coeffs:
+        if not self.re:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return _gauss(self.re[-1], self.im[-1], self.den)
 
     def coeff(self, k: int) -> GaussRat:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else GaussRat.zero()
+        if 0 <= k < len(self.re):
+            return _gauss(self.re[k], self.im[k], self.den)
+        return GaussRat.zero()
+
+    def _is_monic(self) -> bool:
+        return bool(self.re) and self.re[-1] == self.den and not self.im[-1]
 
     # -- arithmetic ---------------------------------------------------
+
+    def _add(self, other: "Poly", sign: int) -> "Poly":
+        da, db = self.den, other.den
+        if da == db:
+            fa, fb, den = 1, sign, da
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, sign * (da // g)
+            den = da * (db // g)
+        re, im = self.re, self.im
+        re = list(re) if fa == 1 else [x * fa for x in re]
+        im = list(im) if fa == 1 else [y * fa for y in im]
+        extra = len(other.re) - len(re)
+        if extra > 0:
+            re += [0] * extra
+            im += [0] * extra
+        for k, (x, y) in enumerate(zip(other.re, other.im)):
+            re[k] += fb * x
+            im[k] += fb * y
+        return _make(re, im, den)
 
     def __add__(self, other):
         other = Poly._try_coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(k) + other.coeff(k) for k in range(n)])
+        return self._add(other, 1)
 
     __radd__ = __add__
 
@@ -105,34 +211,44 @@ class Poly:
         other = Poly._try_coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(k) - other.coeff(k) for k in range(n)])
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         other = Poly._try_coerce(other)
         if other is None:
             return NotImplemented
-        return other - self
+        return other._add(self, -1)
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return _raw(
+            tuple(-x for x in self.re), tuple(-y for y in self.im), self.den
+        )
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
-            c = GaussRat.coerce(other)
-            return Poly([a * c for a in self.coeffs])
+            cr, ci, cd = _parts(other)
+            re, im = _times(self.re, self.im, cr, ci)
+            return _make(re, im, self.den * cd)
         other = Poly._try_coerce(other)
         if other is None:
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Poly.zero()
-        out = [GaussRat.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for j, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for k, b in enumerate(other.coeffs):
-                out[j + k] = out[j + k] + a * b
-        return Poly(out)
+        ar, ai, br, bi = self.re, self.im, other.re, other.im
+        if not ar or not br:
+            return _ZERO
+        nb = len(br)
+        re = [0] * (len(ar) + nb - 1)
+        im = re[:]
+        for j, (x, y) in enumerate(zip(ar, ai)):
+            if y:
+                for k in range(nb):
+                    u, v = br[k], bi[k]
+                    re[j + k] += x * u - y * v
+                    im[j + k] += x * v + y * u
+            elif x:
+                for k in range(nb):
+                    re[j + k] += x * br[k]
+                    im[j + k] += x * bi[k]
+        return _make(re, im, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -148,68 +264,153 @@ class Poly:
             n >>= 1
         return result
 
-    def __divmod__(self, other):
+    def _divide(self, other, want_quotient: bool):
+        """Quotient (or None) and remainder of division by ``other``.
+
+        Divides the numerators A of ``self`` by the monic associate M/N
+        of ``other`` (M Gaussian integers with leading entry N) without
+        fractions: each step scales the running remainder R and
+        quotient Q by N and keeps E * A = Q * M + R, E the product of
+        the scalings.  Both are reduced once at the end.
+        """
         other = Poly.coerce(other)
-        if other.is_zero():
+        if not other.re:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        m = len(other.re) - 1
+        dq = len(self.re) - 1 - m
         if dq < 0:
-            return Poly.zero(), self
-        quot = [GaussRat.zero()] * (dq + 1)
-        lead = other.leading()
+            return (_ZERO if want_quotient else None), self
+        if other._is_monic():
+            mr, mi, n = other.re, other.im, other.den
+            ur, ui, ud = 1, 0, 1
+        else:
+            # other / lead = B / L = B * conj(L) / N(L)
+            lr, li = other.re[-1], other.im[-1]
+            mr, mi = _times(other.re, other.im, lr, -li)
+            n = ud = lr * lr + li * li
+            g = gcd(n, *mr, *mi)
+            if g != 1:
+                n //= g
+                mr = [x // g for x in mr]
+                mi = [y // g for y in mi]
+            # 1 / lead = other.den * conj(L) / N(L)
+            ur, ui = other.den * lr, -other.den * li
+        rr, ri = list(self.re), list(self.im)
+        qr, qi = [], []  # quotient numerators, top degree first
+        scale = 1
         for k in range(dq, -1, -1):
-            top = rem[k + other.degree]
-            if top.is_zero():
+            tr, ti = rr.pop(), ri.pop()
+            if not tr and not ti:
+                if want_quotient:
+                    qr.append(0)
+                    qi.append(0)
                 continue
-            q = top / lead
-            quot[k] = q
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] = rem[k + j] - q * b
-        return Poly(quot), Poly(rem)
+            if n != 1:
+                rr = [n * x for x in rr]
+                ri = [n * y for y in ri]
+                if want_quotient:
+                    qr = [n * x for x in qr]
+                    qi = [n * y for y in qi]
+                scale *= n
+            if want_quotient:
+                qr.append(tr)
+                qi.append(ti)
+            if ti:
+                for j in range(m):
+                    u, v = mr[j], mi[j]
+                    rr[k + j] -= tr * u - ti * v
+                    ri[k + j] -= tr * v + ti * u
+            else:
+                for j in range(m):
+                    rr[k + j] -= tr * mr[j]
+                    ri[k + j] -= tr * mi[j]
+        den = scale * self.den
+        rem = _make(rr, ri, den)
+        if not want_quotient:
+            return None, rem
+        # A = (Q * N / E) * (M / N) + R / E, and M / N = other / lead
+        qr.reverse()
+        qi.reverse()
+        qr, qi = _times(qr, qi, n * ur, n * ui)
+        return _make(qr, qi, den * ud), rem
+
+    def __divmod__(self, other):
+        return self._divide(other, True)
 
     def __floordiv__(self, other):
-        return divmod(self, other)[0]
+        return self._divide(other, True)[0]
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        return self._divide(other, False)[1]
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if not self.re:
             raise ValueError("zero polynomial cannot be made monic")
-        lead = self.leading()
-        return Poly([c / lead for c in self.coeffs])
+        if self._is_monic():
+            return self
+        # self / lead = A / L = A * conj(L) / N(L)
+        lr, li = self.re[-1], self.im[-1]
+        re, im = _times(self.re, self.im, lr, -li)
+        return _make(re, im, lr * lr + li * li)
 
     def conj(self) -> "Poly":
         """Coefficientwise Gaussian conjugation (t is fixed)."""
-        return Poly([c.conj() for c in self.coeffs])
+        return _raw(self.re, tuple(-y for y in self.im), self.den)
 
     # -- evaluation ---------------------------------------------------
 
     def evaluate(self, x) -> GaussRat:
-        x = GaussRat.coerce(x)
-        acc = GaussRat.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Value at x = z/q: sum a_k z^k q^(n-k) over q^n * den."""
+        zr, zi, q = _parts(x)
+        re, im = self.re, self.im
+        if not re:
+            return GaussRat.zero()
+        ar, ai = re[-1], im[-1]
+        qk = 1
+        for k in range(len(re) - 2, -1, -1):
+            qk *= q
+            ar, ai = ar * zr - ai * zi + re[k] * qk, ar * zi + ai * zr + im[k] * qk
+        return _gauss(ar, ai, qk * self.den)
 
     def valuation_at(self, t0) -> int:
         """Multiplicity of ``t0`` as a root (0 when not a root).
 
-        Undefined for the zero polynomial.
+        Undefined for the zero polynomial.  With t0 = z/q the roots
+        are those of P(s) = q^n * p(s/q) at s = z, a polynomial over
+        Z[i]; synthetic division by the monic (s - z) stays in Z[i] and
+        stops at the first nonzero remainder.
         """
-        if self.is_zero():
+        re, im = self.re, self.im
+        if not re:
             raise ValueError("valuation of zero undefined")
-        t0 = GaussRat.coerce(t0)
-        linear = Poly([-t0, GaussRat.one()])
+        zr, zi, q = _parts(t0)
+        if not zr and not zi:
+            k = 0
+            while not re[k] and not im[k]:
+                k += 1
+            return k
+        if q != 1:
+            n = len(re) - 1
+            pows = [q ** (n - k) for k in range(n + 1)]
+            re = [x * p for x, p in zip(re, pows)]
+            im = [y * p for y, p in zip(im, pows)]
         mult = 0
-        current = self
-        while True:
-            q, r = divmod(current, linear)
-            if not r.is_zero():
+        while len(re) > 1:
+            br, bi = re[-1], im[-1]
+            qr, qi = [br], [bi]
+            for k in range(len(re) - 2, -1, -1):
+                br, bi = re[k] + br * zr - bi * zi, im[k] + br * zi + bi * zr
+                qr.append(br)
+                qi.append(bi)
+            if br or bi:
                 return mult
             mult += 1
-            current = q
+            qr.pop()
+            qi.pop()
+            qr.reverse()
+            qi.reverse()
+            re, im = qr, qi
+        return mult
 
     # -- comparison / hashing -----------------------------------------
 
@@ -217,13 +418,18 @@ class Poly:
         other = Poly._try_coerce(other)
         if other is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.re == other.re and self.im == other.im and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.re, self.im, self.den))
 
     def __repr__(self):
         return format_poly(self)
+
+
+_ZERO = _raw((), (), 1)
+_ONE = _raw((1,), (0,), 1)
+_VAR = _raw((0, 1), (0, 0), 1)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -234,14 +440,15 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     skips the loop: the gcd is t^min(m, ord_0 y), y the other argument.
     """
     for m, y in ((a, b), (b, a)):
-        if m.coeffs and all(c.is_zero() for c in m.coeffs[:-1]):
-            k = next((k for k, c in enumerate(y.coeffs) if not c.is_zero()), m.degree)
-            return Poly([GaussRat.zero()] * min(k, m.degree) + [GaussRat.one()])
-    while not b.is_zero():
+        if m.re and not any(m.re[:-1]) and not any(m.im[:-1]):
+            k = next((k for k, c in enumerate(zip(y.re, y.im)) if any(c)), m.degree)
+            k = min(k, m.degree)
+            return _raw((0,) * k + (1,), (0,) * (k + 1), 1)
+    while b:
         a, b = b, (a % b)
-        if not b.is_zero():
+        if b:
             b = b.monic()
-    return a.monic() if not a.is_zero() else a
+    return a.monic() if a else a
 
 
 def format_poly(p: Poly) -> str:

@@ -1,9 +1,12 @@
 """Exact Gaussian-rational scalars.
 
-Every computation in this package happens over Q(i), represented as a
+Every computation in this package happens over Q(i).  A scalar is a
 pair of ``fractions.Fraction`` values (real and imaginary part).
 Fraction keeps each part in lowest terms with a positive denominator,
-so equality is structural and values are hashable.
+so equality is structural and values are hashable.  Polynomials
+(:mod:`torsionfam.poly`) keep their coefficients as Gaussian integers
+over a common denominator instead, and build GaussRat values only
+when a caller asks for a coefficient or a value.
 
 Text form: plain rationals are written ``p/q`` (``p`` when q == 1);
 Gaussian rationals are written ``p/q+r/si`` with a trailing ``i`` on

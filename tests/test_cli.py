@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,92 @@ def test_eta_check_rejected_pairing_fails_a_check(capsys, tmp_path):
         assert f"check {path}:ray-invariance pass" in out
     assert out.count("item signs.synthesized + -") == 2
     assert out.endswith("verdict fail\n")
+
+
+def _one_boundary(tmp_path, name, coeffs):
+    path = tmp_path / f"{name}.cplx"
+    path.write_text(f"complex v1\nranks 1 1\nboundary 1\n[{coeffs}]\nend\n")
+    return path
+
+
+def test_auto_discovery_divides_out_the_content(capsys, tmp_path):
+    """A common integer factor does not enlarge the candidate set."""
+    start = time.perf_counter()
+    for big, small in (("720720,720720,720720", "1,1,1"),
+                       ("-2162160,3603600,1441440", "-3,5,2")):
+        outs = []
+        for name, coeffs in (("big", big), ("small", small)):
+            code, out, err = invoke(
+                capsys, "torsion", str(_one_boundary(tmp_path, name, coeffs)),
+                "--format", "structured",
+            )
+            assert code == 0 and err == ""
+            outs.append([line for line in out.splitlines() if "valuation" in line])
+        assert outs[0] == outs[1]
+    assert outs[0] == ["item torsion.valuation.-3 1", "item torsion.valuation.1/2 1"]
+    assert time.perf_counter() - start < 5.0
+
+
+def test_auto_discovery_refuses_too_many_candidates(capsys, tmp_path):
+    start = time.perf_counter()
+    code, _, err = invoke(
+        capsys, "torsion", str(_one_boundary(tmp_path, "wide", "720720,1,720720")),
+    )
+    assert code == 2
+    assert "auto discovery infeasible" in err and "supply --t0" in err
+    assert time.perf_counter() - start < 5.0
+
+
+def _break_calibration(monkeypatch, nu=3):
+    """Fake a singularity exponent that disagrees with chi everywhere."""
+    import torsionfam.dvr as dvr_module
+
+    monkeypatch.setattr(dvr_module, "singularity_exponent", lambda c, t0: nu)
+
+
+def test_calibration_violation_fails_a_check(capsys, tmp_path, monkeypatch):
+    _break_calibration(monkeypatch)
+    circle, torus3 = DATA / "circle.cplx", DATA / "torus3.cplx"
+    bad = tmp_path / "bad_pairing.cplx"
+    bad.write_text(
+        circle.read_text().replace("pairing 0\n[i,1]/[-i,1]\n", "pairing 0\n[0,1]\n")
+    )
+    code, out, err = invoke(
+        capsys, "analyze", str(circle), str(bad), str(torus3), "--t0", "0",
+        "--format", "structured",
+    )
+    assert code == 1 and err == ""
+    for path, chi in ((circle, 1), (bad, 1), (torus3, 0)):
+        assert f"item analysis.0.chi {chi}" in out
+        assert f"check {path}:0:nu-equals-chi fail" in out
+        assert f"note {path}:0: convention calibration violated: nu = 3, chi = {chi}" in out
+    # the rest of each point's report still comes out
+    assert out.count("item analysis.0.nu 3") == 3
+    assert f"check {circle}:0:duality pass" in out
+    assert f"check {bad}:0:duality fail" in out
+    assert out.endswith("verdict fail\n")
+
+
+def test_eta_check_calibration_violation_fails_a_check(capsys, monkeypatch):
+    _break_calibration(monkeypatch)
+    ledger = DATA / "ledger_circle.eta"
+    code, out, err = invoke(
+        capsys, "eta-check", str(ledger), "--complex", str(DATA / "circle.cplx"),
+        "--format", "structured",
+    )
+    assert code == 1 and err == ""
+    assert f"check {ledger}:jump-0:nu-equals-chi fail" in out
+    assert f"note {ledger}:jump-0: convention calibration violated: nu = 3, chi = 1" in out
+    assert f"check {ledger}:jump-0:family-parity" in out
+    assert f"check {ledger}:ray-invariance" in out
+
+
+def test_eta_check_passing_calibration_adds_no_check(capsys):
+    code, out, _ = invoke(
+        capsys, "eta-check", str(DATA / "ledger_circle.eta"), "--complex",
+        str(DATA / "circle.cplx"), "--format", "structured",
+    )
+    assert code == 0 and "nu-equals-chi" not in out
 
 
 def test_conway_oracle_failure_is_isolated_per_file(capsys, tmp_path):

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from fraction_poly import FractionPoly, fraction_poly_gcd
 
 from torsionfam.poly import Poly, format_poly, parse_poly, poly_gcd
 from torsionfam.scalars import GaussRat
@@ -133,3 +135,135 @@ def test_format_parse_round_trip():
     assert format_poly(Poly.zero()) == "[0]"
     assert parse_poly("[0]").is_zero()
     assert parse_poly("[]").is_zero()
+
+
+# -- the integer-backed Poly against the Fraction-pair reference ------------
+
+CENTERS = [
+    GaussRat(0),
+    GaussRat(2),
+    GaussRat(Fraction(1, 2)),
+    GaussRat(Fraction(-3, 7)),
+    GaussRat(0, 1),
+    GaussRat(Fraction(2, 3), Fraction(1, 3)),
+]
+
+
+def rand_gauss(rng):
+    return GaussRat(
+        Fraction(rng.randrange(-6, 7), rng.randrange(1, 7)),
+        Fraction(rng.randrange(-6, 7), rng.randrange(1, 7)) if rng.random() < 0.6 else 0,
+    )
+
+
+def rand_coeffs(rng, max_deg=6):
+    cs = [rand_gauss(rng) if rng.random() < 0.8 else GaussRat(0)
+          for _ in range(rng.randrange(0, max_deg + 2))]
+    if cs and rng.random() < 0.3:
+        cs[-1] = GaussRat(0)  # trailing zeros must be stripped
+    return cs
+
+
+def pair(cs):
+    return Poly(cs), FractionPoly(cs)
+
+
+def same(p, ref):
+    """p is canonical and has the reference's coefficients."""
+    assert p.den > 0
+    assert len(p.re) == len(p.im)
+    assert not p.re or p.re[-1] or p.im[-1]
+    assert gcd(p.den, *p.re, *p.im) == 1
+    return p.coeffs == ref.coeffs
+
+
+def test_ring_operations_match_reference():
+    rng = random.Random(71)
+    for _ in range(150):
+        (a, ra), (b, rb) = pair(rand_coeffs(rng)), pair(rand_coeffs(rng))
+        c = rand_gauss(rng)
+        assert same(a, ra)
+        assert same(a + b, ra + rb)
+        assert same(a - b, ra - rb)
+        assert same(a * b, ra * rb)
+        assert same(-a, -ra)
+        assert same(a * c, ra * c)
+        assert same(c - a, c - ra)
+        assert same(a * Fraction(3, 4) + 2, ra * Fraction(3, 4) + 2)
+        assert same(a.conj(), ra.conj())
+        assert same(a**2, ra**2)
+
+
+def test_divmod_matches_reference():
+    """Non-monic divisors, with Gaussian non-unit and rational leads."""
+    rng = random.Random(72)
+    leads = [GaussRat(2, 1), GaussRat(3), GaussRat(1, 1), GaussRat(Fraction(2, 5), -3),
+             GaussRat(0, Fraction(-7, 4)), GaussRat(1)]
+    for k in range(200):
+        a, ra = pair(rand_coeffs(rng, 8))
+        cs = rand_coeffs(rng, 4) + [leads[k % len(leads)]]
+        b, rb = pair(cs)
+        q, r = divmod(a, b)
+        rq, rr = divmod(ra, rb)
+        assert same(q, rq) and same(r, rr)
+        assert same(a // b, rq) and same(a % b, rr)
+        assert same(b.monic(), rb.monic())
+        assert q * b + r == a
+
+
+def test_gcd_matches_reference():
+    rng = random.Random(73)
+    for _ in range(120):
+        g = rand_coeffs(rng, 3)
+        x, y = rand_coeffs(rng, 3), rand_coeffs(rng, 3)
+        a, ra = pair(x)
+        b, rb = pair(y)
+        common, rcommon = pair(g)
+        if rng.random() < 0.7:
+            a, ra = a * common, ra * rcommon
+            b, rb = b * common, rb * rcommon
+        assert same(poly_gcd(a, b), fraction_poly_gcd(ra, rb))
+
+
+def test_evaluate_and_valuation_match_reference():
+    rng = random.Random(74)
+    for _ in range(40):
+        for t0 in CENTERS:
+            mult = rng.randrange(0, 5)
+            lin = Poly([-t0, 1])
+            base, rbase = pair(rand_coeffs(rng, 4))
+            if base.is_zero():
+                continue
+            p = base * lin**mult
+            rp = rbase * FractionPoly([-t0, 1]) ** mult
+            assert same(p, rp)
+            want = rp.valuation_at(t0)
+            assert p.valuation_at(t0) == want
+            assert want >= mult
+            for x in CENTERS + [rand_gauss(rng)]:
+                assert p.evaluate(x) == rp.evaluate(x)
+
+
+def test_equal_values_have_equal_fields_and_hashes():
+    rng = random.Random(75)
+    for _ in range(100):
+        a = Poly(rand_coeffs(rng))
+        b = Poly(rand_coeffs(rng))
+        if b.is_zero():
+            continue
+        routes = [
+            (a * b) // b,
+            a + b - b,
+            Poly(a.coeffs),
+            parse_poly(format_poly(a)),
+            -(-a),
+            a.conj().conj(),
+            a * Fraction(6, 5) * Fraction(5, 6),
+            a * GaussRat(1, 1) * GaussRat(Fraction(1, 2), Fraction(-1, 2)),
+        ]
+        if not a.is_zero():
+            routes.append(a.monic() * a.leading())
+        for other in routes:
+            assert other == a
+            assert (other.re, other.im, other.den) == (a.re, a.im, a.den)
+            assert hash(other) == hash(a)
