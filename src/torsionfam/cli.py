@@ -133,22 +133,48 @@ class Report:
 AUTO_CANDIDATE_CAP = 20_000
 
 
-def _integer_divisors(n: int, limit: int = 10**12) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        raise ValueError("no divisors of zero")
+def _divisor_count(n: int, limit: int = 10**12) -> int:
+    """Number of divisors of n > 0, without listing them: trial division
+    up to the cube root of what is left leaves a cofactor 1, p, p^2 or p*q.
+    """
     if n > limit:
-        raise ValueError(
-            "auto discovery infeasible: coefficients too large, supply --t0"
-        )
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+        raise ValueError("auto discovery infeasible: coefficients too large, supply --t0")
+    count, p = 1, 2
+    while p * p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        count *= e + 1
+        p += 1
+    if n > 1:
+        count *= 2 if _is_prime(n) else 3 if math.isqrt(n) ** 2 == n else 4
+    return count
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with bases 2 to 17, deterministic below 3.4 * 10**14."""
+    bases = (2, 3, 5, 7, 11, 13, 17)
+    if n < 2 or n in bases:
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+def _integer_divisors(n: int) -> list[int]:
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
 
 
 def rational_real_roots(p: Poly) -> tuple[list[Fraction], int]:
@@ -179,12 +205,13 @@ def rational_real_roots(p: Poly) -> tuple[list[Fraction], int]:
     ints = (work * work.conj()).re
     content = math.gcd(*ints)
     const, lead = ints[0] // content, ints[-1] // content
-    tops, bottoms = _integer_divisors(const), _integer_divisors(lead)
-    if len(tops) * len(bottoms) > AUTO_CANDIDATE_CAP:
+    pairs = _divisor_count(const) * _divisor_count(lead)
+    if pairs > AUTO_CANDIDATE_CAP:
         raise ValueError(
-            f"auto discovery infeasible: {len(tops) * len(bottoms)} divisor pairs "
+            f"auto discovery infeasible: {pairs} divisor pairs "
             f"exceed the cap of {AUTO_CANDIDATE_CAP}, supply --t0"
         )
+    tops, bottoms = _integer_divisors(const), _integer_divisors(lead)
     candidates: set[Fraction] = set()
     for a in tops:
         for b in bottoms:

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 from .linalg import Matrix, _eliminate
 from .ratfunc import RatFunc
+from .scalars import sign_of_real
 
 __all__ = [
     "CONVENTION_TAG",
@@ -289,9 +290,15 @@ def torsion_sign_at(c: BasedChainComplex, t) -> int:
     The evaluated torsion must be a nonzero real number there; families
     assembled from self-dual blocks have exactly real torsion on the
     real line, which is what the sign-flip law quantifies.  The torsion
-    function is the memoized one; only its evaluation runs per point.
+    function is the memoized one; only its evaluation runs per point:
+    with N, D the Gaussian-integer Horner values of num and den, the
+    value is N conj(D) times a positive rational.
     """
-    from .scalars import sign_of_real
-
-    value = torsion(c).value.evaluate(t)
-    return sign_of_real(value)
+    value = torsion(c).value
+    nr, ni, _ = value.num.value_parts(t)
+    dr, di, _ = value.den.value_parts(t)
+    re, im = nr * dr + ni * di, ni * dr - nr * di
+    if im or not re:
+        # not real, zero or a pole: the GaussRat value raises the message
+        return sign_of_real(value.evaluate(t))
+    return 1 if re > 0 else -1

@@ -360,17 +360,22 @@ class Poly:
     # -- evaluation ---------------------------------------------------
 
     def evaluate(self, x) -> GaussRat:
-        """Value at x = z/q: sum a_k z^k q^(n-k) over q^n * den."""
+        """Value at x as a GaussRat."""
+        return _gauss(*self.value_parts(x))
+
+    def value_parts(self, x) -> tuple[int, int, int]:
+        """Unreduced value at x = z/q: sum a_k z^k q^(n-k) over q^n * den,
+        as integers (re, im, d) with d > 0, by one homogeneous Horner pass."""
         zr, zi, q = _parts(x)
         re, im = self.re, self.im
         if not re:
-            return GaussRat.zero()
+            return 0, 0, 1
         ar, ai = re[-1], im[-1]
         qk = 1
         for k in range(len(re) - 2, -1, -1):
             qk *= q
             ar, ai = ar * zr - ai * zi + re[k] * qk, ar * zi + ai * zr + im[k] * qk
-        return _gauss(ar, ai, qk * self.den)
+        return ar, ai, qk * self.den
 
     def valuation_at(self, t0) -> int:
         """Multiplicity of ``t0`` as a root (0 when not a root).

@@ -2,7 +2,12 @@
 
 A :class:`RatFunc` is a reduced fraction num/den of polynomials in t
 with the denominator monic; that normal form is canonical, so equality
-is structural.  Localizing at a parameter value t0 gives the ring of
+is structural.  The constructor normalizes any fraction; arithmetic
+keeps the form with Henrici's reduced-fraction formulas (P. Henrici,
+JACM 3, 1956; Knuth, TAOCP vol. 2, 4.5.1): a product cancels gcd(p, s)
+and gcd(r, q) across the operands, and a sum cancels only by
+gcd(p s/d + r q/d, d) with d = gcd(q, s), so coprime or trivial
+denominators take no gcd of the result.  Localizing at a parameter value t0 gives the ring of
 germs regular at t0 -- a discrete valuation ring whose maximal ideal
 is generated by (t - t0).  :func:`valuation` and :func:`normalize_at`
 implement the valuation and the exact uniformizer decomposition
@@ -41,16 +46,12 @@ class RatFunc:
 
     def __init__(self, num, den=None):
         num = Poly.coerce(num)
-        den = Poly.one() if den is None else Poly.coerce(den)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            den = Poly.one()
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
+        den = _P1 if den is None else Poly.coerce(den)
+        if den != _P1:
+            if den.is_zero():
+                raise ZeroDivisionError("rational function with zero denominator")
+            # a zero numerator cancels den down to a constant, then to 1
+            num, den = _cancel(num, den, poly_gcd(num, den))
             lead = den.leading()
             if not (lead == GaussRat.one()):
                 num = num * (GaussRat.one() / lead)
@@ -116,9 +117,7 @@ class RatFunc:
         other = RatFunc._try_coerce(other)
         if other is None:
             return NotImplemented
-        return RatFunc(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        return _sum(self.num, self.den, other.num, other.den)
 
     __radd__ = __add__
 
@@ -126,9 +125,7 @@ class RatFunc:
         other = RatFunc._try_coerce(other)
         if other is None:
             return NotImplemented
-        return RatFunc(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
+        return _sum(self.num, self.den, -other.num, other.den)
 
     def __rsub__(self, other):
         other = RatFunc._try_coerce(other)
@@ -143,7 +140,7 @@ class RatFunc:
         other = RatFunc._try_coerce(other)
         if other is None:
             return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return _product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -153,7 +150,11 @@ class RatFunc:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        # the reciprocal den/num, put over the monic associate of num
+        num, den = other.den, other.num.monic()
+        if den is not other.num:
+            num = num * (GaussRat.one() / other.num.leading())
+        return _product(self.num, self.den, num, den)
 
     def __rtruediv__(self, other):
         other = RatFunc._try_coerce(other)
@@ -201,7 +202,7 @@ class RatFunc:
 
     def is_regular_at(self, t0) -> bool:
         """True when the reduced denominator does not vanish at t0."""
-        return not self.den.evaluate(t0).is_zero()
+        return self.den.degree == 0 or not self.den.evaluate(t0).is_zero()
 
     # -- comparison / hashing -----------------------------------------
 
@@ -216,6 +217,44 @@ class RatFunc:
 
     def __repr__(self):
         return format_ratfunc(self)
+
+
+_P1 = Poly.one()
+
+
+def _cancel(a: Poly, b: Poly, g: Poly) -> tuple[Poly, Poly]:
+    """a/g and b/g for a monic common divisor g."""
+    return (a // g, b // g) if g.degree > 0 else (a, b)
+
+
+def _sum(p: Poly, q: Poly, r: Poly, s: Poly) -> RatFunc:
+    """p/q + r/s for reduced operands with monic q and s."""
+    if q == s:
+        t = p + r
+        if not t:
+            return RatFunc.zero()
+        if q.degree > 0:
+            t, q = _cancel(t, q, poly_gcd(t, q))
+        return RatFunc._reduced(t, q)
+    # q != s, so the sum is nonzero; a shared factor divides d = gcd(q, s)
+    d = poly_gcd(q, s) if q.degree > 0 and s.degree > 0 else _P1
+    if d.degree <= 0:
+        return RatFunc._reduced(p * s + r * q, q * s)
+    q = q // d
+    t = p * (s // d) + r * q
+    t, s = _cancel(t, s, poly_gcd(t, d))
+    return RatFunc._reduced(t, q * s)
+
+
+def _product(p: Poly, q: Poly, r: Poly, s: Poly) -> RatFunc:
+    """(p/q)(r/s) for reduced operands with monic q and s."""
+    if not p or not r:
+        return RatFunc.zero()
+    if s.degree > 0:
+        p, s = _cancel(p, s, poly_gcd(p, s))
+    if q.degree > 0:
+        r, q = _cancel(r, q, poly_gcd(r, q))
+    return RatFunc._reduced(p * r, q * s)
 
 
 def valuation(f: RatFunc, t0) -> int:
@@ -243,7 +282,7 @@ def normalize_at(f: RatFunc, t0) -> tuple[int, RatFunc]:
     b = f.den.valuation_at(t0)
     num = f.num // linear**a if a else f.num
     den = f.den // linear**b if b else f.den
-    return a - b, RatFunc(num, den)
+    return a - b, RatFunc._reduced(num, den)
 
 
 def conj_family(f: RatFunc) -> RatFunc:

@@ -253,6 +253,46 @@ def test_auto_discovery_refuses_too_many_candidates(capsys, tmp_path):
     assert time.perf_counter() - start < 5.0
 
 
+def test_auto_discovery_refuses_before_listing_divisors(capsys, tmp_path):
+    """The cap is applied to divisor counts, so a refusal is immediate."""
+    path = str(_one_boundary(tmp_path, "wide", "720720,1,720720"))
+    start = time.perf_counter()
+    code, _, err = invoke(capsys, "torsion", path)
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert err == (
+        "torsionfam: error: auto discovery infeasible: 13286025 divisor pairs "
+        "exceed the cap of 20000, supply --t0\n"
+    )
+    assert elapsed < 0.05
+
+
+def _trial_divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_divisor_count_matches_listing():
+    import random
+
+    from torsionfam.cli import _divisor_count, _integer_divisors, _is_prime
+
+    rng = random.Random(71)
+    for n in list(range(1, 400)) + [rng.randrange(1, 10**5) for _ in range(100)]:
+        assert _integer_divisors(n) == _trial_divisors(n)
+        assert _divisor_count(n) == len(_trial_divisors(n))
+        assert _is_prime(n) == (len(_trial_divisors(n)) == 2)
+    # strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5; 2, 3, 5, 7; and 2, 13, 23
+    for n in (2047, 1373653, 25326001, 3215031751, 1122004669633):
+        assert not _is_prime(n)
+    big_p, big_q = 999983, 999979  # primes just below 10**6
+    assert _is_prime(big_p) and _is_prime(999999999989)
+    for n, count in ((big_p * big_q, 4), (big_p**2, 3), (999999999989, 2),
+                     (10**12, 169), (720720, 240), (2**39, 40), (7**14, 15)):
+        assert _divisor_count(n) == count
+    with pytest.raises(ValueError, match="coefficients too large"):
+        _divisor_count(10**12 + 1)
+
+
 def _break_calibration(monkeypatch, nu=3):
     """Fake a singularity exponent that disagrees with chi everywhere."""
     import torsionfam.dvr as dvr_module

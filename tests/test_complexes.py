@@ -19,9 +19,10 @@ from torsionfam.dvr import singularity_exponent
 from torsionfam.fileio import dump_complex, load_complex
 from torsionfam.linalg import Matrix
 from torsionfam.ratfunc import RatFunc, cayley, conj_family
-from torsionfam.scalars import GaussRat
+from torsionfam.scalars import GaussRat, sign_of_real
 
 T = RatFunc.var()
+I = GaussRat.i()
 ONE = RatFunc.one()
 ZERO = RatFunc.zero()
 
@@ -243,6 +244,46 @@ def test_sign_flip_law_on_corpus():
                 sp = torsion_sign_at(fam.complex, GaussRat(c + delta))
                 sm = torsion_sign_at(fam.complex, GaussRat(c - delta))
                 assert sp * sm == (-1) ** nu
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _kind(outcome):
+    if isinstance(outcome, int):
+        return outcome
+    for kind in ("not real", "zero", "pole"):
+        if kind in outcome[1]:
+            return kind
+    return outcome
+
+
+def test_torsion_sign_at_matches_gaussrat_value():
+    """The integer Horner sign agrees with the GaussRat value, errors included."""
+    cases = []
+    for fam in acceptance_corpus(12, 4242):
+        points = [c + d for c in fam.centers for d in (0, Fraction(1, 1000), Fraction(-1, 7))]
+        points += [0, Fraction(5, 3), GaussRat(0, 1), GaussRat(Fraction(1, 2), -2)]
+        cases += [(fam.complex, GaussRat.coerce(t)) for t in points]
+    # a non-real value on the real line, real values at a Gaussian point
+    # and from a numerator and denominator that are both non-real
+    for f, t in (
+        (I * (T - 2), GaussRat(3)),
+        ((T - I) * (T - I), GaussRat(0, 2)),
+        ((T - I) / (T + I), GaussRat(0)),
+        (((T - I) / (T + I)) ** 2, GaussRat(0)),
+    ):
+        cases.append((BasedChainComplex([1, 1], [Matrix([[f]])]), t))
+    seen = set()
+    for c, t in cases:
+        fast = _outcome(torsion_sign_at, c, t)
+        assert fast == _outcome(lambda: sign_of_real(torsion(c).value.evaluate(t))), t
+        seen.add(_kind(fast))
+    assert seen == {1, -1, "not real", "zero", "pole"}
 
 
 # -- old paths as oracles of the one-elimination staircase ---------------------

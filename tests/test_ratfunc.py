@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from torsionfam.poly import Poly
+from torsionfam.poly import Poly, poly_gcd
 from torsionfam.ratfunc import (
     LocalGerm,
     RatFunc,
@@ -192,3 +192,136 @@ def test_round_trip():
     for _ in range(60):
         f = rand_ratfunc(rng)
         assert parse_ratfunc(format_ratfunc(f)) == f
+
+
+# -- Henrici arithmetic against the unreduced fraction ---------------------------
+
+
+def slow_add(f, g):
+    return RatFunc(f.num * g.den + g.num * f.den, f.den * g.den)
+
+
+def slow_sub(f, g):
+    return RatFunc(f.num * g.den - g.num * f.den, f.den * g.den)
+
+
+def slow_mul(f, g):
+    return RatFunc(f.num * g.num, f.den * g.den)
+
+
+def slow_div(f, g):
+    return RatFunc(f.num * g.den, f.den * g.num)
+
+
+def assert_canonical(f):
+    assert f.den.leading() == GaussRat.one()
+    if f.num.is_zero():
+        assert f.den == Poly.one()
+    else:
+        assert poly_gcd(f.num, f.den) == Poly.one()
+
+
+def _lin(root, lead=1):
+    return Poly([-GaussRat.coerce(lead) * GaussRat.coerce(root), lead])
+
+
+# factors operands share: Gaussian poles t -+ i, t itself (Laurent
+# monomials), rational and Gaussian-rational roots, an irreducible
+# quadratic, and non-monic linear factors
+FACTORS = [
+    _lin(I),
+    _lin(-I),
+    Poly.var(),
+    _lin(1),
+    _lin(-2),
+    _lin(GaussRat(Fraction(1, 2), Fraction(1, 2))),
+    Poly([1, 0, 1]),
+    _lin(Fraction(-1, 3), GaussRat(2, 1)),
+    _lin(3, 5),
+]
+
+
+def henrici_corpus(seed, count):
+    """Pairs (f, g) of reduced functions built from shared factors."""
+    rng = random.Random(seed)
+
+    def product(k):
+        p = Poly.one()
+        for _ in range(k):
+            p = p * rng.choice(FACTORS)
+        return p
+
+    def scalar():
+        while True:
+            c = GaussRat(rng.randrange(-3, 4), rng.randrange(-2, 3))
+            if not c.is_zero():
+                return c
+
+    def operand():
+        kind = rng.randrange(5)
+        if kind == 0:  # Laurent monomial c t^k, k of either sign
+            k = rng.randrange(-3, 4)
+            return RatFunc(scalar()) * RatFunc.var() ** k
+        if kind == 1:  # polynomial
+            return RatFunc(product(rng.randrange(3)) * scalar())
+        rest = Poly([scalar() for _ in range(rng.randrange(1, 3))])
+        return RatFunc(product(rng.randrange(3)) * rest, product(rng.randrange(1, 4)))
+
+    out = []
+    for _ in range(count):
+        f = operand()
+        kind = rng.randrange(7)
+        if kind == 0:  # equal denominators
+            g = RatFunc(product(rng.randrange(3)) * scalar(), f.den)
+        elif kind == 1:  # the sum cancels to zero or to a constant
+            g = RatFunc(scalar()) * rng.randrange(2) - f
+        elif kind == 2:  # shares a factor of the denominator, not all of it
+            shared = rng.choice(FACTORS)
+            f = RatFunc(scalar(), shared * product(1))
+            g = RatFunc(Poly([scalar(), scalar()]), shared * product(rng.randrange(1, 3)))
+        elif kind == 3:  # f + g = h cancels the factors f and g share
+            g = operand() - f
+        else:
+            g = operand()
+        out.append((f, g))
+    return out
+
+
+def _sum_kind(f, g):
+    """Which Henrici branch an addition f + g takes."""
+    if f.den == g.den:
+        return "equal" if f.den == Poly.one() else "equal-nontrivial"
+    d = poly_gcd(f.den, g.den)
+    if d.degree == 0:
+        return "coprime"
+    t = f.num * (g.den // d) + g.num * (f.den // d)
+    return "d-and-e" if poly_gcd(t, d).degree > 0 else "d-only"
+
+
+# fixed pairs: d = e = t - 1 in 1/((t-1)(t+1)) - 1/((t-1)(t^2+1)), and
+# divisors with non-monic, Gaussian and Laurent-monomial numerators
+FIXED_PAIRS = [(1 / ((T - 1) * (T + 1)), 1 / ((T - 1) * (T * T + 1)))] + [
+    (f, g)
+    for f in (T, RatFunc.one(), (T - I) ** 2 / (T + 1), 1 / (2 * I * T))
+    for g in ((2 + I) * T - 1, (T - I) / 3, -(T**-2), (1 - I * T) / (T - I))
+]
+
+
+def test_henrici_arithmetic_matches_unreduced_oracle():
+    kinds = {}
+    values = set()
+    for f, g in henrici_corpus(2026, 400) + FIXED_PAIRS:
+        for name, fast, slow in (
+            ("add", f + g, slow_add(f, g)),
+            ("sub", f - g, slow_sub(f, g)),
+            ("mul", f * g, slow_mul(f, g)),
+        ) + ((("div", f / g, slow_div(f, g)),) if g else ()):
+            assert fast == slow, (name, f, g)
+            assert_canonical(fast)
+            if fast.is_constant():
+                values.add("zero" if fast.is_zero() else "constant")
+        for h in (g, -g):
+            kinds[_sum_kind(f, h)] = kinds.get(_sum_kind(f, h), 0) + 1
+    assert set(kinds) == {"equal", "equal-nontrivial", "coprime", "d-only", "d-and-e"}
+    assert min(kinds.values()) >= 3, kinds
+    assert values == {"zero", "constant"}
