@@ -26,18 +26,21 @@ from typing import Optional
 from . import __version__
 from .complexes import (
     CONVENTION_TAG,
-    BasedChainComplex,
     conjugate_complex,
     direct_sum,
     is_generically_acyclic,
     torsion,
 )
-from .corpus import bundled_direct_sum, circle_family, torus3_family
-from .dvr import CalibrationError, DualityError, analyze
+from .corpus import (
+    bundled_direct_sum, circle_family, random_acyclic_complex, random_local_matrix,
+    random_ratfunc, random_word, torus3_family,
+)
+from .dvr import CalibrationError, DualityError, analyze, snf_local
 from .eta import (
     ArgPairing,
     EtaProfile,
     JumpRecord,
+    eta_at_jump,
     ray_invariant_check,
     signs_from_reports,
 )
@@ -51,7 +54,7 @@ from .fileio import (
     load_ledger,
     load_presentation,
 )
-from .groupring import GroupRingElem, Word, fox_derivative
+from .groupring import GroupRingElem, Word, fox_derivative, presentation_complex
 from .knots import alexander_from_fox, bundled_knots, conway_from_seifert, conway_normalize
 from .linalg import Matrix
 from .poly import Poly
@@ -70,7 +73,7 @@ class JobSpec:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.command not in ("torsion", "analyze", "eta-check", "conway", "selftest"):
+        if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
         object.__setattr__(self, "input_paths", tuple(self.input_paths))
 
@@ -286,14 +289,8 @@ def _load_family(path: str):
     )
     if header == "presentation v1":
         names, relators, rho = load_presentation(text, path)
-        from .groupring import presentation_complex
-
         return presentation_complex(len(names), relators, rho), None
     return load_complex(text, path)
-
-
-def _key_of_point(t0: GaussRat) -> str:
-    return format_gauss(t0)
 
 
 def _cmd_torsion(job: JobSpec) -> Report:
@@ -310,7 +307,7 @@ def _cmd_torsion(job: JobSpec) -> Report:
         report.item("torsion.value", value)
         for t0 in _resolve_centers(report, value, job.options.get("t0")):
             report.item(
-                f"torsion.valuation.{_key_of_point(t0)}", value.valuation(t0)
+                f"torsion.valuation.{format_gauss(t0)}", value.valuation(t0)
             )
     return report
 
@@ -364,7 +361,7 @@ def _cmd_analyze(job: JobSpec) -> Report:
         value = torsion(cplx).value
         report.item("torsion.value", value)
         for t0 in _resolve_centers(report, value, job.options.get("t0")):
-            key = _key_of_point(t0)
+            key = format_gauss(t0)
             rep, rejected = _analyze_point(cplx, t0, pairing)
             report.item(f"analysis.{key}.nu", rep.nu)
             report.item(f"analysis.{key}.chi", rep.chi)
@@ -432,8 +429,6 @@ def _cmd_eta_check(job: JobSpec) -> Report:
             )
         if profile.slope_data is None:
             # eta itself is reconstructible; report its value at each jump
-            from .eta import eta_at_jump
-
             values = profile.interval_values()
             for rec, before, after in zip(profile.jumps, values, values[1:]):
                 report.item(
@@ -483,7 +478,7 @@ def _selftest_ledgers() -> list[tuple[str, EtaProfile, list[int], bool]]:
     jump1 = JumpRecord(Fraction(0), 1, 0, 1)
     jump2 = JumpRecord(Fraction(1), 2, 1, 2)
     pairing = ArgPairing((Fraction(1, 4), Fraction(1, 3)), (2, 6), 2)
-    ledgers = [
+    return [
         ("class3", EtaProfile(3, Fraction(1, 2), (jump1, jump2)), [1, -1, -1], True),
         ("su", EtaProfile(1, Fraction(0), (jump1,)), [1, -1], True),
         (
@@ -494,7 +489,6 @@ def _selftest_ledgers() -> list[tuple[str, EtaProfile, list[int], bool]]:
         ),
         ("broken", EtaProfile(3, Fraction(1, 2), (jump1, jump2)), [1, 1, 1], False),
     ]
-    return ledgers
 
 
 def selftest(seed: int = 20250) -> Report:
@@ -581,11 +575,7 @@ def selftest(seed: int = 20250) -> Report:
     # randomized invariants (smaller counts than the acceptance suite)
     ok = True
     for _ in range(50):
-        letters = [
-            (rng.randrange(3), rng.choice([1, -1]))
-            for _ in range(rng.randrange(0, 10))
-        ]
-        w = Word(letters)
+        w = random_word(rng, max_len=9)
         total = GroupRingElem.zero()
         for g in range(3):
             xg = GroupRingElem.of_word(Word.generator(g)) - GroupRingElem.one()
@@ -595,23 +585,21 @@ def selftest(seed: int = 20250) -> Report:
 
     ok = True
     for _ in range(50):
-        f = _random_ratfunc(rng)
-        g = _random_ratfunc(rng)
         t0 = GaussRat(rng.randrange(-2, 3))
+        f = random_ratfunc(rng, zero_at=t0 if rng.randrange(2) else None)
+        g = random_ratfunc(rng, zero_at=t0 if rng.randrange(2) else None)
         ok = ok and f.valuation(t0) + g.valuation(t0) == (f * g).valuation(t0)
     report.check("invariants.valuation-additivity", ok)
 
-    from .dvr import snf_local
-
     ok = True
     for _ in range(20):
-        mat = _random_local_matrix(rng, rng.choice([2, 3]))
+        mat = random_local_matrix(rng, rng.randrange(1, 6), rng.randrange(1, 6))
         ok = ok and snf_local(mat, 0, "first") == snf_local(mat, 0, "last")
     report.check("invariants.snf-pivots", ok)
 
     ok = True
     for _ in range(10):
-        cplx = _random_acyclic_complex(rng)
+        cplx = random_acyclic_complex(rng)
         ok = ok and torsion(conjugate_complex(cplx)).value == conj_family(
             torsion(cplx).value
         )
@@ -621,52 +609,6 @@ def selftest(seed: int = 20250) -> Report:
     report.item("checks.passed", passed)
     report.item("checks.total", len(report.checks))
     return report
-
-
-def _random_ratfunc(rng: random.Random) -> RatFunc:
-    def poly():
-        while True:
-            p = Poly(
-                [
-                    GaussRat(rng.randrange(-3, 4), rng.randrange(-2, 3))
-                    for _ in range(rng.randrange(1, 4))
-                ]
-            )
-            if not p.is_zero():
-                return p
-
-    num = poly() * Poly([GaussRat(-rng.randrange(-2, 3)), GaussRat.one()])
-    return RatFunc(num, poly())
-
-
-def _random_local_matrix(rng: random.Random, n: int) -> Matrix:
-    t = RatFunc.var()
-    pool = [
-        RatFunc.one(),
-        t,
-        t * t,
-        1 + t,
-        t * (1 + t),
-        RatFunc.zero(),
-        RatFunc.coerce(GaussRat(0, 1)) * t,
-        2 + t,
-    ]
-    return Matrix([[rng.choice(pool) for _ in range(n)] for _ in range(n)], n)
-
-
-def _random_acyclic_complex(rng: random.Random) -> BasedChainComplex:
-    from .corpus import _divisor, _unimodular_gauss, elementary_complex
-
-    m = rng.choice([1, 2, 3])
-    k = rng.randrange(1, m + 1)
-    a = rng.choice([1, 2])
-    centers = [Fraction(rng.randrange(-1, 2))]
-    diag = [_divisor(rng, centers, real_only=False) for _ in range(a)]
-    core = Matrix.diagonal(diag, RatFunc.zero())
-    u = _unimodular_gauss(rng, a)
-    v = _unimodular_gauss(rng, a)
-    mat = u.mul_with_zero(core, RatFunc.zero()).mul_with_zero(v, RatFunc.zero())
-    return elementary_complex(m, k, mat)
 
 
 # -- dispatch ------------------------------------------------------------------
@@ -679,17 +621,17 @@ def run(job: JobSpec) -> Report:
         raise ValueError(
             f"unknown convention {convention!r}; only {CONVENTION_TAG} exists in v1"
         )
-    if job.command == "torsion":
-        return _cmd_torsion(job)
-    if job.command == "analyze":
-        return _cmd_analyze(job)
-    if job.command == "eta-check":
-        return _cmd_eta_check(job)
-    if job.command == "conway":
-        return _cmd_conway(job)
-    if job.command == "selftest":
-        return selftest(int(job.options.get("seed", 20250)))
-    raise ValueError(f"unknown command {job.command!r}")
+    return _COMMANDS[job.command](job)
+
+
+# command name -> handler; JobSpec accepts exactly these names
+_COMMANDS = {
+    "torsion": _cmd_torsion,
+    "analyze": _cmd_analyze,
+    "eta-check": _cmd_eta_check,
+    "conway": _cmd_conway,
+    "selftest": lambda job: selftest(int(job.options.get("seed", 20250))),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -53,7 +53,6 @@ __all__ = [
     "conjugate_complex",
     "dual_complex",
     "direct_sum",
-    "evaluate_at",
     "torsion_sign_at",
 ]
 
@@ -273,15 +272,6 @@ def _pad(c: BasedChainComplex, m: int) -> BasedChainComplex:
     for k in range(c.top_degree + 1, m + 1):
         boundaries.append(Matrix.zeros(ranks[k - 1], 0, _ZERO))
     return BasedChainComplex(ranks, boundaries)
-
-
-def evaluate_at(c: BasedChainComplex, t0) -> list[Matrix]:
-    """Boundary matrices evaluated at a parameter value (GaussRat entries).
-
-    Raises on a pole; used for rank-drop bookkeeping at degeneration
-    points.
-    """
-    return [b.map(lambda e: e.evaluate(t0)) for b in c.boundaries]
 
 
 def torsion_sign_at(c: BasedChainComplex, t) -> int:

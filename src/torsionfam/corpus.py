@@ -19,6 +19,10 @@ involution) up to a global sign, so evaluated signs are well defined.
 
 Everything is driven by a seeded ``random.Random``; the same seed
 reproduces the corpus byte for byte.
+
+The seeded samples of every invariant sweep come from here too:
+``random_word``, ``random_ratfunc``, ``random_local_matrix`` and
+``random_acyclic_complex`` feed the CLI ``selftest`` and the tests.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .complexes import BasedChainComplex, direct_sum, dual_complex
+from .groupring import Word
 from .linalg import Matrix
+from .poly import Poly
 from .ratfunc import RatFunc, cayley, conj_family, uniformizer
 from .scalars import GaussRat
 
@@ -44,6 +50,10 @@ __all__ = [
     "torus3_family",
     "acceptance_corpus",
     "bundled_direct_sum",
+    "random_word",
+    "random_ratfunc",
+    "random_local_matrix",
+    "random_acyclic_complex",
 ]
 
 # number of families in the acceptance corpus (tests/test_acceptance.py)
@@ -164,14 +174,10 @@ def combine(name: str, parts: list[FamilySpec]) -> FamilySpec:
             raise ValueError("combine needs equal top degrees")
         total = direct_sum(total, part.complex)
         pairing = [
-            _pairing_sum(p, q) for p, q in zip(pairing, part.pairing)
+            Matrix.block_diagonal(p, q, _ZERO) for p, q in zip(pairing, part.pairing)
         ]
         centers.update(part.centers)
     return FamilySpec(name, total, tuple(pairing), tuple(sorted(centers)))
-
-
-def _pairing_sum(p: Matrix, q: Matrix) -> Matrix:
-    return Matrix.block_diagonal(p, q, _ZERO)
 
 
 def torus3_family() -> FamilySpec:
@@ -354,7 +360,48 @@ def random_family(rng: random.Random, index: int) -> FamilySpec:
 def acceptance_corpus(count: int = ACCEPTANCE_SIZE, seed: int = 20250) -> list[FamilySpec]:
     """Deterministic corpus of duality-equipped family complexes."""
     rng = random.Random(seed)
-    out = []
-    for idx in range(count):
-        out.append(random_family(rng, idx))
-    return out
+    return [random_family(rng, idx) for idx in range(count)]
+
+
+# -- seeded samples for invariant sweeps -------------------------------------
+
+
+def random_word(rng: random.Random, ngens: int = 3, max_len: int = 12) -> Word:
+    """Random word of length 0..max_len in generators 0..ngens-1."""
+    return Word(
+        [(rng.randrange(ngens), rng.choice([1, -1]))
+         for _ in range(rng.randrange(0, max_len + 1))]
+    )
+
+
+def random_ratfunc(rng: random.Random, zero_at=None) -> RatFunc:
+    """Low-degree element of Q(i)(t); ``zero_at`` adds a factor t - zero_at."""
+    def poly():
+        while True:
+            p = Poly(
+                [GaussRat(rng.randrange(-3, 4), rng.randrange(-2, 3))
+                 for _ in range(rng.randrange(1, 4))]
+            )
+            if not p.is_zero():
+                return p
+
+    num = poly()
+    if zero_at is not None:
+        num = num * Poly([-GaussRat.coerce(zero_at), GaussRat.one()])
+    return RatFunc(num, poly())
+
+
+def random_local_matrix(rng: random.Random, nrows: int, ncols: int) -> Matrix:
+    """Random matrix over the local ring at 0 (denominators avoid 0)."""
+    t = RatFunc.var()
+    pool = [
+        _ZERO, _ONE, t, t * t, 1 + t, t * (1 + t),
+        RatFunc.coerce(GaussRat(0, 1)) * t, 2 + t,
+        t / (1 + t), (t * t) / (2 + t), cayley() - 1,
+    ]
+    return Matrix([[rng.choice(pool) for _ in range(ncols)] for _ in range(nrows)], ncols)
+
+
+def random_acyclic_complex(rng: random.Random) -> BasedChainComplex:
+    """A generically acyclic complex: one corpus family on a drawn seed."""
+    return acceptance_corpus(1, rng.randrange(10**6))[0].complex

@@ -174,9 +174,6 @@ class GroupRingElem:
                     del acc[w]
         return GroupRingElem(acc)
 
-    def left_mul_word(self, w: Word) -> "GroupRingElem":
-        return GroupRingElem({w * u: c for u, c in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, GroupRingElem):
             return NotImplemented

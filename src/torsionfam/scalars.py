@@ -17,6 +17,7 @@ Spaces are tolerated anywhere; :func:`parse_gauss` and
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 __all__ = [
@@ -27,6 +28,9 @@ __all__ = [
     "format_gauss",
     "sign_of_real",
 ]
+
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -81,9 +85,6 @@ class GaussRat:
 
     def is_zero(self) -> bool:
         return not self.re and not self.im
-
-    def is_real(self) -> bool:
-        return not self.im
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -186,12 +187,16 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q`` (or ``p``).  Spaces are tolerated."""
+    """Parse ``[+-]digits(/digits)?`` after removing spaces.  No decimals
+    or exponents: ``Fraction("1e10000000")`` alone would take seconds."""
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty rational literal")
-    try:
-        return Fraction(s)
+    match = _RATIONAL.fullmatch(s)
+    if match is None:
+        raise ValueError(f"bad rational literal {text!r}")
+    try:  # int() refuses more than sys.get_int_max_str_digits() digits
+        return Fraction(int(match[1]), int(match[2] or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational literal {text!r}") from exc
 

@@ -18,7 +18,13 @@ from torsionfam.complexes import (
     torsion,
     torsion_sign_at,
 )
-from torsionfam.corpus import ACCEPTANCE_SIZE, acceptance_corpus
+from torsionfam.corpus import (
+    ACCEPTANCE_SIZE,
+    acceptance_corpus,
+    random_local_matrix,
+    random_ratfunc,
+    random_word,
+)
 from torsionfam.dvr import analyze, snf_local
 from torsionfam.eta import (
     ArgPairing,
@@ -40,9 +46,7 @@ from torsionfam.knots import (
     conway_from_seifert,
     conway_normalize,
 )
-from torsionfam.linalg import Matrix
-from torsionfam.poly import Poly
-from torsionfam.ratfunc import RatFunc, conj_family
+from torsionfam.ratfunc import conj_family
 from torsionfam.scalars import GaussRat
 
 CORPUS_SEED = 20250
@@ -220,47 +224,13 @@ def test_criterion_6_conway_pipeline():
     _announce(6, started, "unknot, trefoil, figure8, 5_1, 5_2")
 
 
-def _random_word(rng, ngens=3, max_len=12):
-    return Word(
-        [(rng.randrange(ngens), rng.choice([1, -1]))
-         for _ in range(rng.randrange(0, max_len + 1))]
-    )
-
-
-def _random_ratfunc(rng, zero_at=None):
-    def poly():
-        while True:
-            p = Poly(
-                [GaussRat(rng.randrange(-3, 4), rng.randrange(-2, 3))
-                 for _ in range(rng.randrange(1, 4))]
-            )
-            if not p.is_zero():
-                return p
-
-    num = poly()
-    if zero_at is not None:
-        num = num * Poly([-GaussRat.coerce(zero_at), GaussRat.one()])
-    return RatFunc(num, poly())
-
-
-def _random_local_matrix(rng):
-    t = RatFunc.var()
-    pool = [
-        RatFunc.zero(), RatFunc.one(), t, t * t, 1 + t, t * (1 + t),
-        RatFunc.coerce(GaussRat(0, 1)) * t, 2 + t, t / (1 + t),
-    ]
-    n = rng.randrange(1, 6)
-    m = rng.randrange(1, 6)
-    return Matrix([[rng.choice(pool) for _ in range(m)] for _ in range(n)], m)
-
-
 def test_criterion_7_engine_invariants():
     """Fox identity x500, valuation additivity x500, SNF pivot
     independence x200, torsion Galois equivariance x100.  All exact."""
     started = time.time()
     rng = random.Random(707)
     for _ in range(500):
-        w = _random_word(rng)
+        w = random_word(rng)
         total = GroupRingElem.zero()
         for g in range(3):
             xg = GroupRingElem.of_word(Word.generator(g)) - GroupRingElem.one()
@@ -269,12 +239,12 @@ def test_criterion_7_engine_invariants():
 
     for _ in range(500):
         t0 = GaussRat(rng.randrange(-2, 3))
-        f = _random_ratfunc(rng, zero_at=t0 if rng.randrange(2) else None)
-        g = _random_ratfunc(rng, zero_at=t0 if rng.randrange(2) else None)
+        f = random_ratfunc(rng, zero_at=t0 if rng.randrange(2) else None)
+        g = random_ratfunc(rng, zero_at=t0 if rng.randrange(2) else None)
         assert (f * g).valuation(t0) == f.valuation(t0) + g.valuation(t0)
 
     for _ in range(200):
-        mat = _random_local_matrix(rng)
+        mat = random_local_matrix(rng, rng.randrange(1, 6), rng.randrange(1, 6))
         assert snf_local(mat, 0, "first") == snf_local(mat, 0, "last")
 
     for k in range(100):

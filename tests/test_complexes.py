@@ -14,7 +14,7 @@ from torsionfam.complexes import (
     torsion,
     torsion_sign_at,
 )
-from torsionfam.corpus import acceptance_corpus, elementary_complex
+from torsionfam.corpus import acceptance_corpus, elementary_complex, random_acyclic_complex
 from torsionfam.dvr import singularity_exponent
 from torsionfam.fileio import dump_complex, load_complex
 from torsionfam.linalg import Matrix
@@ -89,18 +89,12 @@ def test_torsion_requires_acyclic():
 
 def test_torsion_deterministic():
     rng = random.Random(40)
-    c = _random_acyclic(rng)
+    c = random_acyclic_complex(rng)
     assert torsion(c).value == torsion(c).value
-
-
-def _random_acyclic(rng):
-    fams = acceptance_corpus(1, rng.randrange(10**6))
-    return fams[0].complex
 
 
 def test_subset_strategy_valuation_independent():
     """Two deterministic subset scans agree on every valuation."""
-    rng = random.Random(41)
     for k in range(20):
         c = acceptance_corpus(1, 1000 + k)[0].complex
         left = torsion(c, _strategy="leftmost").value
@@ -122,7 +116,6 @@ def test_conjugate_involution():
 
 
 def test_torsion_galois_equivariant():
-    rng = random.Random(42)
     for k in range(25):
         c = acceptance_corpus(1, 2000 + k)[0].complex
         assert torsion(conjugate_complex(c)).value == conj_family(torsion(c).value)
@@ -149,7 +142,6 @@ def test_dual_reverses_ranks():
 
 
 def test_double_dual():
-    rng = random.Random(43)
     for k in range(10):
         c = acceptance_corpus(1, 3000 + k)[0].complex  # odd top degree
         assert dual_complex(dual_complex(c)) == c
@@ -195,7 +187,6 @@ def test_direct_sum_padding():
 
 
 def test_direct_sum_torsion_multiplicative_up_to_sign():
-    rng = random.Random(44)
     for k in range(15):
         a = acceptance_corpus(1, 5000 + k)[0].complex
         b = acceptance_corpus(1, 6000 + k)[0].complex

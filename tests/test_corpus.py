@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,10 @@ from torsionfam.corpus import (
     elementary_complex,
     hermitian_middle,
     mirror_pair,
+    random_acyclic_complex,
+    random_local_matrix,
+    random_ratfunc,
+    random_word,
     swap_pairing,
     torus3_family,
 )
@@ -71,6 +76,13 @@ def test_bundled_direct_sum_pairing():
         check_duality_pairing(fam.complex, list(fam.pairing), GaussRat(c))
 
 
+def _draws(seed):
+    rng = random.Random(seed)
+    samples = [(random_word(rng), random_ratfunc(rng), random_local_matrix(rng, 2, 3))
+               for _ in range(10)]
+    return samples, random_acyclic_complex(rng)
+
+
 def test_corpus_is_deterministic():
     a = acceptance_corpus(6, 123)
     b = acceptance_corpus(6, 123)
@@ -78,6 +90,31 @@ def test_corpus_is_deterministic():
     assert [f.pairing for f in a] == [f.pairing for f in b]
     c = acceptance_corpus(6, 124)
     assert [f.complex for f in a] != [f.complex for f in c]
+    assert _draws(5) == _draws(5) != _draws(6)
+
+
+def test_shared_samples_stay_in_range():
+    rng = random.Random(3)
+    for ngens, max_len in ((1, 0), (2, 5), (3, 12)):
+        words = [random_word(rng, ngens, max_len).letters for _ in range(100)]
+        assert max(map(len, words)) <= max_len
+        assert {g for w in words for g, _ in w} <= set(range(ngens))
+    for _ in range(50):  # entries lie in the local ring at 0
+        mat = random_local_matrix(rng, rng.randrange(1, 6), rng.randrange(1, 6))
+        assert all(e.is_zero() or e.valuation(0) >= 0 for row in mat.rows for e in row)
+    for _ in range(5):
+        assert is_generically_acyclic(random_acyclic_complex(rng))
+
+
+def test_random_ratfunc_planted_zero():
+    """The planted factor raises the valuation at t0 by exactly one; the
+    drawn denominator may vanish at t0 too, so it need not reach 1."""
+    for t0 in (-2, -1, 0, 1, 2, GaussRat.i()):
+        for seed in range(30):
+            plain = random_ratfunc(random.Random(seed))
+            planted = random_ratfunc(random.Random(seed), zero_at=t0)
+            assert planted == plain * (T - t0)
+            assert planted.valuation(t0) == plain.valuation(t0) + 1
 
 
 def test_corpus_guarantees():

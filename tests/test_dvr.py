@@ -9,6 +9,7 @@ from torsionfam.corpus import (
     acceptance_corpus,
     circle_family,
     elementary_complex,
+    random_local_matrix,
     torus3_family,
 )
 from torsionfam.dvr import (
@@ -30,16 +31,6 @@ from torsionfam.scalars import GaussRat
 T = RatFunc.var()
 ONE = RatFunc.one()
 ZERO = RatFunc.zero()
-
-
-def rand_local_matrix(rng, nrows, ncols):
-    """Random matrix over the local ring at 0 (denominators avoid 0)."""
-    pool = [
-        ZERO, ONE, T, T * T, 1 + T, T * (1 + T),
-        RatFunc.coerce(GaussRat(0, 1)) * T, 2 + T,
-        T / (1 + T), (T * T) / (2 + T), cayley() - 1,
-    ]
-    return Matrix([[rng.choice(pool) for _ in range(ncols)] for _ in range(nrows)], ncols)
 
 
 def minor_valuation_oracle(mat, t0, k):
@@ -91,7 +82,7 @@ def test_snf_free_rank():
 def test_snf_pivot_strategy_independent():
     rng = random.Random(50)
     for _ in range(60):
-        m = rand_local_matrix(rng, rng.randrange(1, 5), rng.randrange(1, 5))
+        m = random_local_matrix(rng, rng.randrange(1, 5), rng.randrange(1, 5))
         assert snf_local(m, 0, "first") == snf_local(m, 0, "last")
 
 
@@ -99,7 +90,7 @@ def test_snf_against_minor_oracle():
     """Partial sums of divisor valuations equal minimal minor valuations."""
     rng = random.Random(51)
     for _ in range(40):
-        m = rand_local_matrix(rng, rng.randrange(1, 4), rng.randrange(1, 4))
+        m = random_local_matrix(rng, rng.randrange(1, 4), rng.randrange(1, 4))
         profile = snf_local(m, 0)
         for k in range(1, profile.rank + 1):
             assert minor_valuation_oracle(m, GaussRat.zero(), k) == sum(

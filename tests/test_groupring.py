@@ -3,6 +3,7 @@ import random
 import pytest
 
 from torsionfam.complexes import is_generically_acyclic, torsion
+from torsionfam.corpus import random_word
 from torsionfam.groupring import (
     GroupRingElem,
     RepFamily,
@@ -23,13 +24,6 @@ Y = Word.generator(1)
 COMM = X * Y * X.inverse() * Y.inverse()
 ZERO = RatFunc.zero()
 ONE = RatFunc.one()
-
-
-def rand_word(rng, ngens=3, max_len=12):
-    return Word(
-        [(rng.randrange(ngens), rng.choice([1, -1]))
-         for _ in range(rng.randrange(0, max_len + 1))]
-    )
 
 
 def test_free_reduction():
@@ -66,7 +60,7 @@ def test_fox_commutator():
 def test_fox_product_rule_random():
     rng = random.Random(30)
     for _ in range(50):
-        u, v = rand_word(rng, max_len=6), rand_word(rng, max_len=6)
+        u, v = random_word(rng, max_len=6), random_word(rng, max_len=6)
         for g in range(3):
             lhs = fox_derivative(u * v, g)
             rhs = fox_derivative(u, g) + GroupRingElem.of_word(u) * fox_derivative(v, g)
@@ -76,7 +70,7 @@ def test_fox_product_rule_random():
 def test_fox_fundamental_identity_random():
     rng = random.Random(31)
     for _ in range(100):
-        w = rand_word(rng)
+        w = random_word(rng)
         total = GroupRingElem.zero()
         for g in range(3):
             xg = GroupRingElem.of_word(Word.generator(g)) - GroupRingElem.one()
@@ -115,10 +109,10 @@ def test_specialize_homomorphism_random():
     rng = random.Random(32)
     rho = unitary_pair()
     for _ in range(30):
-        words = [rand_word(rng, ngens=2, max_len=5) for _ in range(2)]
+        words = [random_word(rng, ngens=2, max_len=5) for _ in range(2)]
         coeffs = [rng.randrange(-2, 3) for _ in range(2)]
         e1 = GroupRingElem(list(zip(words, coeffs)))
-        e2 = GroupRingElem.of_word(rand_word(rng, ngens=2, max_len=5))
+        e2 = GroupRingElem.of_word(random_word(rng, ngens=2, max_len=5))
         lhs = specialize(e1 * e2, rho)
         rhs = specialize(e1, rho) @ specialize(e2, rho)
         assert lhs == rhs
@@ -136,7 +130,7 @@ def test_unitary_words_are_unitary():
     rho = unitary_pair()
     ident = Matrix.identity(1, ONE, ZERO)
     for _ in range(20):
-        w = rand_word(rng, ngens=2, max_len=6)
+        w = random_word(rng, ngens=2, max_len=6)
         m = specialize_word(w, rho)
         assert m @ m.transpose().conj() == ident
 
@@ -176,7 +170,7 @@ def test_presentation_boundary_condition_random():
     rng = random.Random(34)
     rho = unitary_pair()
     for _ in range(10):
-        w = rand_word(rng, ngens=2, max_len=5)
+        w = random_word(rng, ngens=2, max_len=5)
         relator = w * Word.generator(0) * w.inverse() * Word.generator(0, -1)
         cplx = presentation_complex(2, [relator], rho)
         prod = cplx.boundary(1).mul_with_zero(cplx.boundary(2), ZERO)

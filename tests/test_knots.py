@@ -98,7 +98,7 @@ def _seifert_form(v):
     return [[LaurentInt({1: v[j][k], -1: -v[k][j]}) for k in range(n)] for j in range(n)]
 
 
-def _random_seifert(rng, n, density):
+def _sample_seifert(rng, n, density):
     return [
         [rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(n)]
         for _ in range(n)
@@ -111,9 +111,9 @@ def _seifert_cases(seed, sizes):
     for n in sizes:
         for density in (1.0, 0.5, 0.25):
             for _ in range(4):
-                yield _random_seifert(rng, n, density)
+                yield _sample_seifert(rng, n, density)
         if n >= 2:
-            v = _random_seifert(rng, n, 1.0)
+            v = _sample_seifert(rng, n, 1.0)
             yield [row[:] for row in v[:-1]] + [v[0][:]]  # repeated row
             for row in v:
                 row[0] = 0
@@ -121,13 +121,13 @@ def _seifert_cases(seed, sizes):
             v = [row[:] for row in v]
             v[0] = [0] * n
             yield v  # zero first row too: the first column of sV - V^T/s vanishes
-            v = _random_seifert(rng, n, 1.0)
+            v = _sample_seifert(rng, n, 1.0)
             for j in range(n):
                 v[j][j] = 0
             yield v  # zero diagonal: every pivot may need a swap
 
 
-def _random_laurent(rng, density):
+def _sample_laurent(rng, density):
     if rng.random() >= density:
         return LaurentInt({})
     return LaurentInt({rng.randint(-2, 2): rng.randint(-4, 4) for _ in range(3)})
@@ -142,7 +142,7 @@ def test_bareiss_det_equals_cofactor_det(seed):
     rng = random.Random(seed)
     for n in range(6):
         for density in (1.0, 0.6, 0.3):
-            rows = [[_random_laurent(rng, density) for _ in range(n)] for _ in range(n)]
+            rows = [[_sample_laurent(rng, density) for _ in range(n)] for _ in range(n)]
             assert _laurent_det(rows) == _cofactor_det(rows), rows
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from torsionfam.corpus import random_ratfunc
 from torsionfam.poly import Poly, poly_gcd
 from torsionfam.ratfunc import (
     LocalGerm,
@@ -21,24 +22,6 @@ T = RatFunc.var()
 I = GaussRat.i()
 
 
-def rand_ratfunc(rng, with_zero_at=None):
-    def poly():
-        while True:
-            p = Poly(
-                [
-                    GaussRat(rng.randrange(-3, 4), rng.randrange(-2, 3))
-                    for _ in range(rng.randrange(1, 4))
-                ]
-            )
-            if not p.is_zero():
-                return p
-
-    num = poly()
-    if with_zero_at is not None:
-        num = num * Poly([-GaussRat.coerce(with_zero_at), GaussRat.one()])
-    return RatFunc(num, poly())
-
-
 def test_canonical_form():
     f = RatFunc(Poly([0, 2]), Poly([0, 0, 4]))  # 2t / 4t^2 -> (1/2)/t
     assert f.num == Poly([GaussRat(Fraction(1, 2))])
@@ -51,7 +34,7 @@ def test_canonical_form():
 def test_field_arithmetic_random():
     rng = random.Random(8)
     for _ in range(40):
-        f, g = rand_ratfunc(rng), rand_ratfunc(rng)
+        f, g = random_ratfunc(rng), random_ratfunc(rng)
         assert (f + g) - g == f
         if not g.is_zero():
             assert (f / g) * g == f
@@ -83,8 +66,8 @@ def test_valuation_additive_random():
     rng = random.Random(9)
     for _ in range(100):
         t0 = GaussRat(rng.randrange(-2, 3))
-        f = rand_ratfunc(rng, with_zero_at=t0 if rng.randrange(2) else None)
-        g = rand_ratfunc(rng, with_zero_at=t0 if rng.randrange(2) else None)
+        f = random_ratfunc(rng, zero_at=t0 if rng.randrange(2) else None)
+        g = random_ratfunc(rng, zero_at=t0 if rng.randrange(2) else None)
         assert valuation(f * g, t0) == valuation(f, t0) + valuation(g, t0)
 
 
@@ -92,8 +75,8 @@ def test_valuation_ultrametric():
     rng = random.Random(10)
     for _ in range(100):
         t0 = GaussRat(rng.randrange(-2, 3))
-        f = rand_ratfunc(rng, with_zero_at=t0 if rng.randrange(2) else None)
-        g = rand_ratfunc(rng, with_zero_at=t0 if rng.randrange(2) else None)
+        f = random_ratfunc(rng, zero_at=t0 if rng.randrange(2) else None)
+        g = random_ratfunc(rng, zero_at=t0 if rng.randrange(2) else None)
         if (f + g).is_zero():
             continue
         vf, vg = valuation(f, t0), valuation(g, t0)
@@ -126,7 +109,7 @@ def test_normalize_reconstructs_exactly():
     rng = random.Random(11)
     for _ in range(60):
         t0 = GaussRat(rng.randrange(-2, 3))
-        f = rand_ratfunc(rng, with_zero_at=t0 if rng.randrange(2) else None)
+        f = random_ratfunc(rng, zero_at=t0 if rng.randrange(2) else None)
         nu, u = normalize_at(f, t0)
         assert u * uniformizer(t0) ** nu == f
         assert not u.evaluate(t0).is_zero()
@@ -159,7 +142,7 @@ def test_conj_family_examples():
 def test_conj_family_involution_and_automorphism():
     rng = random.Random(12)
     for _ in range(60):
-        f, g = rand_ratfunc(rng), rand_ratfunc(rng)
+        f, g = random_ratfunc(rng), random_ratfunc(rng)
         assert conj_family(conj_family(f)) == f
         assert conj_family(f * g) == conj_family(f) * conj_family(g)
         assert conj_family(f + g) == conj_family(f) + conj_family(g)
@@ -190,7 +173,7 @@ def test_evaluate_pole():
 def test_round_trip():
     rng = random.Random(13)
     for _ in range(60):
-        f = rand_ratfunc(rng)
+        f = random_ratfunc(rng)
         assert parse_ratfunc(format_ratfunc(f)) == f
 
 

@@ -1,8 +1,12 @@
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from torsionfam.cli import main
+from torsionfam.fileio import load_complex, load_ledger
 from torsionfam.scalars import (
     GaussRat,
     format_gauss,
@@ -11,6 +15,8 @@ from torsionfam.scalars import (
     parse_rational,
     sign_of_real,
 )
+
+CIRCLE = Path(__file__).resolve().parent.parent / "demos" / "data" / "circle.cplx"
 
 
 def test_lowest_terms_positive_denominator():
@@ -80,6 +86,29 @@ def test_random_round_trip():
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_gauss(bad)
+
+
+# Only [+-]digits(/digits)? is a rational literal: Fraction() alone also
+# takes "1e10000000" and spends seconds building the integer.
+@pytest.mark.parametrize("bad", ["1e10000000", "1.5", ".5", "1_000", "2E2", "1/0", "3/-2", "/2"])
+def test_parse_rational_refuses_other_forms_at_once(bad):
+    start = time.perf_counter()
+    for parse, text in ((parse_rational, bad), (parse_gauss, bad), (parse_gauss, bad + "i")):
+        with pytest.raises(ValueError, match="bad rational literal"):
+            parse(text)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_exponent_literal_refused_by_every_reader(capsys):
+    huge, start = "1e10000000", time.perf_counter()
+    ledger = "eta-ledger v1\ndimclass 3\nbase {}\njump t0 {} sigma_odd 1 nu 1\nsigns + -\nend\n"
+    for load, text in ((load_complex, f"complex v1\nranks 1 1\nboundary 1\n[{huge}]\nend\n"),
+                       (load_ledger, ledger.format(huge, 0)), (load_ledger, ledger.format(1, huge))):
+        with pytest.raises(ValueError, match="bad rational"):
+            load(text)
+    assert main(["analyze", str(CIRCLE), "--t0", huge]) == 2
+    assert "bad --t0 value '1e10000000'" in capsys.readouterr().err
+    assert time.perf_counter() - start < 0.05
 
 
 def test_rational_formatting():
