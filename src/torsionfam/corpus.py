@@ -375,7 +375,9 @@ def random_word(rng: random.Random, ngens: int = 3, max_len: int = 12) -> Word:
 
 
 def random_ratfunc(rng: random.Random, zero_at=None) -> RatFunc:
-    """Low-degree element of Q(i)(t); ``zero_at`` adds a factor t - zero_at."""
+    """Low-degree element of Q(i)(t).  ``zero_at`` plants a factor t - zero_at,
+    which raises the valuation there by one; the result has a zero there
+    only when the drawn denominator does not also vanish there."""
     def poly():
         while True:
             p = Poly(

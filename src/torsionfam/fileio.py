@@ -21,7 +21,7 @@ from .groupring import RepFamily, Word, parse_word
 from .knots import KnotPresentation, SeifertMatrix
 from .linalg import Matrix
 from .ratfunc import RatFunc, format_ratfunc, parse_ratfunc
-from .scalars import format_rational, parse_rational
+from .scalars import format_rational, parse_integer, parse_rational
 
 __all__ = [
     "ParseError",
@@ -70,15 +70,14 @@ class _Reader:
                 return self.pos, stripped
         raise ParseError(self.path, len(self.lines) + 1, "unexpected end of file")
 
-    def peek_line(self) -> Optional[tuple[int, str]]:
+    def peek_line(self) -> Optional[str]:
         saved = self.pos
         try:
-            out = self.next_line()
+            return self.next_line()[1]
         except ParseError:
-            self.pos = saved
             return None
-        self.pos = saved
-        return out
+        finally:
+            self.pos = saved
 
     def error(self, lineno: int, message: str, token: Optional[str] = None):
         raise ParseError(self.path, lineno, message, token)
@@ -90,17 +89,46 @@ def _expect_header(reader: _Reader, header: str) -> None:
         reader.error(lineno, f"expected header {header!r}", line.split()[0])
 
 
-def _expect_end(reader: _Reader) -> None:
+def _expect_end(reader: _Reader, message: str = "expected 'end'") -> None:
     lineno, line = reader.next_line()
     if line != "end":
-        reader.error(lineno, "expected 'end'", line.split()[0])
+        reader.error(lineno, message, line.split()[0])
+
+
+def _keyword_line(
+    reader: _Reader, usage: str, keys: int = 1, nargs: int = 1, more: bool = False
+) -> tuple[int, list[str]]:
+    """Next line, which must open with the first ``keys`` words of
+    ``usage`` as whole tokens and carry ``nargs`` arguments after them
+    (at least that many when ``more``); returns its number and arguments."""
+    lineno, line = reader.next_line()
+    toks = line.split()
+    args = toks[keys:]
+    too_many = len(args) > nargs and not more
+    if toks[:keys] != usage.split()[:keys] or len(args) < nargs or too_many:
+        reader.error(lineno, f"expected '{usage}'", toks[0])
+    return lineno, args
+
+
+def _peek_word(reader: _Reader) -> Optional[str]:
+    """First token of the next line, or None at the end of the text."""
+    line = reader.peek_line()
+    return line and line.split()[0]
 
 
 def _read_int(reader: _Reader, lineno: int, tok: str) -> int:
     try:
-        return int(tok)
+        return parse_integer(tok)
     except ValueError:
         reader.error(lineno, "expected an integer", tok)
+
+
+def _read_relator(reader: _Reader, names: list[str]) -> Word:
+    lineno, args = _keyword_line(reader, "relator <word>", nargs=0, more=True)
+    try:
+        return parse_word(" ".join(args), names)
+    except ValueError as exc:
+        raise ParseError(reader.path, lineno, str(exc)) from exc
 
 
 def _read_matrix(reader: _Reader, nrows: int, ncols: int) -> Matrix:
@@ -137,36 +165,26 @@ def load_complex(
     """Parse a complex file; returns the complex and an optional pairing."""
     reader = _Reader(text, path)
     _expect_header(reader, "complex v1")
-    lineno, line = reader.next_line()
-    toks = line.split()
-    if toks[0] != "ranks" or len(toks) < 2:
-        reader.error(lineno, "expected 'ranks r0 r1 ...'", toks[0])
-    ranks = [_read_int(reader, lineno, tok) for tok in toks[1:]]
-    for tok, r in zip(toks[1:], ranks):
+    lineno, toks = _keyword_line(reader, "ranks r0 r1 ...", more=True)
+    ranks = [_read_int(reader, lineno, tok) for tok in toks]
+    for tok, r in zip(toks, ranks):
         if not 0 <= r <= MAX_RANK:
             reader.error(lineno, f"rank outside 0 to the cap of {MAX_RANK}", tok)
     m = len(ranks) - 1
     boundaries = []
     for k in range(1, m + 1):
-        lineno, line = reader.next_line()
-        toks = line.split()
-        if toks[:1] != ["boundary"] or len(toks) != 2:
-            reader.error(lineno, f"expected 'boundary {k}'", toks[0])
-        if _read_int(reader, lineno, toks[1]) != k:
-            reader.error(lineno, f"boundaries must appear in order; expected {k}", toks[1])
+        lineno, (tok,) = _keyword_line(reader, f"boundary {k}")
+        if _read_int(reader, lineno, tok) != k:
+            reader.error(lineno, f"boundaries must appear in order; expected {k}", tok)
         boundaries.append(_read_matrix(reader, ranks[k - 1], ranks[k]))
     pairing: Optional[list[Matrix]] = None
-    nxt = reader.peek_line()
-    if nxt is not None and nxt[1] == "duality":
+    if reader.peek_line() == "duality":
         reader.next_line()
         pairing = []
         for i in range(m + 1):
-            lineno, line = reader.next_line()
-            toks = line.split()
-            if toks[:1] != ["pairing"] or len(toks) != 2:
-                reader.error(lineno, f"expected 'pairing {i}'", toks[0])
-            if _read_int(reader, lineno, toks[1]) != i:
-                reader.error(lineno, f"pairings must appear in order; expected {i}", toks[1])
+            lineno, (tok,) = _keyword_line(reader, f"pairing {i}")
+            if _read_int(reader, lineno, tok) != i:
+                reader.error(lineno, f"pairings must appear in order; expected {i}", tok)
             pairing.append(_read_matrix(reader, ranks[m - i], ranks[i]))
     _expect_end(reader)
     try:
@@ -201,44 +219,26 @@ def load_presentation(
     """Parse generator names, relators, and a representation family."""
     reader = _Reader(text, path)
     _expect_header(reader, "presentation v1")
-    lineno, line = reader.next_line()
-    toks = line.split()
-    if toks[:1] != ["generators"] or len(toks) < 2:
-        reader.error(lineno, "expected 'generators name ...'", toks[0])
-    names = toks[1:]
+    lineno, names = _keyword_line(reader, "generators name ...", more=True)
     if len(set(names)) != len(names):
         reader.error(lineno, "duplicate generator names")
     relators = []
-    while True:
-        nxt = reader.peek_line()
-        if nxt is None or not nxt[1].startswith("relator"):
-            break
-        lineno, line = reader.next_line()
-        body = line[len("relator"):].strip()
-        try:
-            relators.append(parse_word(body, names))
-        except ValueError as exc:
-            raise ParseError(path, lineno, str(exc)) from exc
-    lineno, line = reader.next_line()
-    toks = line.split()
-    if toks[:2] != ["rep", "rank"] or len(toks) < 3:
-        reader.error(lineno, "expected 'rep rank d [unitary] [su]'", toks[0])
-    rank = _read_int(reader, lineno, toks[2])
-    flags = set(toks[3:])
+    while _peek_word(reader) == "relator":
+        relators.append(_read_relator(reader, names))
+    lineno, toks = _keyword_line(reader, "rep rank d [unitary] [su]", keys=2, more=True)
+    rank = _read_int(reader, lineno, toks[0])
+    flags = set(toks[1:])
     bad = flags - {"unitary", "su"}
     if bad:
         reader.error(lineno, "unknown representation flag", sorted(bad)[0])
     images = {}
     for _ in names:
-        lineno, line = reader.next_line()
-        toks = line.split()
-        if toks[:1] != ["image"] or len(toks) != 2:
-            reader.error(lineno, "expected 'image <generator>'", toks[0])
-        if toks[1] not in names:
-            reader.error(lineno, "unknown generator in image", toks[1])
-        if toks[1] in images:
-            reader.error(lineno, "duplicate image", toks[1])
-        images[toks[1]] = _read_matrix(reader, rank, rank)
+        lineno, (name,) = _keyword_line(reader, "image <generator>")
+        if name not in names:
+            reader.error(lineno, "unknown generator in image", name)
+        if name in images:
+            reader.error(lineno, "duplicate image", name)
+        images[name] = _read_matrix(reader, rank, rank)
     _expect_end(reader)
     try:
         rho = RepFamily(
@@ -284,30 +284,18 @@ def load_knot(
 ) -> tuple[KnotPresentation, Optional[SeifertMatrix], list[str]]:
     reader = _Reader(text, path)
     _expect_header(reader, "knot v1")
-    lineno, line = reader.next_line()
-    toks = line.split()
-    if toks[:1] != ["generators"] or len(toks) < 2:
-        reader.error(lineno, "expected 'generators name ...'", toks[0])
-    names = toks[1:]
+    _, names = _keyword_line(reader, "generators name ...", more=True)
     relators = []
     seifert = None
     while True:
-        lineno, line = reader.next_line()
-        if line == "end":
-            break
-        if line.startswith("relator"):
-            body = line[len("relator"):].strip()
-            try:
-                relators.append(parse_word(body, names))
-            except ValueError as exc:
-                raise ParseError(path, lineno, str(exc)) from exc
-        elif line.startswith("seifert"):
-            toks = line.split()
-            if toks[:2] != ["seifert", "rank"] or len(toks) != 3:
-                reader.error(lineno, "expected 'seifert rank n'", toks[0])
-            n = _read_int(reader, lineno, toks[2])
+        word = _peek_word(reader)
+        if word == "relator":
+            relators.append(_read_relator(reader, names))
+        elif word == "seifert":
+            lineno, (tok,) = _keyword_line(reader, "seifert rank n", keys=2)
+            n = _read_int(reader, lineno, tok)
             if not 0 <= n <= MAX_RANK:
-                reader.error(lineno, f"rank outside 0 to the cap of {MAX_RANK}", toks[2])
+                reader.error(lineno, f"rank outside 0 to the cap of {MAX_RANK}", tok)
             rows = []
             for _ in range(n):
                 lineno, line = reader.next_line()
@@ -317,7 +305,8 @@ def load_knot(
                 rows.append(tuple(_read_int(reader, lineno, tok) for tok in toks))
             seifert = SeifertMatrix(tuple(rows))
         else:
-            reader.error(lineno, "expected 'relator', 'seifert' or 'end'", line.split()[0])
+            break
+    _expect_end(reader, "expected 'relator', 'seifert' or 'end'")
     try:
         pres = KnotPresentation(strands=len(names), wirtinger_relators=tuple(relators))
     except ValueError as exc:
@@ -349,19 +338,13 @@ def load_ledger(
 ) -> tuple[EtaProfile, Optional[list[int]]]:
     reader = _Reader(text, path)
     _expect_header(reader, "eta-ledger v1")
-    lineno, line = reader.next_line()
-    toks = line.split()
-    if toks[:1] != ["dimclass"] or len(toks) != 2:
-        reader.error(lineno, "expected 'dimclass 1|3'", toks[0])
-    dimclass = _read_int(reader, lineno, toks[1])
-    lineno, line = reader.next_line()
-    toks = line.split()
-    if toks[:1] != ["base"] or len(toks) != 2:
-        reader.error(lineno, "expected 'base <rational>'", toks[0])
+    lineno, (tok,) = _keyword_line(reader, "dimclass 1|3")
+    dimclass = _read_int(reader, lineno, tok)
+    lineno, (tok,) = _keyword_line(reader, "base <rational>")
     try:
-        base = parse_rational(toks[1])
+        base = parse_rational(tok)
     except ValueError:
-        reader.error(lineno, "bad rational", toks[1])
+        reader.error(lineno, "bad rational", tok)
     jumps: list[JumpRecord] = []
     signs: Optional[list[int]] = None
     argpairs: dict[int, ArgPairing] = {}
@@ -378,17 +361,12 @@ def load_ledger(
                 t0 = parse_rational(fields["t0"][0])
             except ValueError:
                 reader.error(lineno, "bad rational", fields["t0"][0])
+            ints = {
+                key: _read_int(reader, lineno, fields[key][0])
+                for key in ("sigma_odd", "sigma_even", "nu") if key in fields
+            }
             jumps.append(
-                JumpRecord(
-                    t0=t0,
-                    sigma_odd=_read_int(reader, lineno, fields["sigma_odd"][0]),
-                    sigma_even=_read_int(reader, lineno, fields["sigma_even"][0])
-                    if "sigma_even" in fields
-                    else 0,
-                    nu=_read_int(reader, lineno, fields["nu"][0])
-                    if "nu" in fields
-                    else None,
-                )
+                JumpRecord(t0, ints["sigma_odd"], ints.get("sigma_even", 0), ints.get("nu"))
             )
         elif toks[0] == "signs":
             signs = []
@@ -443,8 +421,10 @@ def load_ledger(
 
 
 def _keyed_fields(reader: _Reader, lineno: int, toks: list[str]) -> dict[str, list[str]]:
-    """Split ``key v1 v2 key2 v ...`` tokens into lists per key."""
-    keys = {"t0", "sigma_odd", "sigma_even", "nu", "interval", "args", "lcoeffs"}
+    """Split ``key v1 v2 key2 v ...`` tokens into lists per key; only
+    ``args`` and ``lcoeffs`` take more than one value."""
+    lists = {"args", "lcoeffs"}
+    keys = {"t0", "sigma_odd", "sigma_even", "nu", "interval"} | lists
     fields: dict[str, list[str]] = {}
     current: Optional[str] = None
     for tok in toks:
@@ -455,6 +435,8 @@ def _keyed_fields(reader: _Reader, lineno: int, toks: list[str]) -> dict[str, li
             fields[current] = []
         elif current is None:
             reader.error(lineno, "value before any field name", tok)
+        elif fields[current] and current not in lists:
+            reader.error(lineno, f"field {current} takes one value", tok)
         else:
             fields[current].append(tok)
     for key, vals in fields.items():

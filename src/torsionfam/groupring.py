@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 from .linalg import Matrix
 from .ratfunc import RatFunc
+from .scalars import parse_integer
 
 __all__ = [
     "Word",
@@ -346,16 +347,16 @@ def parse_word(text: str, names: list[str]) -> Word:
     """Parse a letter-exponent word over the named generators.
 
     Tokens are generator names with an optional ``^k`` exponent for a
-    nonzero integer k (so ``x^-2`` means two inverse letters).  A word
-    that would expand past ``MAX_WORD_LETTERS`` letters is rejected
-    before it is expanded.
+    nonzero integer k, written ``[+-]digits`` (so ``x^-2`` means two
+    inverse letters).  A word that would expand past ``MAX_WORD_LETTERS``
+    letters is rejected before it is expanded.
     """
     letters: list[tuple[int, int]] = []
     for tok in text.split():
         if "^" in tok:
             name, _, exp_text = tok.partition("^")
             try:
-                exp = int(exp_text)
+                exp = parse_integer(exp_text)
             except ValueError:
                 raise ValueError(f"bad exponent in word token {tok!r}") from None
         else:

@@ -30,7 +30,6 @@ from .complexes import torsion
 from .groupring import RepFamily, Word, presentation_complex
 from .linalg import Matrix
 from .ratfunc import RatFunc
-from .scalars import GaussRat
 
 __all__ = [
     "LaurentInt",
@@ -289,18 +288,16 @@ def alexander_from_fox(k: KnotPresentation) -> LaurentInt:
         raise ValueError(f"degenerate presentation: {exc}") from exc
     t_minus_1 = RatFunc.var() - 1
     raw = t_minus_1 / tau
-    # expect +- t^k * Delta with integer coefficients: denominator must
-    # be a power of t after reduction
-    den = raw.den
-    if any(not c.is_zero() for c in den.coeffs[:-1]) or den.leading() != GaussRat.one():
+    # expect +- t^k * Delta with integer coefficients: the reduced
+    # denominator, always monic, must be a power of t
+    den, num = raw.den, raw.num
+    if any(den.re[:-1]) or any(den.im):
         raise ValueError("degenerate presentation: torsion lacks the knot shape")
-    shift = -den.degree
-    terms = {}
-    for e, c in enumerate(raw.num.coeffs):
-        if c.im or c.re.denominator != 1:
-            raise ValueError("degenerate presentation: non-integral Alexander data")
-        terms[e + shift] = int(c.re)
-    return _centered_unit_form(LaurentInt(terms), "degenerate presentation")
+    if num.den != 1 or any(num.im):
+        raise ValueError("degenerate presentation: non-integral Alexander data")
+    return _centered_unit_form(
+        LaurentInt(enumerate(num.re, -den.degree)), "degenerate presentation"
+    )
 
 
 def _centered_unit_form(delta: LaurentInt, prefix: str) -> LaurentInt:

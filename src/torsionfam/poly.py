@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import GaussRat, format_gauss, parse_gauss
+from .scalars import GaussRat, format_gauss, gauss_parts
 
 __all__ = ["Poly", "poly_gcd", "format_poly", "parse_poly"]
 
@@ -82,6 +82,14 @@ def _make(re: list, im: list, den: int) -> "Poly":
     return _raw(tuple(re), tuple(im), den)
 
 
+def _from_parts(parts: list) -> "Poly":
+    """Canonical polynomial from coefficient triples (re, im, d), d > 0."""
+    den = lcm(*(d for _, _, d in parts))
+    re = [x * (den // d) for x, _, d in parts]
+    im = [y * (den // d) for _, y, d in parts]
+    return _make(re, im, den)
+
+
 def _times(re, im, cr: int, ci: int) -> tuple[list, list]:
     """Numerators times the Gaussian integer cr + ci*i."""
     if not ci:
@@ -98,11 +106,7 @@ class Poly:
     __slots__ = ("re", "im", "den")
 
     def __init__(self, coeffs=()):
-        parts = [_parts(c) for c in coeffs]
-        den = lcm(*(d for _, _, d in parts))
-        re = [x * (den // d) for x, _, d in parts]
-        im = [y * (den // d) for _, y, d in parts]
-        p = _make(re, im, den)
+        p = _from_parts([_parts(c) for c in coeffs])
         _set(self, "re", p.re)
         _set(self, "im", p.im)
         _set(self, "den", p.den)
@@ -471,4 +475,4 @@ def parse_poly(text: str) -> Poly:
     inner = s[1:-1].strip()
     if not inner:
         return Poly.zero()
-    return Poly([parse_gauss(tok) for tok in inner.split(",")])
+    return _from_parts([gauss_parts(tok) for tok in inner.split(",")])

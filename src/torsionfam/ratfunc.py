@@ -346,20 +346,13 @@ def format_ratfunc(f: RatFunc) -> str:
 
 
 def parse_ratfunc(text: str) -> RatFunc:
-    """Inverse of :func:`format_ratfunc`; tolerates interior spaces."""
-    s = text.strip()
-    if "/" in s:
-        # the only '/' outside brackets separates num from den
-        depth = 0
-        split = None
-        for k, ch in enumerate(s):
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            elif ch == "/" and depth == 0:
-                split = k
-                break
-        if split is not None:
-            return RatFunc(parse_poly(s[:split]), parse_poly(s[split + 1 :]))
-    return RatFunc(parse_poly(s))
+    """Inverse of :func:`format_ratfunc`; tolerates interior spaces.  A
+    polynomial literal holds no bracket, so the first ``]`` ends num."""
+    num, bracket, den = text.strip().partition("]")
+    num += bracket
+    den = den.lstrip()
+    if not den:
+        return RatFunc(parse_poly(num))
+    if not den.startswith("/"):
+        raise ValueError(f"bad rational-function literal {text!r}")
+    return RatFunc(parse_poly(num), parse_poly(den[1:]))

@@ -12,7 +12,8 @@ Text form: plain rationals are written ``p/q`` (``p`` when q == 1);
 Gaussian rationals are written ``p/q+r/si`` with a trailing ``i`` on
 the imaginary part, e.g. ``1/2-3/4i``, ``i``, ``-2i``, ``5/3``.
 Spaces are tolerated anywhere; :func:`parse_gauss` and
-:func:`format_gauss` round-trip exactly.
+:func:`format_gauss` round-trip exactly.  Every number of every input
+format is read here, straight into integers (:func:`gauss_parts`).
 """
 
 from __future__ import annotations
@@ -22,14 +23,23 @@ from fractions import Fraction
 
 __all__ = [
     "GaussRat",
+    "parse_integer",
     "parse_rational",
+    "gauss_parts",
     "format_rational",
     "parse_gauss",
     "format_gauss",
     "sign_of_real",
 ]
 
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+# a real part (a rational followed by a sign or the end), then an
+# imaginary part ([+-]?, an unsigned rational or nothing, then i);
+# either may be missing, and no denominator is zero
+_GAUSS = re.compile(
+    rf"(?:(?P<num>{_INTEGER.pattern})(?:/(?P<den>0*[1-9][0-9]*))?(?=[+-]|\Z))?"
+    r"(?:(?P<isign>[+-]?)(?:(?P<inum>[0-9]+)(?:/(?P<iden>0*[1-9][0-9]*))?)?(?P<i>i))?"
+)
 
 
 def _as_fraction(x) -> Fraction:
@@ -186,19 +196,20 @@ def format_rational(x: Fraction) -> str:
     return str(x)
 
 
+def parse_integer(text: str) -> int:
+    """Parse ``[+-]digits``, the integer part of the rational grammar."""
+    if _INTEGER.fullmatch(text) is None:
+        raise ValueError(f"bad integer literal {text!r}")
+    return int(text)  # refuses more than sys.get_int_max_str_digits() digits
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``[+-]digits(/digits)?`` after removing spaces.  No decimals
     or exponents: ``Fraction("1e10000000")`` alone would take seconds."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty rational literal")
-    match = _RATIONAL.fullmatch(s)
-    if match is None:
+    num, _, den = gauss_parts(text)
+    if "i" in text:
         raise ValueError(f"bad rational literal {text!r}")
-    try:  # int() refuses more than sys.get_int_max_str_digits() digits
-        return Fraction(int(match[1]), int(match[2] or 1))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational literal {text!r}") from exc
+    return Fraction(num, den)
 
 
 def format_gauss(x: GaussRat) -> str:
@@ -214,32 +225,27 @@ def format_gauss(x: GaussRat) -> str:
     return f"{format_rational(x.re)}{sign}{imag}"
 
 
-def parse_gauss(text: str) -> GaussRat:
-    """Parse a Gaussian rational; inverse of :func:`format_gauss`."""
+def gauss_parts(text: str) -> tuple[int, int, int]:
+    """Integers (re, im, den), den > 0, of a Gaussian-rational literal
+    whose value is (re + im*i) / den, not necessarily in lowest terms."""
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty scalar literal")
-    if not s.endswith("i"):
-        return GaussRat(parse_rational(s), 0)
-    body = s[:-1]
-    # Split off a real part, if any: find an interior sign that does not
-    # follow '/' (digits and '/' are the only other characters allowed).
-    split = None
-    for k in range(1, len(body)):
-        if body[k] in "+-" and body[k - 1] not in "/+-":
-            split = k
-    if split is None:
-        re_part, im_part = "", body
-    else:
-        re_part, im_part = body[:split], body[split:]
-    if im_part in ("", "+"):
-        im = Fraction(1)
-    elif im_part == "-":
-        im = Fraction(-1)
-    else:
-        im = parse_rational(im_part)
-    re = parse_rational(re_part) if re_part else Fraction(0)
-    return GaussRat(re, im)
+    m = _GAUSS.fullmatch(s)
+    if m is None:
+        raise ValueError(f"bad rational literal {text!r}")
+    try:  # int() refuses more than sys.get_int_max_str_digits() digits
+        p, q = int(m["num"] or 0), int(m["den"] or 1)
+        r, d = (int(m["isign"] + (m["inum"] or "1")), int(m["iden"] or 1)) if m["i"] else (0, 1)
+    except ValueError:
+        raise ValueError(f"bad rational literal {text!r}") from None
+    return p * d, r * q, q * d
+
+
+def parse_gauss(text: str) -> GaussRat:
+    """Parse a Gaussian rational; inverse of :func:`format_gauss`."""
+    x, y, den = gauss_parts(text)
+    return GaussRat(Fraction(x, den), Fraction(y, den))
 
 
 def sign_of_real(x: GaussRat) -> int:

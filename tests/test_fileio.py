@@ -195,3 +195,85 @@ def test_seifert_rank_outside_the_cap_rejected():
         assert info.value.lineno == 3 and info.value.token == str(rank)
     _, seifert, _ = load_knot("knot v1\ngenerators x\nseifert rank 0\nend\n")
     assert seifert.size == 0
+
+
+# Integer fields and word exponents take exactly [+-]digits: no digit
+# separators and no non-ASCII digits, which bare int() would accept.
+INTEGER_FIELDS = {
+    "rank": (load_complex, "complex v1\nranks 0 {}\nboundary 1\nend\n", 2),
+    "seifert entry": (load_knot, "knot v1\ngenerators x\nseifert rank 1\n{}\nend\n", 4),
+    "dimclass": (load_ledger, "eta-ledger v1\ndimclass {}\nbase 0\nend\n", 2),
+    "sigma_odd": (
+        load_ledger, "eta-ledger v1\ndimclass 3\nbase 0\njump t0 0 sigma_odd {}\nend\n", 4
+    ),
+    "lcoeffs": (
+        load_ledger,
+        "eta-ledger v1\ndimclass 1\nbase 0\nargpair interval 0 args 1/4 lcoeffs {}\nend\n",
+        4,
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", ["0_1", "1_000", "٣"])
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_integer_fields_refuse_other_digit_forms(field, bad):
+    load, template, lineno = INTEGER_FIELDS[field]
+    with pytest.raises(ParseError, match="expected an integer") as info:
+        load(template.format(bad), "f")
+    assert info.value.lineno == lineno and info.value.token == bad
+
+
+@pytest.mark.parametrize("bad", ["1_0", "0_1", "1_000", "٣"])
+def test_word_exponent_refuses_other_digit_forms(bad):
+    for load, header in ((load_knot, "knot v1"), (load_presentation, "presentation v1")):
+        text = f"{header}\ngenerators x\nrelator x^{bad}\nrep rank 1\nimage x\n[1]\nend\n"
+        with pytest.raises(ParseError, match=f"bad exponent in word token 'x\\^{bad}'") as info:
+            load(text, "f")
+        assert info.value.lineno == 3
+
+
+def test_signed_and_zero_padded_integers_still_accepted():
+    cplx, _ = load_complex("complex v1\nranks +1 001\nboundary +1\n[1]\nend\n")
+    assert cplx.ranks == (1, 1)
+    _, seifert, _ = load_knot("knot v1\ngenerators x\nseifert rank 2\n+3 -2\n007 0\nend\n")
+    assert seifert.entries == ((3, -2), (7, 0))
+    profile, _ = load_ledger(
+        "eta-ledger v1\ndimclass +3\nbase 0\njump t0 0 sigma_odd -2 sigma_even 007\nend\n"
+    )
+    assert profile.dimension_class == 3
+    assert (profile.jumps[0].sigma_odd, profile.jumps[0].sigma_even) == (-2, 7)
+    assert parse_word("x^+3 x^-2 x^007", ["x"]) == parse_word("x^8", ["x"])
+
+
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (load_knot, "knot v1\ngenerators x y\nrelatorx y x^-1 y^-1\nend\n"),
+        (
+            load_presentation,
+            "presentation v1\ngenerators x y\nrelatorx y x^-1 y^-1\n"
+            "rep rank 1\nimage x\n[1]\nimage y\n[1]\nend\n",
+        ),
+    ],
+)
+def test_keywords_are_whole_tokens(load, text):
+    with pytest.raises(ParseError) as info:
+        load(text, "f")
+    assert info.value.lineno == 3 and info.value.token == "relatorx"
+
+
+@pytest.mark.parametrize(
+    "line, key, extra",
+    [
+        ("jump t0 0 7 sigma_odd 1", "t0", "7"),
+        ("jump t0 0 sigma_odd 1 5", "sigma_odd", "5"),
+        ("jump t0 0 sigma_odd 1 sigma_even 0 2", "sigma_even", "2"),
+        ("jump t0 0 sigma_odd 1 nu 1 9", "nu", "9"),
+        ("argpair interval 0 3 args 1/4 lcoeffs 2", "interval", "3"),
+    ],
+)
+def test_single_valued_ledger_fields_refuse_a_second_value(line, key, extra):
+    text = f"eta-ledger v1\ndimclass 1\nbase 0\n{line}\nend\n"
+    with pytest.raises(ParseError, match=f"field {key} takes one value") as info:
+        load_ledger(text, "l.eta")
+    assert info.value.lineno == 4 and info.value.token == extra

@@ -11,7 +11,9 @@ from torsionfam.scalars import (
     GaussRat,
     format_gauss,
     format_rational,
+    gauss_parts,
     parse_gauss,
+    parse_integer,
     parse_rational,
     sign_of_real,
 )
@@ -97,6 +99,22 @@ def test_parse_rational_refuses_other_forms_at_once(bad):
         with pytest.raises(ValueError, match="bad rational literal"):
             parse(text)
     assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize("text, value", [("+3", 3), ("-2", -2), ("007", 7), ("0", 0)])
+def test_parse_integer_accepts_signed_digits(text, value):
+    assert parse_integer(text) == value
+
+
+@pytest.mark.parametrize("bad", ["", "+", "0_1", "1_000", "٣", " 3", "1/2", "1e3", "9" * 5000])
+def test_parse_integer_refuses_everything_else(bad):
+    with pytest.raises(ValueError):
+        parse_integer(bad)
+
+
+def test_gauss_parts_reads_integers():
+    assert gauss_parts("1/2-3/4i") == (4, -6, 8)
+    assert gauss_parts("-i") == (0, -1, 1) and gauss_parts("5") == (5, 0, 1)
 
 
 def test_exponent_literal_refused_by_every_reader(capsys):
