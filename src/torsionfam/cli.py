@@ -21,6 +21,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from typing import Optional
 
 from . import __version__
@@ -136,23 +137,53 @@ class Report:
 AUTO_CANDIDATE_CAP = 20_000
 
 
-def _divisor_count(n: int, limit: int = 10**12) -> int:
-    """Number of divisors of n > 0, without listing them: trial division
-    up to the cube root of what is left leaves a cofactor 1, p, p^2 or p*q.
-    """
-    if n > limit:
+def _factorize(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of 0 < n <= 10**12, ascending: trial division up to
+    the cube root of what is left leaves 1, p, p^2 or p*q, split by Pollard's rho."""
+    if n > 10**12:
         raise ValueError("auto discovery infeasible: coefficients too large, supply --t0")
-    count, p = 1, 2
+    factors, p = [], 2
     while p * p * p <= n:
         e = 0
         while n % p == 0:
             n //= p
             e += 1
-        count *= e + 1
+        if e:
+            factors.append((p, e))
         p += 1
-    if n > 1:
-        count *= 2 if _is_prime(n) else 3 if math.isqrt(n) ** 2 == n else 4
-    return count
+    root = math.isqrt(n)
+    if root * root == n > 1:
+        factors.append((root, 2))
+    elif _is_prime(n):
+        factors.append((n, 1))
+    elif n > 1:
+        p = _rho_factor(n)
+        p, q = sorted((p, n // p))
+        if p * q != n or not (_is_prime(p) and _is_prime(q)):
+            raise ArithmeticError(f"Pollard's rho split {n} wrongly")
+        factors += [(p, 1), (q, 1)]
+    return factors
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of a composite n that has no small factor: Pollard's
+    rho with Brent's cycle search, retried with the next constant on failure."""
+    for c in count(1):
+        x = y = 2
+        power = steps = g = 1
+        while g == 1:
+            if steps == power:
+                x, power, steps = y, 2 * power, 0
+            y = (y * y + c) % n
+            steps += 1
+            g = math.gcd(x - y, n)
+        if g != n:
+            return g
+
+
+def _divisor_count(n: int) -> int:
+    """Number of divisors of n > 0, without listing them."""
+    return math.prod(e + 1 for _, e in _factorize(n))
 
 
 def _is_prime(n: int) -> bool:
@@ -176,8 +207,10 @@ def _is_prime(n: int) -> bool:
 
 
 def _integer_divisors(n: int) -> list[int]:
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    return sorted(set(small + [n // d for d in small]))
+    divisors = [1]
+    for p, e in _factorize(n):
+        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+    return sorted(divisors)
 
 
 def rational_real_roots(p: Poly) -> tuple[list[Fraction], int]:
@@ -194,14 +227,11 @@ def rational_real_roots(p: Poly) -> tuple[list[Fraction], int]:
     if p.is_zero():
         raise ValueError("root search on the zero polynomial")
     # strip zero roots
-    roots: list[Fraction] = []
+    t_zero_mult = p.valuation_at(GaussRat.zero())
+    roots = [Fraction(0)] if t_zero_mult else []
     work = p
-    t_zero_mult = work.valuation_at(GaussRat.zero())
-    if t_zero_mult:
-        roots.append(Fraction(0))
-        lin = Poly([GaussRat.zero(), GaussRat.one()])
-        for _ in range(t_zero_mult):
-            work = work // lin
+    for _ in range(t_zero_mult):
+        work = work // Poly.var()
     if work.degree == 0:
         return roots, 0
     # p * conj(p) is real; its numerators over the content are integers
@@ -215,15 +245,9 @@ def rational_real_roots(p: Poly) -> tuple[list[Fraction], int]:
             f"exceed the cap of {AUTO_CANDIDATE_CAP}, supply --t0"
         )
     tops, bottoms = _integer_divisors(const), _integer_divisors(lead)
-    candidates: set[Fraction] = set()
-    for a in tops:
-        for b in bottoms:
-            candidates.add(Fraction(a, b))
-            candidates.add(Fraction(-a, b))
+    candidates = {Fraction(sign * a, b) for a in tops for b in bottoms for sign in (1, -1)}
     found = [r for r in sorted(candidates) if work.evaluate(GaussRat(r)).is_zero()]
-    accounted = t_zero_mult
-    for r in found:
-        accounted += work.valuation_at(GaussRat(r))
+    accounted = t_zero_mult + sum(work.valuation_at(GaussRat(r)) for r in found)
     roots.extend(found)
     return sorted(roots), p.degree - accounted
 
@@ -344,10 +368,6 @@ def _analyze_point(cplx, t0, pairing):
         return exc.report, rejected
 
 
-def _calibration_note(rep) -> str:
-    return f"convention calibration violated: nu = {rep.nu}, chi = {rep.chi}"
-
-
 def _cmd_analyze(job: JobSpec) -> Report:
     report = Report("analyze")
     for path in job.input_paths:
@@ -372,7 +392,7 @@ def _cmd_analyze(job: JobSpec) -> Report:
                 report.item(f"analysis.{key}.middle_parity", rep.middle_dim_parity)
             report.item(f"analysis.{key}.sign_flip", rep.sign_flip)
             if rep.nu != rep.chi:
-                report.note(f"{path}:{key}: {_calibration_note(rep)}")
+                report.note(f"{path}:{key}: {CalibrationError(rep)}")
             report.check(f"{path}:{key}:nu-equals-chi", rep.nu == rep.chi)
             if rejected is not None:
                 report.note(f"{path}:{key}: duality pairing rejected: {rejected}")
@@ -405,7 +425,7 @@ def _cmd_eta_check(job: JobSpec) -> Report:
                     )
                     report.check(f"{path}:jump-{rec.t0}:duality", False)
                 if rep.nu != rep.chi:
-                    report.note(f"{path}:jump-{rec.t0}: {_calibration_note(rep)}")
+                    report.note(f"{path}:jump-{rec.t0}: {CalibrationError(rep)}")
                     report.check(f"{path}:jump-{rec.t0}:nu-equals-chi", False)
             for rec, rep in zip(profile.jumps, reports):
                 parity_ok = (

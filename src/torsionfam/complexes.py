@@ -4,7 +4,7 @@ A :class:`BasedChainComplex` stores ranks by homological degree
 (index 0 up to the top degree m) and the boundary matrices
 d_k : C_k -> C_{k-1} in column convention (shape ranks[k-1] x ranks[k],
 acting on coordinate columns).  d_{k} . d_{k+1} = 0 is checked exactly
-at construction.
+at construction, except for the dual of a complex already checked.
 
 Torsion of a generically acyclic complex is computed by the matrix
 subset algorithm: walk the degrees from the bottom, choose in each
@@ -92,6 +92,15 @@ class BasedChainComplex:
         object.__setattr__(self, "boundaries", boundaries)
         # derived data, keyed by what derived it; see the module docstring
         object.__setattr__(self, "_memo", {})
+
+    @classmethod
+    def _trusted(cls, ranks: tuple, boundaries: tuple) -> "BasedChainComplex":
+        # trusted constructor: RatFunc matrices of the right shapes, d.d = 0
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "ranks", ranks)
+        object.__setattr__(obj, "boundaries", boundaries)
+        object.__setattr__(obj, "_memo", {})
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("BasedChainComplex is immutable")
@@ -238,7 +247,7 @@ def dual_complex(c: BasedChainComplex) -> BasedChainComplex:
     conjugated transpose of the original boundary in degree m-i+1.
     The sign keeps the double dual equal to the original complex for
     odd top degree m (the geometric case), and d.d = 0 holds for any
-    sign choice.
+    sign choice, so the result is built without re-checking it.
     """
     m = c.top_degree
     ranks = tuple(reversed(c.ranks))
@@ -248,7 +257,7 @@ def dual_complex(c: BasedChainComplex) -> BasedChainComplex:
         if (m - i) % 2 == 1:
             mat = -mat
         boundaries.append(mat)
-    return BasedChainComplex(ranks, boundaries)
+    return BasedChainComplex._trusted(ranks, tuple(boundaries))
 
 
 def direct_sum(a: BasedChainComplex, b: BasedChainComplex) -> BasedChainComplex:

@@ -123,6 +123,13 @@ def _read_int(reader: _Reader, lineno: int, tok: str) -> int:
         reader.error(lineno, "expected an integer", tok)
 
 
+def _read_rational(reader: _Reader, lineno: int, tok: str, message: str = "bad rational"):
+    try:
+        return parse_rational(tok)
+    except ValueError:
+        reader.error(lineno, message, tok)
+
+
 def _read_relator(reader: _Reader, names: list[str]) -> Word:
     lineno, args = _keyword_line(reader, "relator <word>", nargs=0, more=True)
     try:
@@ -341,10 +348,7 @@ def load_ledger(
     lineno, (tok,) = _keyword_line(reader, "dimclass 1|3")
     dimclass = _read_int(reader, lineno, tok)
     lineno, (tok,) = _keyword_line(reader, "base <rational>")
-    try:
-        base = parse_rational(tok)
-    except ValueError:
-        reader.error(lineno, "bad rational", tok)
+    base = _read_rational(reader, lineno, tok)
     jumps: list[JumpRecord] = []
     signs: Optional[list[int]] = None
     argpairs: dict[int, ArgPairing] = {}
@@ -357,10 +361,7 @@ def load_ledger(
             fields = _keyed_fields(reader, lineno, toks[1:])
             if "t0" not in fields or "sigma_odd" not in fields:
                 reader.error(lineno, "jump needs t0 and sigma_odd")
-            try:
-                t0 = parse_rational(fields["t0"][0])
-            except ValueError:
-                reader.error(lineno, "bad rational", fields["t0"][0])
+            t0 = _read_rational(reader, lineno, fields["t0"][0])
             ints = {
                 key: _read_int(reader, lineno, fields[key][0])
                 for key in ("sigma_odd", "sigma_even", "nu") if key in fields
@@ -382,10 +383,10 @@ def load_ledger(
             if "interval" not in fields or "args" not in fields or "lcoeffs" not in fields:
                 reader.error(lineno, "argpair needs interval, args and lcoeffs")
             idx = _read_int(reader, lineno, fields["interval"][0])
-            try:
-                args = tuple(parse_rational(tok) for tok in fields["args"])
-            except ValueError:
-                reader.error(lineno, "bad rational in args")
+            args = tuple(
+                _read_rational(reader, lineno, tok, "bad rational in args")
+                for tok in fields["args"]
+            )
             ls = tuple(_read_int(reader, lineno, tok) for tok in fields["lcoeffs"])
             if len(args) != len(ls):
                 reader.error(lineno, "args and lcoeffs must have equal length")

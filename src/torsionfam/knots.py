@@ -11,14 +11,14 @@ then normalized to the symmetric representative with Delta(1) = 1.
 The Conway form substitutes z = s - 1/s with s^2 = t, staying in
 integer Laurent arithmetic throughout.
 
-The independent oracle computes det(s V - (1/s) V^T) from a Seifert
-matrix V by Bareiss fraction-free elimination over Z[s, 1/s] (O(n^3)
-Laurent products, exact division at every step) and rewrites it in z;
-for a genuine knot Seifert matrix the constant term is 1, which pins
-the sign.  Both paths must agree exactly on the bundled knots, and
-they do; that agreement is the package's computable version of the
-statement that the torsion function of a knot determines its Conway
-polynomial.
+The independent oracle takes f(t) = det(t V - V^T) for a Seifert
+matrix V: an integer Bareiss determinant at each of t = 0, 1, ..., n,
+read back by Newton interpolation over Z.  Then det(s V - V^T / s) is
+s^-n f(s^2), rewritten in z; for a genuine knot Seifert matrix the
+constant term is 1, which pins the sign.  Both paths must agree
+exactly on the bundled knots, and they do; that agreement is the
+package's computable version of the statement that the torsion
+function of a knot determines its Conway polynomial.
 """
 
 from __future__ import annotations
@@ -110,35 +110,6 @@ class LaurentInt:
         """Multiply by the k-th power of the variable."""
         return LaurentInt({e + k: c for e, c in self.terms.items()})
 
-    def exact_div(self, other: "LaurentInt") -> "LaurentInt":
-        """The q with q * other == self, by long division from the top term.
-
-        Raises ``ArithmeticError`` when a coefficient does not divide or
-        q would reach below ``min(self) - min(other)``: other does not
-        divide self.
-        """
-        if other.is_zero():
-            raise ZeroDivisionError("LaurentInt division by zero")
-        top = max(other.terms)
-        lead = other.terms[top]
-        rem = dict(self.terms)
-        floor = min(rem) - min(other.terms) if rem else 0
-        quot: dict[int, int] = {}
-        while rem:
-            e = max(rem)
-            q, r = divmod(rem[e], lead)
-            if r or e - top < floor:
-                raise ArithmeticError(f"{other!r} does not divide {self!r}")
-            quot[e - top] = q
-            for eb, cb in other.terms.items():
-                at = e - top + eb
-                new = rem.get(at, 0) - q * cb
-                if new:
-                    rem[at] = new
-                else:
-                    del rem[at]
-        return LaurentInt(quot)
-
     def evaluate_at_one(self) -> int:
         return sum(self.terms.values())
 
@@ -158,17 +129,19 @@ class LaurentInt:
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in self.support():
-            c = self.terms[e]
-            if e == 0:
-                parts.append(f"{c}")
-            else:
-                var = "t" if e == 1 else f"t^{e}"
-                parts.append(f"{c}*{var}" if abs(c) != 1 else ("-" if c < 0 else "") + var)
-        return " + ".join(parts).replace("+ -", "- ")
+        return _format_terms([(e, self.terms[e]) for e in self.support()], "t")
+
+
+def _format_terms(terms, var: str) -> str:
+    """Nonzero (exponent, coefficient) pairs as ``c*var^e`` joined by signs."""
+    parts = []
+    for e, c in terms:
+        power = var if e == 1 else f"{var}^{e}"
+        if e == 0:
+            parts.append(f"{c}")
+        else:
+            parts.append(f"{c}*{power}" if abs(c) != 1 else ("-" if c < 0 else "") + power)
+    return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 @dataclass(frozen=True)
@@ -233,16 +206,7 @@ class ConwayPolynomial:
         )
 
     def __repr__(self):
-        parts = []
-        for k, c in enumerate(self.coefficients):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                var = "z" if k == 1 else f"z^{k}"
-                parts.append(f"{c}*{var}" if abs(c) != 1 else ("-" if c < 0 else "") + var)
-        return " + ".join(parts).replace("+ -", "- ") or "0"
+        return _format_terms([(k, c) for k, c in enumerate(self.coefficients) if c], "z")
 
 
 @dataclass(frozen=True)
@@ -334,12 +298,55 @@ def conway_from_seifert(v: SeifertMatrix) -> ConwayPolynomial:
     Independent of the Fox-calculus path end to end; the two must
     agree exactly, sign included, for genuine knot data.
     """
-    n, e = v.size, v.entries
-    return _conway_in_z(
-        _laurent_det(
-            [[LaurentInt({1: e[j][k], -1: -e[k][j]}) for k in range(n)] for j in range(n)]
-        )
-    )
+    f = _seifert_alexander(v.entries)  # det(s V - V^T / s) = s^-n f(s^2)
+    return _conway_in_z(LaurentInt({2 * i - v.size: a for i, a in enumerate(f)}))
+
+
+def _seifert_alexander(v) -> list[int]:
+    """Ascending coefficients of f(t) = det(t V - V^T), n + 1 of them.
+
+    f is fixed by its values at t = 0, 1, ..., n.  The k-th forward
+    difference of an integer polynomial is k! times an integer, so
+    Newton's form has integer coefficients; a Horner pass expands it.
+    """
+    n = len(v)
+    diffs = [
+        _int_det([[t * a - b for a, b in zip(row, col)] for row, col in zip(v, zip(*v))])
+        for t in range(n + 1)
+    ]
+    # diffs[k] becomes the k-th forward difference at 0, over k!
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) // k
+    coeffs = [diffs[n]]
+    for k in range(n - 1, -1, -1):
+        # coeffs <- coeffs * (t - k) + diffs[k]
+        coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += diffs[k]
+    return coeffs
+
+
+def _int_det(rows: list[list[int]]) -> int:
+    """Bareiss fraction-free determinant of a square integer matrix.
+
+    Each step replaces the entries right of and below the pivot by the
+    2x2 minors ``a_ij a_kk - a_ik a_kj`` over the previous pivot, exact
+    by Sylvester's identity, and drops the pivot row and column.  The
+    pivot is the first nonzero entry of its column, a row swap flips
+    the sign, and the last pivot is the determinant.
+    """
+    a, prev, sign = list(rows), 1, 1
+    while a:
+        piv = next((i for i, row in enumerate(a) if row[0]), None)
+        if piv is None:
+            return 0
+        if piv:
+            a[0], a[piv] = a[piv], a[0]
+            sign = -sign
+        pivot, *tail = a[0]
+        a = [[(x * pivot - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in a[1:]]
+        prev = pivot
+    return sign * prev
 
 
 def _conway_in_z(work: LaurentInt) -> ConwayPolynomial:
@@ -358,38 +365,6 @@ def _conway_in_z(work: LaurentInt) -> ConwayPolynomial:
         work = work - zpowers[d] * LaurentInt.constant(a)
     top = max(coeffs, default=0)
     return ConwayPolynomial(tuple(coeffs.get(d, 0) for d in range(top + 1)))
-
-
-def _laurent_det(rows: list[list[LaurentInt]]) -> LaurentInt:
-    """Bareiss fraction-free determinant over Z[s, 1/s], O(n^3) products.
-
-    Step k replaces every entry right of and below the pivot by the
-    2x2 minor ``a_ij a_kk - a_ik a_kj`` divided by the previous pivot;
-    Sylvester's identity makes that division exact in the integral
-    domain Z[s, 1/s].  The pivot is the first nonzero entry of its
-    column, every row swap flips the sign, and the last pivot is the
-    determinant.
-    """
-    a = [list(row) for row in rows]
-    n = len(a)
-    prev, sign = LaurentInt.constant(1), 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
-        if piv is None:
-            return LaurentInt({})
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pivot, pivot_row = a[k][k], a[k]
-        for row in a[k + 1 :]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                entry = row[j] * pivot
-                if not lead.is_zero():
-                    entry = entry - lead * pivot_row[j]
-                row[j] = entry.exact_div(prev)
-        prev = pivot
-    return prev if sign > 0 else -prev
 
 
 def _two_bridge_presentation(p: int, q: int) -> KnotPresentation:

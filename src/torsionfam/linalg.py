@@ -15,6 +15,8 @@ and the local Smith form all run through it or its row update.
 
 from __future__ import annotations
 
+import operator
+
 __all__ = ["Matrix"]
 
 
@@ -94,26 +96,16 @@ class Matrix:
     # -- plain algebra -------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if self.shape() != other.shape():
-            raise ValueError("shape mismatch in matrix addition")
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            self.ncols,
-        )
+        return self._entrywise(other, operator.add, "addition")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, operator.sub, "subtraction")
+
+    def _entrywise(self, other: "Matrix", op, name: str) -> "Matrix":
         if self.shape() != other.shape():
-            raise ValueError("shape mismatch in matrix subtraction")
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            self.ncols,
-        )
+            raise ValueError(f"shape mismatch in matrix {name}")
+        rows = [list(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)]
+        return Matrix(rows, self.ncols)
 
     def __neg__(self) -> "Matrix":
         return self.map(lambda e: -e)

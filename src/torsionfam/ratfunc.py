@@ -180,6 +180,8 @@ class RatFunc:
 
     def conj(self) -> "RatFunc":
         """Coefficientwise Gaussian conjugation, t fixed; an involution."""
+        if not any(self.num.im) and not any(self.den.im):
+            return self
         # den is monic and stays monic under conjugation, and the
         # fraction stays reduced, so no renormalization is needed.
         return RatFunc._reduced(self.num.conj(), self.den.conj())

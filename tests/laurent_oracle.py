@@ -1,0 +1,74 @@
+"""The Laurent Bareiss determinant: the reference for the Seifert oracle.
+
+``knots.conway_from_seifert`` used to take det(s V - V^T / s) by
+Bareiss elimination over Z[s, 1/s] on ``LaurentInt`` entries, with an
+exact Laurent division at every step.  The package now evaluates
+det(t V - V^T) at integers and interpolates; this module keeps the
+old elimination so that ``tests/test_knots.py`` can compare the two on
+seeded corpora.  Nothing in the package imports this module.
+"""
+
+from __future__ import annotations
+
+from torsionfam.knots import LaurentInt
+
+
+def exact_div(a: LaurentInt, b: LaurentInt) -> LaurentInt:
+    """The q with q * b == a, by long division from the top term.
+
+    Raises ``ArithmeticError`` when a coefficient does not divide or
+    q would reach below ``min(a) - min(b)``: b does not divide a.
+    """
+    if b.is_zero():
+        raise ZeroDivisionError("LaurentInt division by zero")
+    top = max(b.terms)
+    lead = b.terms[top]
+    rem = dict(a.terms)
+    floor = min(rem) - min(b.terms) if rem else 0
+    quot: dict[int, int] = {}
+    while rem:
+        e = max(rem)
+        q, r = divmod(rem[e], lead)
+        if r or e - top < floor:
+            raise ArithmeticError(f"{b!r} does not divide {a!r}")
+        quot[e - top] = q
+        for eb, cb in b.terms.items():
+            at = e - top + eb
+            new = rem.get(at, 0) - q * cb
+            if new:
+                rem[at] = new
+            else:
+                del rem[at]
+    return LaurentInt(quot)
+
+
+def _laurent_det(rows: list[list[LaurentInt]]) -> LaurentInt:
+    """Bareiss fraction-free determinant over Z[s, 1/s], O(n^3) products.
+
+    Step k replaces every entry right of and below the pivot by the
+    2x2 minor ``a_ij a_kk - a_ik a_kj`` divided by the previous pivot;
+    Sylvester's identity makes that division exact in the integral
+    domain Z[s, 1/s].  The pivot is the first nonzero entry of its
+    column, every row swap flips the sign, and the last pivot is the
+    determinant.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    prev, sign = LaurentInt.constant(1), 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
+        if piv is None:
+            return LaurentInt({})
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot, pivot_row = a[k][k], a[k]
+        for row in a[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                entry = row[j] * pivot
+                if not lead.is_zero():
+                    entry = entry - lead * pivot_row[j]
+                row[j] = exact_div(entry, prev)
+        prev = pivot
+    return prev if sign > 0 else -prev

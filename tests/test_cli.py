@@ -293,6 +293,33 @@ def test_divisor_count_matches_listing():
         _divisor_count(10**12 + 1)
 
 
+def _squarefree(*primes):
+    from itertools import combinations
+    from math import prod
+
+    return sorted(prod(c) for k in range(len(primes) + 1) for c in combinations(primes, k))
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (999983**2, [1, 999983, 999983**2]),  # cofactor p^2, read directly
+        (999983 * 999979, _squarefree(999979, 999983)),  # cofactor p*q, split by rho
+        (7 * 999983, _squarefree(7, 999983)),  # cofactor p after trial division
+        (2 * 3 * 101 * 1009 * 9973, _squarefree(2, 3, 101, 1009, 9973)),
+    ],
+)
+def test_integer_divisors_from_the_factorization(n, expected):
+    from torsionfam.cli import _divisor_count, _integer_divisors
+
+    start = time.perf_counter()
+    divisors = _integer_divisors(n)
+    elapsed = time.perf_counter() - start
+    assert divisors == expected
+    assert _divisor_count(n) == len(expected)
+    assert elapsed < 0.01
+
+
 def _break_calibration(monkeypatch, nu=3):
     """Fake a singularity exponent that disagrees with chi everywhere."""
     import torsionfam.dvr as dvr_module

@@ -14,7 +14,12 @@ from torsionfam.complexes import (
     torsion,
     torsion_sign_at,
 )
-from torsionfam.corpus import acceptance_corpus, elementary_complex, random_acyclic_complex
+from torsionfam.corpus import (
+    ACCEPTANCE_SIZE,
+    acceptance_corpus,
+    elementary_complex,
+    random_acyclic_complex,
+)
 from torsionfam.dvr import singularity_exponent
 from torsionfam.fileio import dump_complex, load_complex
 from torsionfam.linalg import Matrix
@@ -150,6 +155,29 @@ def test_double_dual():
         [Matrix([[T - 1, T - 1]]), Matrix([[T + 1], [-(T + 1)]])],
     )
     assert dual_complex(dual_complex(even)).ranks == even.ranks
+
+
+def test_dual_is_the_validated_complex_on_the_acceptance_corpus():
+    """dual_complex skips the d.d = 0 check; the checked constructor agrees."""
+    for spec in acceptance_corpus(ACCEPTANCE_SIZE, 20250):
+        c = spec.complex
+        d = dual_complex(c)
+        checked = BasedChainComplex(d.ranks, list(d.boundaries))
+        assert d == checked
+        assert all(
+            b.shape() == (d.ranks[k - 1], d.ranks[k])
+            for k, b in enumerate(d.boundaries, start=1)
+        )
+        if c.top_degree % 2 == 1:
+            assert dual_complex(d) == c
+
+
+def test_conj_of_a_real_value_is_itself():
+    real = (T - 1) / (T * T + 3)
+    assert real.conj() is real
+    gauss = (T - GaussRat.i()) / (T + 2)
+    assert gauss.conj() == (T + GaussRat.i()) / (T + 2)
+    assert gauss.conj().conj() == gauss
 
 
 def test_dual_torsion_conjugate_up_to_sign():

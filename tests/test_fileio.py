@@ -277,3 +277,15 @@ def test_single_valued_ledger_fields_refuse_a_second_value(line, key, extra):
     with pytest.raises(ParseError, match=f"field {key} takes one value") as info:
         load_ledger(text, "l.eta")
     assert info.value.lineno == 4 and info.value.token == extra
+
+
+@pytest.mark.parametrize("args, bad", [("1/4 1 1/3/3", "1/3/3"), ("x 1/2", "x"), ("1/0", "1/0")])
+def test_bad_ledger_arg_names_its_token(args, bad):
+    n = len(args.split())
+    text = (
+        "eta-ledger v1\ndimclass 1\nbase 0\n"
+        f"argpair interval 1 args {args} lcoeffs {' '.join(['2'] * n)}\nend\n"
+    )
+    with pytest.raises(ParseError, match="bad rational in args") as info:
+        load_ledger(text, "l.eta")
+    assert info.value.lineno == 4 and info.value.token == bad

@@ -3,6 +3,7 @@ import time
 from math import gcd
 
 import pytest
+from laurent_oracle import _laurent_det, exact_div
 
 from torsionfam.groupring import Word
 from torsionfam.knots import (
@@ -10,7 +11,8 @@ from torsionfam.knots import (
     KnotPresentation,
     LaurentInt,
     SeifertMatrix,
-    _laurent_det,
+    _int_det,
+    _seifert_alexander,
     _two_bridge_presentation,
     alexander_from_fox,
     bundled_knots,
@@ -46,31 +48,31 @@ def test_laurent_arithmetic():
 def test_exact_div():
     a = LaurentInt({1: 1, -1: -1})
     b = LaurentInt({0: 2, 1: -3, 3: 5})
-    assert (a * b).exact_div(b) == a
-    assert (a * b).exact_div(a) == b
+    assert exact_div(a * b, b) == a
+    assert exact_div(a * b, a) == b
     # quotients with negative exponents, and a monomial divisor
     c = LaurentInt({-4: 3, -2: -1})
-    assert (c * a).exact_div(a) == c
-    assert LaurentInt({-3: 6, 2: -4}).exact_div(LaurentInt({-1: 2})) == LaurentInt(
+    assert exact_div(c * a, a) == c
+    assert exact_div(LaurentInt({-3: 6, 2: -4}), LaurentInt({-1: 2})) == LaurentInt(
         {-2: 3, 3: -2}
     )
-    assert LaurentInt({}).exact_div(b).is_zero()
+    assert exact_div(LaurentInt({}), b).is_zero()
 
 
 def test_exact_div_raises_when_inexact():
     # a coefficient that the leading coefficient does not divide
     with pytest.raises(ArithmeticError):
-        LaurentInt({0: 3}).exact_div(LaurentInt({0: 2}))
+        exact_div(LaurentInt({0: 3}), LaurentInt({0: 2}))
     with pytest.raises(ArithmeticError):
-        LaurentInt({2: 2, 0: 1}).exact_div(LaurentInt({1: 2}))
+        exact_div(LaurentInt({2: 2, 0: 1}), LaurentInt({1: 2}))
     # the quotient would drop below min(a) - min(b): (1 + t) does not
     # divide 1 + t^2, the remainder 2 never clears
     with pytest.raises(ArithmeticError):
-        LaurentInt({0: 1, 2: 1}).exact_div(LaurentInt({0: 1, 1: 1}))
+        exact_div(LaurentInt({0: 1, 2: 1}), LaurentInt({0: 1, 1: 1}))
     with pytest.raises(ArithmeticError):
-        LaurentInt({-1: 1, 1: 1}).exact_div(LaurentInt({-1: 1, 0: 1}))
+        exact_div(LaurentInt({-1: 1, 1: 1}), LaurentInt({-1: 1, 0: 1}))
     with pytest.raises(ZeroDivisionError):
-        LaurentInt({0: 1}).exact_div(LaurentInt({}))
+        exact_div(LaurentInt({0: 1}), LaurentInt({}))
 
 
 # -- Seifert determinant against slow-path oracles ----------------------------
@@ -202,6 +204,89 @@ def test_genus_five_oracle():
     assert time.perf_counter() - start < 5.0
     # the Conway polynomial of a connected sum is the product: (1 + z^2)^5
     assert nabla.coefficients == (1, 0, 5, 0, 10, 0, 10, 0, 5, 0, 1)
+
+
+# -- the integer determinant f(t) = det(t V - V^T) against the references -------
+
+
+def _as_laurent(f):
+    """s^-n f(s^2): the Laurent determinant that ascending f stands for."""
+    n = len(f) - 1
+    return LaurentInt({2 * i - n: a for i, a in enumerate(f)})
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_interpolated_det_equals_laurent_bareiss(seed):
+    cases = 0
+    for v in _seifert_cases(seed, range(11)):
+        f = _seifert_alexander(v)
+        assert len(f) == len(v) + 1
+        assert _as_laurent(f) == _laurent_det(_seifert_form(v)), v
+        cases += 1
+    assert cases == 12 * 11 + 4 * 9
+
+
+def test_interpolated_det_equals_cofactor_det():
+    for v in _seifert_cases(14, range(7)):
+        assert _as_laurent(_seifert_alexander(v)) == _cofactor_det(_seifert_form(v)), v
+
+
+def test_interpolated_det_equals_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    t = sympy.Symbol("t")
+    ring = sympy.ZZ[t]
+    for v in _seifert_cases(15, range(11)):
+        n = len(v)
+        m = DomainMatrix(
+            [[ring.from_sympy(t * v[j][k] - v[k][j]) for k in range(n)] for j in range(n)],
+            (n, n),
+            ring,
+        )
+        f = _seifert_alexander(v)
+        ours = sum((a * t**i for i, a in enumerate(f)), sympy.Integer(0))
+        assert sympy.expand(ring.to_sympy(m.det()) - ours) == 0, v
+
+
+def test_integer_det_row_swaps_and_singular_columns():
+    assert _int_det([]) == 1
+    assert _int_det([[0, 2], [3, 0]]) == -6
+    assert _int_det([[0, 0, 2], [0, 3, 0], [3, 0, 0]]) == -18
+    assert _int_det([[0, 2], [0, 3]]) == 0
+    rows = [[0, 1], [1, 0]]
+    _int_det(rows)
+    assert rows == [[0, 1], [1, 0]]  # the caller's rows are not reordered
+
+
+def test_singular_form_is_rejected_as_before():
+    # V = 0 gives det = 0, which has no constant term 1
+    with pytest.raises(ValueError, match="constant term is not 1"):
+        conway_from_seifert(SeifertMatrix(((0, 0), (0, 0))))
+    # a symmetric V makes s V - V^T / s = z V singular in the same way
+    with pytest.raises(ValueError, match="constant term is not 1"):
+        conway_from_seifert(SeifertMatrix(((1, 2), (2, 1))))
+
+
+def test_scrambled_n24_connected_sum_is_the_product_of_its_components():
+    """Ten components, 24x24 Seifert matrix under a unimodular congruence."""
+    table = bundled_knots()
+    names = ["trefoil", "figure8", "5_2", "5_1"] * 2 + ["5_2", "trefoil"]
+    assert sum(table[name][1].size for name in names) == 24
+    v = [[0] * 24 for _ in range(24)]
+    at = 0
+    product = LaurentInt.constant(1)  # in z
+    for name in names:
+        block = table[name][1].entries
+        for j, row in enumerate(block):
+            v[at + j][at : at + len(row)] = row
+        at += len(block)
+        product = product * LaurentInt(enumerate(EXPECTED_CONWAY[name]))
+    v = _congruent(random.Random(24), v)
+    assert sum(e != 0 for row in v for e in row) > 300
+    nabla = conway_from_seifert(SeifertMatrix(tuple(map(tuple, v))))
+    expected = tuple(product.coeff(k) for k in range(max(product.terms) + 1))
+    assert nabla.coefficients == expected
 
 
 # -- Fox path: spec examples ----------------------------------------------------
