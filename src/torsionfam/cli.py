@@ -19,7 +19,7 @@ import argparse
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import count
 from typing import Optional
@@ -87,6 +87,7 @@ class Report:
         self.items: list[tuple[str, str]] = []
         self.checks: list[tuple[str, bool]] = []
         self.notes: list[str] = []
+        self.errors: list[str] = []  # input files left out by a usage or parse error
 
     def item(self, key: str, value) -> None:
         self.items.append((key, str(value)))
@@ -99,7 +100,7 @@ class Report:
 
     @property
     def all_pass(self) -> bool:
-        return all(ok for _, ok in self.checks)
+        return not self.errors and all(ok for _, ok in self.checks)
 
     def structured(self) -> str:
         lines = [
@@ -635,13 +636,33 @@ def selftest(seed: int = 20250) -> Report:
 
 
 def run(job: JobSpec) -> Report:
-    """Dispatch a job to its command implementation."""
+    """Dispatch a job to its command implementation, one input file at a time.
+
+    A usage or parse error in a run of one file propagates.  In a run of
+    several, the file is left out of the report, with the error, led by
+    the file's path, in ``errors`` and a note, and the other files go on.
+    """
     convention = job.options.get("convention", CONVENTION_TAG)
     if convention != CONVENTION_TAG:
         raise ValueError(
             f"unknown convention {convention!r}; only {CONVENTION_TAG} exists in v1"
         )
-    return _COMMANDS[job.command](job)
+    command = _COMMANDS[job.command]
+    if len(job.input_paths) < 2:
+        return command(job)
+    report = Report(job.command)
+    for path in job.input_paths:
+        try:
+            part = command(replace(job, input_paths=(path,)))
+        except (ValueError, ZeroDivisionError) as exc:
+            error = str(exc) if str(exc).startswith(path) else f"{path}: {exc}"
+            report.errors.append(error)
+            report.note(f"error: {error}")
+            continue
+        report.items += part.items
+        report.notes += part.notes
+        report.checks += part.checks
+    return report
 
 
 # command name -> handler; JobSpec accepts exactly these names
@@ -724,9 +745,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParseError, ValueError, ZeroDivisionError) as exc:
         print(f"torsionfam: error: {exc}", file=sys.stderr)
         return 2
+    for error in report.errors:
+        print(f"torsionfam: error: {error}", file=sys.stderr)
     rendering = report.structured() if args.format == "structured" else report.text()
     sys.stdout.write(rendering)
-    return 0 if report.all_pass else 1
+    return 2 if report.errors else 0 if report.all_pass else 1
 
 
 if __name__ == "__main__":

@@ -37,9 +37,11 @@ __all__ = [
 
 _ZERO = RatFunc.zero()
 
-# largest rank load_complex accepts in any degree and load_knot as a
-# Seifert rank
+# largest rank load_complex accepts in any degree
 MAX_RANK = 1000
+# largest Seifert rank load_knot accepts: the oracle grows like n^5, and
+# takes about 2 s on a dense 48x48 matrix (docs/formats.md)
+MAX_SEIFERT_RANK = 48
 
 
 class ParseError(ValueError):
@@ -301,8 +303,9 @@ def load_knot(
         elif word == "seifert":
             lineno, (tok,) = _keyword_line(reader, "seifert rank n", keys=2)
             n = _read_int(reader, lineno, tok)
-            if not 0 <= n <= MAX_RANK:
-                reader.error(lineno, f"rank outside 0 to the cap of {MAX_RANK}", tok)
+            cap = MAX_SEIFERT_RANK
+            if not 0 <= n <= cap:
+                reader.error(lineno, f"seifert rank outside 0 to the cap of {cap}", tok)
             rows = []
             for _ in range(n):
                 lineno, line = reader.next_line()

@@ -115,19 +115,13 @@ class GroupRingElem:
 
     def __init__(self, terms=()):
         acc: dict[Word, int] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for word, coeff in items:
+        for word, coeff in terms.items() if isinstance(terms, dict) else terms:
             if not isinstance(word, Word):
                 raise TypeError("group-ring keys must be Words")
-            coeff = int(coeff)
-            if not coeff:
-                continue
-            new = acc.get(word, 0) + coeff
-            if new:
-                acc[word] = new
-            elif word in acc:
+            acc[word] = acc.get(word, 0) + int(coeff)
+            if not acc[word]:
                 del acc[word]
-        object.__setattr__(self, "terms", dict(acc))
+        object.__setattr__(self, "terms", acc)
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupRingElem is immutable")
@@ -148,14 +142,7 @@ class GroupRingElem:
         return not self.terms
 
     def __add__(self, other: "GroupRingElem") -> "GroupRingElem":
-        merged = dict(self.terms)
-        for w, c in other.terms.items():
-            new = merged.get(w, 0) + c
-            if new:
-                merged[w] = new
-            elif w in merged:
-                del merged[w]
-        return GroupRingElem(merged)
+        return GroupRingElem([*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other: "GroupRingElem") -> "GroupRingElem":
         return self + (-other)
@@ -164,16 +151,9 @@ class GroupRingElem:
         return GroupRingElem({w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other: "GroupRingElem") -> "GroupRingElem":
-        acc: dict[Word, int] = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                w = wa * wb
-                new = acc.get(w, 0) + ca * cb
-                if new:
-                    acc[w] = new
-                elif w in acc:
-                    del acc[w]
-        return GroupRingElem(acc)
+        return GroupRingElem(
+            (wa * wb, ca * cb) for wa, ca in self.terms.items() for wb, cb in other.terms.items()
+        )
 
     def __eq__(self, other):
         if not isinstance(other, GroupRingElem):

@@ -1,15 +1,17 @@
 """Knot invariants through the torsion engine, with a Seifert oracle.
 
-The Fox-calculus path: a Wirtinger-style presentation of a knot group
-is pushed through the abelianization family (every meridian goes to
-the 1x1 matrix ``t``), the twisted presentation complex is fed to the
-torsion engine, and the Alexander polynomial is recovered from
+The Fox-calculus path: under the abelianization every meridian goes to
+t, so the Fox Jacobian of a knot group presentation is the Alexander
+matrix over Z[t, 1/t], read directly off the relators (the general
+``groupring.presentation_complex`` is the reference).  Its twisted
+complex is fed to the torsion engine, and the Alexander polynomial is
+recovered from
 
     (t - 1) / torsion  =  +- t^k * Delta(t),
 
 then normalized to the symmetric representative with Delta(1) = 1.
-The Conway form substitutes z = s - 1/s with s^2 = t, staying in
-integer Laurent arithmetic throughout.
+The Conway form substitutes z = s - 1/s with s^2 = t, on integer
+coefficient lists throughout.
 
 The independent oracle takes f(t) = det(t V - V^T) for a Seifert
 matrix V: an integer Bareiss determinant at each of t = 0, 1, ..., n,
@@ -24,11 +26,12 @@ function of a knot determines its Conway polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 
-from .complexes import torsion
-from .groupring import RepFamily, Word, presentation_complex
+from .complexes import BasedChainComplex, torsion
+from .groupring import Word, format_word
 from .linalg import Matrix
+from .poly import _raw
 from .ratfunc import RatFunc
 
 __all__ = [
@@ -49,18 +52,13 @@ class LaurentInt:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        items = terms.items() if isinstance(terms, dict) else terms
         acc: dict[int, int] = {}
-        for e, c in items:
-            c = int(c)
-            if not c:
-                continue
-            new = acc.get(e, 0) + c
-            if new:
-                acc[int(e)] = new
-            elif e in acc:
+        for e, c in terms.items() if isinstance(terms, dict) else terms:
+            e = int(e)
+            acc[e] = acc.get(e, 0) + int(c)
+            if not acc[e]:
                 del acc[e]
-        object.__setattr__(self, "terms", dict(acc))
+        object.__setattr__(self, "terms", acc)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentInt is immutable")
@@ -79,14 +77,7 @@ class LaurentInt:
         return sorted(self.terms)
 
     def __add__(self, other: "LaurentInt") -> "LaurentInt":
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            new = acc.get(e, 0) + c
-            if new:
-                acc[e] = new
-            elif e in acc:
-                del acc[e]
-        return LaurentInt(acc)
+        return LaurentInt([*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other: "LaurentInt") -> "LaurentInt":
         return self + (-other)
@@ -95,16 +86,9 @@ class LaurentInt:
         return LaurentInt({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "LaurentInt") -> "LaurentInt":
-        acc: dict[int, int] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = ea + eb
-                new = acc.get(e, 0) + ca * cb
-                if new:
-                    acc[e] = new
-                elif e in acc:
-                    del acc[e]
-        return LaurentInt(acc)
+        return LaurentInt(
+            (ea + eb, ca * cb) for ea, ca in self.terms.items() for eb, cb in other.terms.items()
+        )
 
     def shift(self, k: int) -> "LaurentInt":
         """Multiply by the k-th power of the variable."""
@@ -226,26 +210,55 @@ class SeifertMatrix:
         return len(self.entries)
 
     def transpose(self) -> "SeifertMatrix":
-        n = self.size
-        return SeifertMatrix(
-            tuple(tuple(self.entries[j][k] for j in range(n)) for k in range(n))
-        )
+        return SeifertMatrix(tuple(zip(*self.entries)))
 
 
-def _abelianization_family(ngens: int) -> RepFamily:
-    t = Matrix([[RatFunc.var()]])
-    return RepFamily(rank=1, images=tuple(t for _ in range(ngens)))
+def _alexander_complex(k: KnotPresentation) -> BasedChainComplex:
+    """The complex of k twisted by x_g -> t: d_1 is (t - 1, ..., t - 1), and
+    column i of d_2 holds the Fox derivatives of relator i, from one pass
+    keeping the prefix's exponent sum s: x_g adds t^s to entry g, then
+    s <- s + 1; x_g^-1 sets s <- s - 1, then subtracts t^s."""
+    n, columns = k.strands, []
+    for rel in k.wirtinger_relators:
+        fox, s = [{} for _ in range(n)], 0
+        for g, e in rel.letters:
+            at = s if e == 1 else s - 1
+            fox[g][at] = fox[g].get(at, 0) + e
+            s += e
+        if s:
+            raise ValueError(
+                f"relator {format_word(rel)!r} is not respected by the representation"
+            )
+        columns.append([_laurent_ratfunc(terms) for terms in fox])
+    d1 = Matrix([[RatFunc.var() - 1] * n], n)
+    if not columns:
+        return BasedChainComplex([1, n], [d1])
+    return BasedChainComplex([1, n, len(columns)], [d1, Matrix(zip(*columns), len(columns))])
+
+
+def _laurent_ratfunc(terms: dict[int, int]) -> RatFunc:
+    """sum c t^e as a reduced RatFunc: with lowest exponent lo < 0, the
+    numerator over t^-lo, coprime to it because its constant term is nonzero."""
+    exps = [e for e, c in terms.items() if c]
+    if not exps:
+        return RatFunc.zero()
+    lo, hi = min(0, *exps), max(exps)
+    re = tuple(terms.get(e, 0) for e in range(lo, hi + 1))
+    den = _raw((0,) * -lo + (1,), (0,) * (1 - lo), 1)  # t^-lo
+    return RatFunc._reduced(_raw(re, (0,) * len(re), 1), den)
 
 
 def alexander_from_fox(k: KnotPresentation) -> LaurentInt:
     """Alexander polynomial via the torsion of the presentation complex.
 
-    Returns the symmetric representative with Delta(1) = 1; raises on
-    presentations whose twisted complex is not generically acyclic or
-    whose torsion does not have the knot shape.
+    The Alexander matrix is read directly over Z[t, 1/t]; the general
+    :func:`groupring.presentation_complex` gives the same complex under
+    the abelianization family and is its reference.  Returns the
+    symmetric representative with Delta(1) = 1; raises on presentations
+    whose twisted complex is not generically acyclic or whose torsion
+    does not have the knot shape.
     """
-    rho = _abelianization_family(k.strands)
-    cplx = presentation_complex(k.strands, list(k.wirtinger_relators), rho)
+    cplx = _alexander_complex(k)
     try:
         tau = torsion(cplx).value
     except ValueError as exc:
@@ -289,7 +302,10 @@ def conway_normalize(delta: LaurentInt) -> ConwayPolynomial:
     """
     centered = _centered_unit_form(delta, "asymmetric input")
     # with t = s^2, z^2 = s^2 - 2 + s^-2 is t + 1/t - 2
-    return _conway_in_z(LaurentInt({2 * e: c for e, c in centered.terms.items()}))
+    h = centered.support()[-1]
+    coeffs = [0] * (4 * h + 1)
+    coeffs[::2] = (centered.coeff(e) for e in range(-h, h + 1))
+    return _conway_in_z(coeffs, -2 * h)
 
 
 def conway_from_seifert(v: SeifertMatrix) -> ConwayPolynomial:
@@ -299,7 +315,9 @@ def conway_from_seifert(v: SeifertMatrix) -> ConwayPolynomial:
     agree exactly, sign included, for genuine knot data.
     """
     f = _seifert_alexander(v.entries)  # det(s V - V^T / s) = s^-n f(s^2)
-    return _conway_in_z(LaurentInt({2 * i - v.size: a for i, a in enumerate(f)}))
+    coeffs = [0] * (2 * v.size + 1)
+    coeffs[::2] = f
+    return _conway_in_z(coeffs, -v.size)
 
 
 def _seifert_alexander(v) -> list[int]:
@@ -349,22 +367,22 @@ def _int_det(rows: list[list[int]]) -> int:
     return sign * prev
 
 
-def _conway_in_z(work: LaurentInt) -> ConwayPolynomial:
-    """Rewrite a Laurent polynomial in s in z = s - 1/s, top term first."""
-    coeffs: dict[int, int] = {}
-    z = LaurentInt({1: 1, -1: -1})
-    zpowers = [LaurentInt.constant(1)]
-    while not work.is_zero():
-        d = work.support()[-1]
-        if d < 0:
-            raise ValueError("Laurent polynomial is not a polynomial in z = s - 1/s")
-        a = work.coeff(d)
-        coeffs[d] = a
-        while len(zpowers) <= d:
-            zpowers.append(zpowers[-1] * z)
-        work = work - zpowers[d] * LaurentInt.constant(a)
-    top = max(coeffs, default=0)
-    return ConwayPolynomial(tuple(coeffs.get(d, 0) for d in range(top + 1)))
+def _conway_in_z(coeffs: list[int], low: int) -> ConwayPolynomial:
+    """Rewrite sum_k coeffs[k] s^(low + k) in z = s - 1/s, top term first:
+    peeling a s^d subtracts a z^d = a sum_j C(d, j) (-1)^j s^(d - 2j), and
+    a remainder below s^0 once every d >= 0 is peeled is not in Z[z]."""
+    top = low + len(coeffs) - 1
+    m = max(top, -low)
+    work = [0] * (m + low) + list(coeffs)  # work[m + e] is the coefficient of s^e
+    out = [0] * (top + 1)
+    for d in range(top, -1, -1):
+        a = out[d] = work[m + d]
+        if a:
+            for j in range(1, d + 1):
+                work[m + d - 2 * j] -= (-1) ** j * comb(d, j) * a
+    if any(work[:m]):
+        raise ValueError("Laurent polynomial is not a polynomial in z = s - 1/s")
+    return ConwayPolynomial(tuple(out))
 
 
 def _two_bridge_presentation(p: int, q: int) -> KnotPresentation:
@@ -378,12 +396,7 @@ def _two_bridge_presentation(p: int, q: int) -> KnotPresentation:
         raise ValueError(f"S({p}, {q}) is not a two-bridge knot: p must be odd and prime to q")
     if q % 2 == 0:
         q -= p
-    letters = []
-    for i in range(1, p):
-        gen = 0 if i % 2 == 1 else 1
-        exp = (-1) ** ((i * q) // p)
-        letters.append((gen, exp))
-    w = Word(letters)
+    w = Word((1 - i % 2, (-1) ** ((i * q) // p)) for i in range(1, p))  # x at odd i, y at even
     relator = w * Word.generator(0) * w.inverse() * Word.generator(1, -1)
     return KnotPresentation(strands=2, wirtinger_relators=(relator,))
 

@@ -1,16 +1,37 @@
-"""The Laurent Bareiss determinant: the reference for the Seifert oracle.
+"""Laurent references for the Seifert oracle and the z-rewrite.
 
 ``knots.conway_from_seifert`` used to take det(s V - V^T / s) by
 Bareiss elimination over Z[s, 1/s] on ``LaurentInt`` entries, with an
 exact Laurent division at every step.  The package now evaluates
 det(t V - V^T) at integers and interpolates; this module keeps the
 old elimination so that ``tests/test_knots.py`` can compare the two on
-seeded corpora.  Nothing in the package imports this module.
+seeded corpora.  It also keeps the rewrite in z = s - 1/s by
+``LaurentInt`` products, the reference for ``knots._conway_in_z``,
+which works on integer lists.  Nothing in the package imports this
+module.
 """
 
 from __future__ import annotations
 
-from torsionfam.knots import LaurentInt
+from torsionfam.knots import ConwayPolynomial, LaurentInt
+
+
+def conway_in_z(work: LaurentInt) -> ConwayPolynomial:
+    """Rewrite a Laurent polynomial in s in z = s - 1/s, top term first."""
+    coeffs: dict[int, int] = {}
+    z = LaurentInt({1: 1, -1: -1})
+    zpowers = [LaurentInt.constant(1)]
+    while not work.is_zero():
+        d = work.support()[-1]
+        if d < 0:
+            raise ValueError("Laurent polynomial is not a polynomial in z = s - 1/s")
+        a = work.coeff(d)
+        coeffs[d] = a
+        while len(zpowers) <= d:
+            zpowers.append(zpowers[-1] * z)
+        work = work - zpowers[d] * LaurentInt.constant(a)
+    top = max(coeffs, default=0)
+    return ConwayPolynomial(tuple(coeffs.get(d, 0) for d in range(top + 1)))
 
 
 def exact_div(a: LaurentInt, b: LaurentInt) -> LaurentInt:

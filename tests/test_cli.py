@@ -401,3 +401,52 @@ def test_conway_degenerate_presentation_is_isolated_per_file(capsys, tmp_path):
     assert f"check {good}:oracle-agreement pass" in out
     assert "item conway 1 + z^2" in out
     assert out.endswith("verdict fail\n")
+
+
+def test_conway_seifert_rank_past_the_cap_exits_2_and_the_other_files_go_on(
+    capsys, tmp_path
+):
+    big = tmp_path / "big.knot"
+    big.write_text("knot v1\ngenerators x\nseifert rank 200\nend\n")
+    good, other = DATA / "trefoil.knot", DATA / "figure8.knot"
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "conway", str(good), str(big), str(other), "--format", "structured"
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert err == (
+        f"torsionfam: error: {big}:3: seifert rank outside 0 to the cap of 48 (token '200')\n"
+    )
+    assert f"check {good}:oracle-agreement pass" in out
+    assert f"check {other}:oracle-agreement pass" in out
+    assert f"note error: {big}:3: seifert rank outside" in out
+    assert out.index(str(good)) < out.index(str(other))
+    assert out.endswith("verdict fail\n")
+
+
+def test_multi_file_run_matches_its_single_file_runs(capsys):
+    """Running the files together reports what running them one by one does."""
+    paths = [str(DATA / f"{name}.knot") for name in ("trefoil", "figure8", "5_2")]
+    parts = [invoke(capsys, "conway", path, "--format", "structured")[1] for path in paths]
+    code, out, _ = invoke(capsys, "conway", *paths, "--format", "structured")
+    assert code == 0
+    head = parts[0].split("item ")[0]
+    body = [part[len(head) : -len("verdict pass\n")] for part in parts]
+    lines = [line for part in body for line in part.splitlines(keepends=True)]
+    order = {"item": 0, "note": 1, "check": 2}
+    lines.sort(key=lambda line: order[line.split()[0]])
+    assert out == head + "".join(lines) + "verdict pass\n"
+
+
+def test_multi_file_error_without_a_path_is_led_by_its_file(capsys, tmp_path):
+    bad = tmp_path / "bad.pres"
+    text = (DATA / "torus2.pres").read_text().replace("relator x y x^-1 y^-1", "relator x y")
+    bad.write_text(text)
+    good = DATA / "circle.cplx"
+    code, out, err = invoke(capsys, "torsion", str(bad), str(good), "--format", "structured")
+    assert code == 2
+    message = f"{bad}: relator 'x0 x1' is not respected by the representation"
+    assert err == f"torsionfam: error: {message}\n"
+    assert f"note error: {message}\n" in out
+    assert f"check {good}:generically-acyclic pass" in out

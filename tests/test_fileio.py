@@ -6,6 +6,7 @@ from torsionfam.corpus import acceptance_corpus, circle_family, torus3_family
 from torsionfam.eta import ArgPairing, EtaProfile, JumpRecord
 from torsionfam.fileio import (
     MAX_RANK,
+    MAX_SEIFERT_RANK,
     ParseError,
     dump_complex,
     dump_knot,
@@ -188,13 +189,25 @@ def test_negative_complex_rank_reported_at_the_ranks_line():
 
 
 def test_seifert_rank_outside_the_cap_rejected():
-    for rank in (-2, MAX_RANK + 1):
+    for rank in (-2, MAX_SEIFERT_RANK + 1, 200, MAX_RANK + 1):
         text = f"knot v1\ngenerators x\nseifert rank {rank}\nend\n"
-        with pytest.raises(ParseError, match=f"cap of {MAX_RANK}") as info:
+        with pytest.raises(ParseError, match=f"cap of {MAX_SEIFERT_RANK}") as info:
             load_knot(text, "k.knot")
         assert info.value.lineno == 3 and info.value.token == str(rank)
     _, seifert, _ = load_knot("knot v1\ngenerators x\nseifert rank 0\nend\n")
     assert seifert.size == 0
+
+
+def test_seifert_rank_cap_message_and_the_cap_itself():
+    n = MAX_SEIFERT_RANK
+    with pytest.raises(ParseError) as info:
+        load_knot(f"knot v1\ngenerators x\nseifert rank {n + 1}\nend\n", "k.knot")
+    assert str(info.value) == (
+        f"k.knot:3: seifert rank outside 0 to the cap of {n} (token '{n + 1}')"
+    )
+    rows = "".join(" ".join("1" if j == k else "0" for k in range(n)) + "\n" for j in range(n))
+    _, seifert, _ = load_knot(f"knot v1\ngenerators x\nseifert rank {n}\n{rows}end\n")
+    assert seifert.size == n
 
 
 # Integer fields and word exponents take exactly [+-]digits: no digit

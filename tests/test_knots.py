@@ -3,14 +3,17 @@ import time
 from math import gcd
 
 import pytest
-from laurent_oracle import _laurent_det, exact_div
+from laurent_oracle import _laurent_det, conway_in_z, exact_div
 
-from torsionfam.groupring import Word
+from torsionfam.corpus import random_word
+from torsionfam.groupring import RepFamily, Word, presentation_complex
 from torsionfam.knots import (
     ConwayPolynomial,
     KnotPresentation,
     LaurentInt,
     SeifertMatrix,
+    _alexander_complex,
+    _conway_in_z,
     _int_det,
     _seifert_alexander,
     _two_bridge_presentation,
@@ -19,6 +22,8 @@ from torsionfam.knots import (
     conway_from_seifert,
     conway_normalize,
 )
+from torsionfam.linalg import Matrix
+from torsionfam.ratfunc import RatFunc
 
 EXPECTED_CONWAY = {
     "unknot": (1,),
@@ -382,6 +387,125 @@ def test_two_bridge_corpus():
     assert elapsed < 15.0
 
 
+# -- the Alexander matrix read off the relators, against presentation_complex ----
+
+
+def _abelianization_family(ngens):
+    """Every generator to the 1x1 matrix t, as a general representation."""
+    t = Matrix([[RatFunc.var()]])
+    return RepFamily(rank=1, images=tuple(t for _ in range(ngens)))
+
+
+def _fields(cplx):
+    """Ranks, shapes and the integer fields of every entry's num and den."""
+    return cplx.ranks, [
+        (
+            b.shape(),
+            [
+                [(e.num.re, e.num.im, e.num.den, e.den.re, e.den.im, e.den.den) for e in row]
+                for row in b.rows
+            ],
+        )
+        for b in cplx.boundaries
+    ]
+
+
+def _reference_complex(k):
+    rho = _abelianization_family(k.strands)
+    return presentation_complex(k.strands, list(k.wirtinger_relators), rho)
+
+
+def _relabel(word, gens):
+    return Word((gens[g], e) for g, e in word.letters)
+
+
+def _connected_sum(parts):
+    """Two-bridge summands on disjoint generator pairs, joined by x0 x_2k^-1."""
+    relators = [Word([(0, 1), (2 * k, -1)]) for k in range(1, len(parts))]
+    for k, (p, q) in enumerate(parts):
+        rel = _two_bridge_presentation(p, q).wirtinger_relators[0]
+        relators.append(_relabel(rel, (2 * k, 2 * k + 1)))
+    return KnotPresentation(strands=2 * len(parts), wirtinger_relators=tuple(relators))
+
+
+def _seeded_presentations(seed, count):
+    """Conjugation-shaped presentations on 3 to 6 generators, some unused.
+
+    Relators are w x_a w^-1 x_b^-1 and commutators of random words, so
+    inverse letters, repeated generators and trivial exponent sums all
+    occur; most are not knot groups, and none needs to be.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 6)
+        used = rng.sample(range(n), rng.randint(2, n))
+        relators = []
+        for _ in range(rng.randint(1, 4)):
+            w = _relabel(random_word(rng, len(used), 8), used)
+            if rng.random() < 0.7:
+                a, b = rng.choice(used), rng.choice(used)
+                relators.append(w * Word.generator(a) * w.inverse() * Word.generator(b, -1))
+            else:
+                v = _relabel(random_word(rng, len(used), 5), used)
+                relators.append(w * v * w.inverse() * v.inverse())
+        yield KnotPresentation(strands=n, wirtinger_relators=tuple(relators))
+
+
+def test_alexander_complex_equals_presentation_complex():
+    """Field-identical boundaries on every input shape the Fox path takes."""
+    rng = random.Random(41)
+    pairs = [(p, q) for p in range(3, 22, 2) for q in range(1, p) if gcd(p, q) == 1]
+    small = [(p, q) for p, q in pairs if p < 16]
+    sums = [_connected_sum(rng.sample(small, rng.randint(2, 3))) for _ in range(12)]
+    cases = (
+        [_two_bridge_presentation(p, q) for p, q in pairs]
+        + [pres for pres, _ in bundled_knots().values()]
+        + [KnotPresentation(strands=1, wirtinger_relators=())]
+        + [KnotPresentation(strands=3, wirtinger_relators=())]
+        + sums
+        + list(_seeded_presentations(42, 60))
+    )
+    assert len(cases) == 94 + 5 + 2 + 12 + 60
+    for k in cases:
+        assert _fields(_alexander_complex(k)) == _fields(_reference_complex(k)), k
+    seeded = cases[-60:]
+    used = [{g for rel in k.wirtinger_relators for g, _ in rel.letters} for k in seeded]
+    assert sum(len(u) < k.strands for u, k in zip(used, seeded)) > 10
+    assert sum(len(k.wirtinger_relators) > 1 for k in seeded) > 20
+
+
+def test_connected_sum_alexander_is_the_product():
+    rng = random.Random(43)
+    odd = [(p, q) for p in range(3, 14, 2) for q in range(1, p, 2) if gcd(p, q) == 1]
+    for _ in range(8):
+        parts = rng.sample(odd, rng.randint(2, 3))
+        product = LaurentInt.constant(1)
+        for p, q in parts:
+            product = product * alexander_from_fox(_two_bridge_presentation(p, q))
+        assert alexander_from_fox(_connected_sum(parts)) == product, parts
+
+
+def test_unrespected_relator_keeps_the_reference_message():
+    pres = KnotPresentation(strands=2, wirtinger_relators=())
+    # a relator the shape check would refuse, planted past it
+    object.__setattr__(pres, "wirtinger_relators", (Word([(0, 1), (1, 1)]),))
+    with pytest.raises(ValueError) as direct:
+        _alexander_complex(pres)
+    with pytest.raises(ValueError) as reference:
+        _reference_complex(pres)
+    assert str(direct.value) == str(reference.value)
+    assert str(direct.value) == "relator 'x0 x1' is not respected by the representation"
+
+
+def test_presentation_without_relators_is_degenerate():
+    pres = KnotPresentation(strands=2, wirtinger_relators=())
+    with pytest.raises(ValueError) as info:
+        alexander_from_fox(pres)
+    assert str(info.value) == (
+        "degenerate presentation: torsion undefined: complex not generically acyclic"
+    )
+
+
 def test_presentation_shape_validation():
     with pytest.raises(ValueError, match="conjugation-shaped"):
         KnotPresentation(strands=2, wirtinger_relators=(Word([(0, 1), (1, 1)]),))
@@ -440,6 +564,52 @@ def test_normalize_is_delta_of_s_squared_in_z():
             value = value + power * LaurentInt.constant(c)
             power = power * z
         assert value == LaurentInt({2 * e: unit * c for e, c in delta.terms.items()})
+
+
+def _z_outcome(fn, *args):
+    """The Conway coefficients fn returns, or the message of the ValueError it raises."""
+    try:
+        return fn(*args).coefficients
+    except ValueError as exc:
+        return str(exc)
+
+
+def _z_cases(rng):
+    """Laurent polynomials in s: z-polynomials, symmetric Delta(s^2), and ones that raise."""
+    z = LaurentInt({1: 1, -1: -1})
+    for _ in range(50):
+        value, power = LaurentInt({}), LaurentInt.constant(1)
+        for c in [rng.choice((1, 1, rng.randint(-3, 3)))] + [
+            rng.randint(-4, 4) for _ in range(rng.randint(0, 8))
+        ]:
+            value = value + power * LaurentInt.constant(c)
+            power = power * z
+        yield value  # in Z[z]; raises only when its constant term is not 1
+        yield value + LaurentInt({rng.randint(-9, -1): rng.choice((1, -1))})
+        sym = {k: rng.randint(-5, 5) for k in range(1, rng.randint(1, 7))}
+        terms = {0: rng.choice((1, -1)) - 2 * sum(sym.values())}
+        for k, c in sym.items():
+            terms[2 * k] = terms[-2 * k] = c
+        yield LaurentInt(terms)  # Delta(s^2), as conway_normalize passes it
+        yield LaurentInt({rng.randint(-6, 6): rng.randint(-3, 3) for _ in range(rng.randint(0, 5))})
+
+
+@pytest.mark.parametrize("seed", [31, 32])
+def test_z_rewrite_on_integer_lists_equals_laurent_products(seed):
+    """knots._conway_in_z against the LaurentInt rewrite it replaced, on padded lists."""
+    rng = random.Random(seed)
+    outcomes = []
+    for work in _z_cases(rng):
+        support = work.support() or [0]
+        pad_lo, pad_hi = rng.randint(0, 2), rng.randint(0, 2)
+        coeffs = [0] * pad_lo + [work.coeff(e) for e in range(support[0], support[-1] + 1)]
+        coeffs += [0] * pad_hi
+        want = _z_outcome(conway_in_z, work)
+        assert _z_outcome(_conway_in_z, coeffs, support[0] - pad_lo) == want, work
+        outcomes.append(want if isinstance(want, str) else "ok")
+    assert outcomes.count("ok") > 40
+    assert outcomes.count("Laurent polynomial is not a polynomial in z = s - 1/s") > 60
+    assert outcomes.count("Conway normalization failed: constant term is not 1") > 5
 
 
 # -- Seifert oracle: spec examples ---------------------------------------------------
