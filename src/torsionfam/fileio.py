@@ -42,6 +42,9 @@ MAX_RANK = 1000
 # largest Seifert rank load_knot accepts: the oracle grows like n^5, and
 # takes about 2 s on a dense 48x48 matrix (docs/formats.md)
 MAX_SEIFERT_RANK = 48
+# most digits of a Seifert entry: at the cap, a dense 48x48 matrix takes
+# about 4 s, and the time grows with the digits (docs/formats.md)
+MAX_SEIFERT_ENTRY_DIGITS = 6
 
 
 class ParseError(ValueError):
@@ -313,6 +316,10 @@ def load_knot(
                 if len(toks) != n:
                     reader.error(lineno, f"expected {n} integers", line.split()[0])
                 rows.append(tuple(_read_int(reader, lineno, tok) for tok in toks))
+                for tok, e in zip(toks, rows[-1]):
+                    if abs(e) >= 10**MAX_SEIFERT_ENTRY_DIGITS:
+                        cap = MAX_SEIFERT_ENTRY_DIGITS
+                        reader.error(lineno, f"seifert entry past the cap of {cap} digits", tok)
             seifert = SeifertMatrix(tuple(rows))
         else:
             break

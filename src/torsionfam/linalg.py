@@ -6,6 +6,12 @@ complexes), stores entries as a tuple of row tuples, and works for any
 entry type with field arithmetic and ``is_zero`` -- in practice
 GaussRat and RatFunc.
 
+Storage is dense, but the product is sparse: row j of A @ B sums
+a_jl * (row l of B) over the nonzero a_jl only, touching only the
+nonzero entries of that row of B, so its cost is the number of nonzero
+pairs.  An entry that no pair reaches is the entry class's ``zero()``.
+Terms are added in increasing l, the order of the dense dot product.
+
 All elimination is one forward-elimination kernel, :func:`_eliminate`,
 whose pivot is the first nonzero entry in scan order (exact division,
 no pivot-size heuristics, so every computation is deterministic).
@@ -23,7 +29,7 @@ __all__ = ["Matrix"]
 class Matrix:
     """Immutable rows-of-tuples matrix with explicit shape."""
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "rows", "_hash")
 
     def __init__(self, rows, ncols=None):
         rows = tuple(tuple(r) for r in rows)
@@ -108,7 +114,7 @@ class Matrix:
         return Matrix(rows, self.ncols)
 
     def __neg__(self) -> "Matrix":
-        return self.map(lambda e: -e)
+        return self.map(lambda e: e if e.is_zero() else -e)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -123,10 +129,16 @@ class Matrix:
                 "product over an empty inner dimension has no entry type; "
                 "use mul_with_zero"
             )
+        zero = self.rows[0][0].zero()
+        brows = [[(k, b) for k, b in enumerate(r) if not b.is_zero()] for r in other.rows]
         out = []
-        bt = list(zip(*other.rows))
         for ra in self.rows:
-            out.append([_dot(ra, cb) for cb in bt])
+            acc = [None] * other.ncols
+            for a, rb in zip(ra, brows):
+                if rb and not a.is_zero():
+                    for k, b in rb:
+                        acc[k] = a * b if acc[k] is None else acc[k] + a * b
+            out.append([zero if s is None else s for s in acc])
         return Matrix(out, other.ncols)
 
     def mul_with_zero(self, other: "Matrix", zero) -> "Matrix":
@@ -223,24 +235,12 @@ class Matrix:
         return self.shape() == other.shape() and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, self.rows))
+        if not hasattr(self, "_hash"):  # immutable, so hashed once
+            object.__setattr__(self, "_hash", hash((self.nrows, self.ncols, self.rows)))
+        return self._hash
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
-
-
-def _dot(row, col):
-    """Sum of the products of the nonzero pairs; the typed zero if none.
-
-    Skipping zero terms leaves the result unchanged: entry normal forms
-    are canonical, so 0 + x is x.
-    """
-    acc = None
-    for a, b in zip(row, col):
-        if a.is_zero() or b.is_zero():
-            continue
-        acc = a * b if acc is None else acc + a * b
-    return row[0] * col[0] if acc is None else acc
 
 
 def _eliminate(work, order):

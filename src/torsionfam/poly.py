@@ -49,6 +49,12 @@ def _parts(x) -> tuple[int, int, int]:
     raise TypeError(f"cannot coerce {type(x).__name__} to GaussRat")
 
 
+def _point(t0) -> tuple[int, int, int]:
+    """A point t0 as its triple (re, im, d) of :func:`_parts`; a triple
+    passes through, so callers convert a point once."""
+    return t0 if type(t0) is tuple else _parts(t0)
+
+
 def _gauss(re: int, im: int, den: int) -> GaussRat:
     if den == 1:
         return GaussRat(re, im)
@@ -369,8 +375,9 @@ class Poly:
 
     def value_parts(self, x) -> tuple[int, int, int]:
         """Unreduced value at x = z/q: sum a_k z^k q^(n-k) over q^n * den,
-        as integers (re, im, d) with d > 0, by one homogeneous Horner pass."""
-        zr, zi, q = _parts(x)
+        as integers (re, im, d) with d > 0, by one homogeneous Horner pass.
+        ``x`` may also be given as its triple (re, im, d)."""
+        zr, zi, q = _point(x)
         re, im = self.re, self.im
         if not re:
             return 0, 0, 1
@@ -387,12 +394,13 @@ class Poly:
         Undefined for the zero polynomial.  With t0 = z/q the roots
         are those of P(s) = q^n * p(s/q) at s = z, a polynomial over
         Z[i]; synthetic division by the monic (s - z) stays in Z[i] and
-        stops at the first nonzero remainder.
+        stops at the first nonzero remainder.  ``t0`` may also be given
+        as its triple (re, im, d).
         """
         re, im = self.re, self.im
         if not re:
             raise ValueError("valuation of zero undefined")
-        zr, zi, q = _parts(t0)
+        zr, zi, q = _point(t0)
         if not zr and not zi:
             k = 0
             while not re[k] and not im[k]:

@@ -7,7 +7,9 @@ keeps the form with Henrici's reduced-fraction formulas (P. Henrici,
 JACM 3, 1956; Knuth, TAOCP vol. 2, 4.5.1): a product cancels gcd(p, s)
 and gcd(r, q) across the operands, and a sum cancels only by
 gcd(p s/d + r q/d, d) with d = gcd(q, s), so coprime or trivial
-denominators take no gcd of the result.  Localizing at a parameter value t0 gives the ring of
+denominators take no gcd of the result.  A constant factor c (a unit)
+takes no gcd at all: c (r/s) = (c r)/s, and 1 (r/s) = r/s.
+Localizing at a parameter value t0 gives the ring of
 germs regular at t0 -- a discrete valuation ring whose maximal ideal
 is generated by (t - t0).  :func:`valuation` and :func:`normalize_at`
 implement the valuation and the exact uniformizer decomposition
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Poly, format_poly, parse_poly, poly_gcd
+from .poly import Poly, _make, _point, _times, format_poly, parse_poly, poly_gcd
 from .scalars import GaussRat
 
 __all__ = [
@@ -153,7 +155,10 @@ class RatFunc:
         # the reciprocal den/num, put over the monic associate of num
         num, den = other.den, other.num.monic()
         if den is not other.num:
-            num = num * (GaussRat.one() / other.num.leading())
+            # 1 / lead = d / L = d * conj(L) / N(L), with lead = L / d
+            lr, li, d = other.num.re[-1], other.num.im[-1], other.num.den
+            re, im = _times(num.re, num.im, d * lr, -d * li)
+            num = _make(re, im, num.den * (lr * lr + li * li))
         return _product(self.num, self.den, num, den)
 
     def __rtruediv__(self, other):
@@ -199,12 +204,12 @@ class RatFunc:
         """Order of zero (positive) or pole (negative) at t0."""
         if self.is_zero():
             raise ValueError("valuation of zero undefined")
-        t0 = GaussRat.coerce(t0)
+        t0 = _point(t0)
         return self.num.valuation_at(t0) - self.den.valuation_at(t0)
 
     def is_regular_at(self, t0) -> bool:
         """True when the reduced denominator does not vanish at t0."""
-        return self.den.degree == 0 or not self.den.evaluate(t0).is_zero()
+        return self.den.degree == 0 or any(self.den.value_parts(t0)[:2])
 
     # -- comparison / hashing -----------------------------------------
 
@@ -252,6 +257,10 @@ def _product(p: Poly, q: Poly, r: Poly, s: Poly) -> RatFunc:
     """(p/q)(r/s) for reduced operands with monic q and s."""
     if not p or not r:
         return RatFunc.zero()
+    if len(q.re) == 1 == len(p.re):  # p/q = c, a unit: no gcd
+        return RatFunc._reduced(r if p == _P1 else p * r, s)
+    if len(s.re) == 1 == len(r.re):
+        return RatFunc._reduced(p if r == _P1 else p * r, q)
     if s.degree > 0:
         p, s = _cancel(p, s, poly_gcd(p, s))
     if q.degree > 0:

@@ -425,6 +425,32 @@ def test_conway_seifert_rank_past_the_cap_exits_2_and_the_other_files_go_on(
     assert out.endswith("verdict fail\n")
 
 
+def test_conway_seifert_entry_past_the_cap_exits_2_and_the_other_files_go_on(
+    capsys, tmp_path
+):
+    # 16x16 of 1000-digit entries: the oracle would run for about 20 s
+    digits = "7" * 1000
+    rows = "".join(" ".join([digits] * 16) + "\n" for _ in range(16))
+    big = tmp_path / "big.knot"
+    big.write_text(f"knot v1\ngenerators x\nseifert rank 16\n{rows}end\n")
+    good, other = DATA / "trefoil.knot", DATA / "figure8.knot"
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "conway", str(good), str(big), str(other), "--format", "structured"
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert err == (
+        f"torsionfam: error: {big}:4: seifert entry past the cap of 6 digits "
+        f"(token '{digits}')\n"
+    )
+    assert f"check {good}:oracle-agreement pass" in out
+    assert f"check {other}:oracle-agreement pass" in out
+    assert f"note error: {big}:4: seifert entry past the cap" in out
+    assert out.index(str(good)) < out.index(str(other))
+    assert out.endswith("verdict fail\n")
+
+
 def test_multi_file_run_matches_its_single_file_runs(capsys):
     """Running the files together reports what running them one by one does."""
     paths = [str(DATA / f"{name}.knot") for name in ("trefoil", "figure8", "5_2")]

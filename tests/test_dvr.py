@@ -422,3 +422,26 @@ def test_family_pipeline_analyzes_the_complex_once(monkeypatch):
     assert calls["staircase"] == [False]
     assert calls["dual"] == 1
     assert calls["mul"] == one_check
+
+
+def test_point_types_give_equal_reports():
+    """t0 as int, Fraction or GaussRat: one report, one profile."""
+    for spec in acceptance_corpus(8, 1344):
+        c, pairing = spec.complex, spec.pairing
+        for center in spec.centers:
+            forms = [Fraction(center), GaussRat(center)]
+            if center.denominator == 1:
+                forms.append(int(center))
+            reports = [analyze(c, t0, list(pairing) if pairing else None) for t0 in forms]
+            assert all(r == reports[0] for r in reports)
+            assert all(type(r.t0) is GaussRat for r in reports)
+            for k in range(1, c.top_degree + 1):
+                profiles = {snf_local(c.boundary(k), t0) for t0 in forms}
+                assert len(profiles) == 1
+    rng = random.Random(1345)
+    for _ in range(20):
+        mat = random_local_matrix(rng, rng.randrange(1, 5), rng.randrange(1, 5))
+        half = Fraction(1, 2)
+        for forms in ((0, Fraction(0), GaussRat(0)), (half, GaussRat(half))):
+            profiles = {snf_local(mat, t0, s) for t0 in forms for s in ("first", "last")}
+            assert len(profiles) == 1

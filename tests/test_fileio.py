@@ -6,6 +6,7 @@ from torsionfam.corpus import acceptance_corpus, circle_family, torus3_family
 from torsionfam.eta import ArgPairing, EtaProfile, JumpRecord
 from torsionfam.fileio import (
     MAX_RANK,
+    MAX_SEIFERT_ENTRY_DIGITS,
     MAX_SEIFERT_RANK,
     ParseError,
     dump_complex,
@@ -208,6 +209,32 @@ def test_seifert_rank_cap_message_and_the_cap_itself():
     rows = "".join(" ".join("1" if j == k else "0" for k in range(n)) + "\n" for j in range(n))
     _, seifert, _ = load_knot(f"knot v1\ngenerators x\nseifert rank {n}\n{rows}end\n")
     assert seifert.size == n
+
+
+def test_seifert_entry_past_the_cap_rejected_at_its_token():
+    cap = MAX_SEIFERT_ENTRY_DIGITS
+    big = "9" * (cap + 1)
+    for bad in (big, "-" + big, "+1" + "0" * cap, "1" * 1000):
+        text = f"knot v1\ngenerators x\nseifert rank 2\n1 0\n0 {bad}\nend\n"
+        with pytest.raises(ParseError) as info:
+            load_knot(text, "k.knot")
+        assert str(info.value) == (
+            f"k.knot:5: seifert entry past the cap of {cap} digits (token '{bad}')"
+        )
+    # the largest entries, and leading zeros, are accepted
+    top = "9" * cap
+    text = f"knot v1\ngenerators x\nseifert rank 2\n-{top} 0{top}\n0 1\nend\n"
+    _, seifert, _ = load_knot(text)
+    assert seifert.entries == ((-(10**cap - 1), 10**cap - 1), (0, 1))
+
+
+def test_seifert_entry_cap_bounds_the_oracle_at_the_rank_cap():
+    """A dense matrix at both caps loads; the oracle's time on it is
+    documented in docs/formats.md (a few seconds)."""
+    n, e = MAX_SEIFERT_RANK, "9" * MAX_SEIFERT_ENTRY_DIGITS
+    rows = "".join(" ".join([e] * n) + "\n" for _ in range(n))
+    _, seifert, _ = load_knot(f"knot v1\ngenerators x\nseifert rank {n}\n{rows}end\n")
+    assert seifert.size == n and seifert.entries[0][0] == int(e)
 
 
 # Integer fields and word exponents take exactly [+-]digits: no digit

@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from torsionfam.complexes import dual_complex
+from torsionfam.corpus import acceptance_corpus, random_ratfunc
 from torsionfam.linalg import Matrix
 from torsionfam.ratfunc import RatFunc
 from torsionfam.scalars import GaussRat
@@ -186,3 +189,127 @@ def test_product_skipping_zeros_matches_dense_reference(cls):
         assert prod == want
         for e in prod.entries():
             assert type(e) is cls and e == zero and e.is_zero()
+
+
+# -- the sparse product against the dense dot-product reference --------------
+
+
+def _dot(row, col):
+    """Sum of the products of the nonzero pairs; the typed zero if none.
+
+    The kernel of the dense product the sparse one replaced: skipping
+    zero terms leaves the result unchanged, because entry normal forms
+    are canonical, so 0 + x is x.
+    """
+    acc = None
+    for a, b in zip(row, col):
+        if a.is_zero() or b.is_zero():
+            continue
+        acc = a * b if acc is None else acc + a * b
+    return row[0] * col[0] if acc is None else acc
+
+
+def dense_product(a, b, zero):
+    """Every entry of A B as the dot product of a row of A and a column of B."""
+    if a.ncols == 0:
+        return Matrix.zeros(a.nrows, b.ncols, zero)
+    cols = list(zip(*b.rows))
+    return Matrix([[_dot(r, c) for c in cols] for r in a.rows], b.ncols)
+
+
+def fields(mat):
+    """Shape and the exact stored fields of every entry, types included."""
+    def entry(e):
+        if isinstance(e, RatFunc):
+            n, d = e.num, e.den
+            return type(e), n.re, n.im, n.den, d.re, d.im, d.den
+        return type(e), e.re.numerator, e.re.denominator, e.im.numerator, e.im.denominator
+    return mat.shape(), [entry(e) for e in mat.entries()]
+
+
+def assert_products_match(a, b, zero):
+    want = fields(dense_product(a, b, zero))
+    assert fields(a.mul_with_zero(b, zero)) == want
+    if a.ncols:
+        assert fields(a @ b) == want
+
+
+def test_sparse_product_on_corpus_boundaries_and_pairings():
+    for spec in acceptance_corpus(12, 4242):
+        c = spec.complex
+        bds = [c.boundary(k) for k in range(1, c.top_degree + 1)]
+        for d1, d2 in zip(bds, bds[1:]):
+            assert_products_match(d1, d2, ZERO)  # the d.d = 0 check
+        for d in bds:
+            assert_products_match(d.transpose().conj(), d, ZERO)
+        if spec.pairing is None:
+            continue
+        dual = dual_complex(c)
+        for i in range(1, c.top_degree + 1):
+            assert_products_match(dual.boundary(i), spec.pairing[i], ZERO)
+            assert_products_match(spec.pairing[i - 1], c.boundary(i), ZERO)
+        for p in spec.pairing:
+            assert_products_match(p, p, ZERO)
+
+
+def random_ratfunc_matrix(rng, n, m, zero_rows=(), zero_cols=()):
+    """Entries from corpus.random_ratfunc (Gaussian coefficients and
+    denominators), about half zero, plus the given all-zero lines."""
+    return Matrix(
+        [
+            [
+                ZERO
+                if j in zero_rows or k in zero_cols or rng.random() < 0.5
+                else random_ratfunc(rng)
+                for k in range(m)
+            ]
+            for j in range(n)
+        ],
+        m,
+    )
+
+
+def test_sparse_product_on_random_ratfunc_matrices():
+    rng = random.Random(1331)
+    for _ in range(40):
+        n, inner, m = rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(1, 6)
+        a = random_ratfunc_matrix(
+            rng, n, inner, zero_rows={rng.randrange(n)}, zero_cols={rng.randrange(inner)}
+        )
+        b = random_ratfunc_matrix(
+            rng, inner, m, zero_rows={rng.randrange(inner)}, zero_cols={rng.randrange(m)}
+        )
+        assert_products_match(a, b, ZERO)
+        assert_products_match(b.transpose(), a.transpose(), ZERO)
+
+
+def test_sparse_product_on_row_column_and_empty_shapes():
+    rng = random.Random(1332)
+    for n in range(1, 7):
+        row = random_ratfunc_matrix(rng, 1, n)
+        col = random_ratfunc_matrix(rng, n, 1)
+        assert_products_match(row, col, ZERO)  # 1 x n times n x 1
+        assert_products_match(col, row, ZERO)  # n x 1 times 1 x n
+        # zero inner dimension: only mul_with_zero knows the entry type
+        a, b = Matrix([[]] * n, 0), Matrix([], n)
+        assert_products_match(a, b, ZERO)
+        assert a.mul_with_zero(b, ZERO) == Matrix.zeros(n, n, ZERO)
+        with pytest.raises(ValueError, match="empty inner dimension"):
+            a @ b
+        # a result with no rows, or with no columns
+        assert_products_match(Matrix([], n), col, ZERO)
+        assert_products_match(col, Matrix([[]], 0), ZERO)
+
+
+def test_sparse_product_on_gaussian_rational_entries():
+    rng = random.Random(1333)
+    zero = GaussRat.zero()
+    pool = [
+        GaussRat(1), GaussRat(-2), GaussRat(0, 1), GaussRat(Fraction(2, 5), -3),
+        GaussRat(0, Fraction(-7, 4)), GaussRat(Fraction(1, 3), Fraction(5, 6)),
+    ]
+    for _ in range(40):
+        n, inner, m = rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(1, 6)
+        a = sparse_matrix(rng, n, inner, pool, zero, zero_rows={rng.randrange(n)})
+        b = sparse_matrix(rng, inner, m, pool, zero, zero_cols={rng.randrange(m)})
+        assert_products_match(a, b, zero)

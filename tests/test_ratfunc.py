@@ -8,6 +8,7 @@ from torsionfam.poly import Poly, poly_gcd
 from torsionfam.ratfunc import (
     LocalGerm,
     RatFunc,
+    _product,
     cayley,
     conj_family,
     format_ratfunc,
@@ -308,3 +309,73 @@ def test_henrici_arithmetic_matches_unreduced_oracle():
     assert set(kinds) == {"equal", "equal-nontrivial", "coprime", "d-only", "d-and-e"}
     assert min(kinds.values()) >= 3, kinds
     assert values == {"zero", "constant"}
+
+
+# -- constant short cuts against the full normalization ----------------------
+
+CONSTANTS = [
+    1, -1, GaussRat(0, 1), GaussRat(0, -1),
+    GaussRat(Fraction(2, 5), -3), GaussRat(0, Fraction(-7, 4)), 3,
+]
+
+
+def fields(f):
+    n, d = f.num, f.den
+    return n.re, n.im, n.den, d.re, d.im, d.den
+
+
+def test_constant_short_cuts_match_the_full_normalization():
+    """_product and / must give exactly RatFunc(p * r, q * s), the
+    normalizing constructor, when either side is a constant."""
+    rng = random.Random(1341)
+    consts = [RatFunc.coerce(c) for c in CONSTANTS]
+    values = [random_ratfunc(rng) for _ in range(60)] + consts + [RatFunc.zero()]
+    for f in values:
+        for c in consts + [RatFunc.zero()]:
+            for x, y in ((f, c), (c, f)):
+                want = fields(RatFunc(x.num * y.num, x.den * y.den))
+                assert fields(_product(x.num, x.den, y.num, y.den)) == want
+                assert fields(x * y) == want
+                if not y.is_zero():
+                    assert fields(x / y) == fields(RatFunc(x.num * y.den, x.den * y.num))
+
+
+def test_integer_reciprocal_matches_the_full_normalization():
+    """Division by non-monic numerators with denominators and Gaussian leads."""
+    rng = random.Random(1342)
+    for _ in range(200):
+        f, g = random_ratfunc(rng), random_ratfunc(rng)
+        g = g * RatFunc.coerce(rng.choice(CONSTANTS[2:]))
+        assert fields(f / g) == fields(RatFunc(f.num * g.den, f.den * g.num))
+        assert fields(1 / g) == fields(RatFunc(g.den, g.num))
+
+
+# -- a point given once as its integer triple --------------------------------
+
+POINTS = {  # t0 and its triple (re, im, d), t0 = (re + im i) / d
+    GaussRat(0): (0, 0, 1),
+    GaussRat(2): (2, 0, 1),
+    GaussRat(Fraction(1, 2)): (1, 0, 2),
+    GaussRat(Fraction(-3, 7)): (-3, 0, 7),
+    GaussRat(0, 1): (0, 1, 1),
+    GaussRat(Fraction(2, 3), Fraction(1, 3)): (2, 1, 3),
+}
+
+
+def test_point_as_triple_matches_point_as_gaussrat():
+    rng = random.Random(1343)
+    for t0, triple in POINTS.items():
+        linear = Poly([-t0, GaussRat.one()])
+        for mult in range(5):
+            for _ in range(6):
+                p = random_ratfunc(rng).num * linear**mult
+                assert p.valuation_at(t0) == p.valuation_at(triple) >= mult
+                re, im, d = p.value_parts(triple)
+                assert p.value_parts(t0) == (re, im, d)
+                assert p.evaluate(t0) == GaussRat(Fraction(re, d), Fraction(im, d))
+                g = RatFunc(random_ratfunc(rng).num, p)
+                for f in (g, 1 / g, g * RatFunc(linear) ** mult):
+                    assert f.valuation(t0) == f.valuation(triple)
+                    regular = f.is_regular_at(t0)
+                    assert regular == f.is_regular_at(triple)
+                    assert regular == (not f.den.evaluate(t0).is_zero())
