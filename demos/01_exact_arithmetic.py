@@ -20,7 +20,7 @@ from torsionfam import (
     valuation,
 )
 
-# Gaussian rationals are pairs of exact fractions.
+# Gaussian rationals are exact: (re + im i)/den on integers in lowest terms.
 a = GaussRat(Fraction(1, 2), Fraction(3, 4))
 b = parse_gauss("2-i")
 print("a           =", a)

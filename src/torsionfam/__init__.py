@@ -8,9 +8,10 @@ middle torsion dimension, keeps the eta-invariant ledger arithmetic
 honest, and recovers Conway polynomials of knots through the same
 torsion engine.
 
-Everything is exact: scalars are Gaussian rationals on top of
-``fractions.Fraction``, polynomials are Gaussian-integer numerators
-over one common denominator, function-field elements are reduced
+Everything is exact: a scalar is a Gaussian rational held as one
+integer triple (re, im, den) in lowest terms, polynomials are
+Gaussian-integer numerators over one common denominator in the same
+convention, function-field elements are reduced
 rational functions with monic denominators, and every algorithm is
 deterministic including signs.
 """

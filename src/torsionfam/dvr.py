@@ -27,10 +27,6 @@ Duality, when supplied, is an explicit chain isomorphism from the
 complex to its conjugate-transpose dual, invertible over the local
 ring at t0.  It certifies the symmetry dims[i] == dims[m-1-i], whose
 middle value governs the parity of the sign flip.
-
-Each entry point converts t0 once to its integer triple (re, im, d),
-t0 = (re + im*i)/d, which every valuation and regularity test reads;
-only the report keeps t0 as a GaussRat.
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ from .complexes import (
     torsion,
 )
 from .linalg import Matrix, _clear_below
-from .poly import _point
 from .ratfunc import RatFunc
 from .scalars import GaussRat
 
@@ -185,7 +180,6 @@ def snf_local(mat: Matrix, t0, strategy: str = "first") -> DivisorProfile:
     """
     if strategy not in ("first", "last"):
         raise ValueError(f"unknown pivot strategy {strategy!r}")
-    t0 = _point(t0)
     _require_local(mat, t0)
     work = [list(r) for r in mat.rows]
     nr, nc = mat.nrows, mat.ncols
@@ -223,7 +217,6 @@ def torsion_modules(c: BasedChainComplex, t0) -> TorsionModuleSummary:
     generically acyclic; a nonzero free rank in homology is an error
     (it would mean the family is singular at every parameter value).
     """
-    t0 = _point(t0)
     m = c.top_degree
     profiles = [snf_local(c.boundary(k), t0) for k in range(1, m + 1)]
     ranks_of_d = [0] + [p.rank for p in profiles] + [0]
@@ -264,7 +257,6 @@ def check_duality_pairing(
     regularity of the entries at t0 and the unit check of each
     determinant at t0 run on every call.
     """
-    t0 = _point(t0)
     m = c.top_degree
     if len(pairing) != m + 1:
         raise DualityError(f"duality pairing needs {m + 1} matrices, got {len(pairing)}")
@@ -316,15 +308,14 @@ def analyze(
     every point.
     """
     t0 = GaussRat.coerce(t0)
-    point = _point(t0)
     if not is_generically_acyclic(c):
         raise ValueError("torsion undefined: complex not generically acyclic")
-    dims = torsion_modules(c, point)
+    dims = torsion_modules(c, t0)
     chi = euler_number(dims)
-    nu = singularity_exponent(c, point)
+    nu = singularity_exponent(c, t0)
     duality_ok: Optional[bool] = None
     if duality is not None:
-        check_duality_pairing(c, duality, point)
+        check_duality_pairing(c, duality, t0)
         m = c.top_degree
         duality_ok = all(
             dims.dims[i] == dims.dims[m - 1 - i] for i in range(m)

@@ -13,9 +13,9 @@ Every kernel works on plain Python integers (Knuth, TAOCP vol. 2,
 4.6.1): a product is an integer convolution, a sum works over the lcm
 of the two denominators, division divides once by the monic associate
 of the divisor without fractions and reduces once, and evaluation is a
-homogeneous Horner pass.  The ``GaussRat`` view of the coefficients,
-``coeffs``, is built on demand for printing and for the few callers
-that read coefficients one by one.
+homogeneous Horner pass.  A ``GaussRat`` holds the same convention for
+one number, so ``coeffs``, ``coeff`` and ``evaluate`` hand out
+(re, im, den) in lowest terms, and a point t0 is read as its triple.
 
 Coefficients live in Q(i), so division is exact and gcds are
 normalized monic.
@@ -26,39 +26,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import GaussRat, format_gauss, gauss_parts
+from .scalars import GaussRat, _parts, format_gauss, gauss_from_parts, gauss_parts
 
 __all__ = ["Poly", "poly_gcd", "format_poly", "parse_poly"]
 
 _set = object.__setattr__
-
-
-def _parts(x) -> tuple[int, int, int]:
-    """Integers (re, im, d) with x = (re + im*i) / d and d > 0."""
-    if isinstance(x, int):
-        return x, 0, 1
-    if isinstance(x, Fraction):
-        return x.numerator, 0, x.denominator
-    if isinstance(x, GaussRat):
-        r, s = x.re, x.im
-        rd, sd = r.denominator, s.denominator
-        if rd == sd:
-            return r.numerator, s.numerator, rd
-        d = lcm(rd, sd)
-        return r.numerator * (d // rd), s.numerator * (d // sd), d
-    raise TypeError(f"cannot coerce {type(x).__name__} to GaussRat")
-
-
-def _point(t0) -> tuple[int, int, int]:
-    """A point t0 as its triple (re, im, d) of :func:`_parts`; a triple
-    passes through, so callers convert a point once."""
-    return t0 if type(t0) is tuple else _parts(t0)
-
-
-def _gauss(re: int, im: int, den: int) -> GaussRat:
-    if den == 1:
-        return GaussRat(re, im)
-    return GaussRat(Fraction(re, den), Fraction(im, den))
 
 
 def _raw(re: tuple, im: tuple, den: int) -> "Poly":
@@ -96,13 +68,14 @@ def _from_parts(parts: list) -> "Poly":
     return _make(re, im, den)
 
 
-def _times(re, im, cr: int, ci: int) -> tuple[list, list]:
-    """Numerators times the Gaussian integer cr + ci*i."""
+def _scaled(re, im, den: int, cr: int, ci: int, cd: int) -> "Poly":
+    """The polynomial (re + im*i)/den times the scalar (cr + ci*i)/cd."""
     if not ci:
-        return [x * cr for x in re], [y * cr for y in im]
-    return (
+        return _make([x * cr for x in re], [y * cr for y in im], den * cd)
+    return _make(
         [x * cr - y * ci for x, y in zip(re, im)],
         [x * ci + y * cr for x, y in zip(re, im)],
+        den * cd,
     )
 
 
@@ -161,7 +134,7 @@ class Poly:
     def coeffs(self) -> tuple[GaussRat, ...]:
         """The coefficients c0, ..., cn as GaussRat values."""
         d = self.den
-        return tuple(_gauss(x, y, d) for x, y in zip(self.re, self.im))
+        return tuple(gauss_from_parts(x, y, d) for x, y in zip(self.re, self.im))
 
     @property
     def degree(self) -> int:
@@ -177,11 +150,18 @@ class Poly:
     def leading(self) -> GaussRat:
         if not self.re:
             raise ValueError("zero polynomial has no leading coefficient")
-        return _gauss(self.re[-1], self.im[-1], self.den)
+        return gauss_from_parts(self.re[-1], self.im[-1], self.den)
+
+    def lead_inverse(self) -> GaussRat:
+        """1 / leading() = den * conj(L) / N(L), with L = re[-1] + im[-1]*i."""
+        if not self.re:
+            raise ValueError("zero polynomial has no leading coefficient")
+        lr, li = self.re[-1], self.im[-1]
+        return gauss_from_parts(self.den * lr, -self.den * li, lr * lr + li * li)
 
     def coeff(self, k: int) -> GaussRat:
         if 0 <= k < len(self.re):
-            return _gauss(self.re[k], self.im[k], self.den)
+            return gauss_from_parts(self.re[k], self.im[k], self.den)
         return GaussRat.zero()
 
     def _is_monic(self) -> bool:
@@ -235,13 +215,10 @@ class Poly:
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            cr, ci, cd = _parts(other)
-            re, im = _times(self.re, self.im, cr, ci)
-            return _make(re, im, self.den * cd)
-        other = Poly._try_coerce(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, Poly):
+            if not isinstance(other, (GaussRat, int, Fraction)):
+                return NotImplemented
+            return _scaled(self.re, self.im, self.den, *_parts(other))
         ar, ai, br, bi = self.re, self.im, other.re, other.im
         if not ar or not br:
             return _ZERO
@@ -290,21 +267,8 @@ class Poly:
         dq = len(self.re) - 1 - m
         if dq < 0:
             return (_ZERO if want_quotient else None), self
-        if other._is_monic():
-            mr, mi, n = other.re, other.im, other.den
-            ur, ui, ud = 1, 0, 1
-        else:
-            # other / lead = B / L = B * conj(L) / N(L)
-            lr, li = other.re[-1], other.im[-1]
-            mr, mi = _times(other.re, other.im, lr, -li)
-            n = ud = lr * lr + li * li
-            g = gcd(n, *mr, *mi)
-            if g != 1:
-                n //= g
-                mr = [x // g for x in mr]
-                mi = [y // g for y in mi]
-            # 1 / lead = other.den * conj(L) / N(L)
-            ur, ui = other.den * lr, -other.den * li
+        monic = other.monic()
+        mr, mi, n = monic.re, monic.im, monic.den
         rr, ri = list(self.re), list(self.im)
         qr, qi = [], []  # quotient numerators, top degree first
         scale = 1
@@ -341,8 +305,8 @@ class Poly:
         # A = (Q * N / E) * (M / N) + R / E, and M / N = other / lead
         qr.reverse()
         qi.reverse()
-        qr, qi = _times(qr, qi, n * ur, n * ui)
-        return _make(qr, qi, den * ud), rem
+        ur, ui, ud = (1, 0, 1) if monic is other else other.lead_inverse().parts
+        return _scaled(qr, qi, den, n * ur, n * ui, ud), rem
 
     def __divmod__(self, other):
         return self._divide(other, True)
@@ -358,10 +322,7 @@ class Poly:
             raise ValueError("zero polynomial cannot be made monic")
         if self._is_monic():
             return self
-        # self / lead = A / L = A * conj(L) / N(L)
-        lr, li = self.re[-1], self.im[-1]
-        re, im = _times(self.re, self.im, lr, -li)
-        return _make(re, im, lr * lr + li * li)
+        return _scaled(self.re, self.im, self.den, *self.lead_inverse().parts)
 
     def conj(self) -> "Poly":
         """Coefficientwise Gaussian conjugation (t is fixed)."""
@@ -371,13 +332,12 @@ class Poly:
 
     def evaluate(self, x) -> GaussRat:
         """Value at x as a GaussRat."""
-        return _gauss(*self.value_parts(x))
+        return gauss_from_parts(*self.value_parts(x))
 
     def value_parts(self, x) -> tuple[int, int, int]:
         """Unreduced value at x = z/q: sum a_k z^k q^(n-k) over q^n * den,
-        as integers (re, im, d) with d > 0, by one homogeneous Horner pass.
-        ``x`` may also be given as its triple (re, im, d)."""
-        zr, zi, q = _point(x)
+        as integers (re, im, d) with d > 0, by one homogeneous Horner pass."""
+        zr, zi, q = _parts(x)
         re, im = self.re, self.im
         if not re:
             return 0, 0, 1
@@ -394,13 +354,12 @@ class Poly:
         Undefined for the zero polynomial.  With t0 = z/q the roots
         are those of P(s) = q^n * p(s/q) at s = z, a polynomial over
         Z[i]; synthetic division by the monic (s - z) stays in Z[i] and
-        stops at the first nonzero remainder.  ``t0`` may also be given
-        as its triple (re, im, d).
+        stops at the first nonzero remainder.
         """
         re, im = self.re, self.im
         if not re:
             raise ValueError("valuation of zero undefined")
-        zr, zi, q = _point(t0)
+        zr, zi, q = _parts(t0)
         if not zr and not zi:
             k = 0
             while not re[k] and not im[k]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Poly, _make, _point, _times, format_poly, parse_poly, poly_gcd
+from .poly import Poly, format_poly, parse_poly, poly_gcd
 from .scalars import GaussRat
 
 __all__ = [
@@ -53,11 +53,7 @@ class RatFunc:
             if den.is_zero():
                 raise ZeroDivisionError("rational function with zero denominator")
             # a zero numerator cancels den down to a constant, then to 1
-            num, den = _cancel(num, den, poly_gcd(num, den))
-            lead = den.leading()
-            if not (lead == GaussRat.one()):
-                num = num * (GaussRat.one() / lead)
-                den = den.monic()
+            num, den = _over_monic(*_cancel(num, den, poly_gcd(num, den)))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -152,14 +148,7 @@ class RatFunc:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero function")
-        # the reciprocal den/num, put over the monic associate of num
-        num, den = other.den, other.num.monic()
-        if den is not other.num:
-            # 1 / lead = d / L = d * conj(L) / N(L), with lead = L / d
-            lr, li, d = other.num.re[-1], other.num.im[-1], other.num.den
-            re, im = _times(num.re, num.im, d * lr, -d * li)
-            num = _make(re, im, num.den * (lr * lr + li * li))
-        return _product(self.num, self.den, num, den)
+        return _product(self.num, self.den, *_over_monic(other.den, other.num))
 
     def __rtruediv__(self, other):
         other = RatFunc._try_coerce(other)
@@ -204,7 +193,6 @@ class RatFunc:
         """Order of zero (positive) or pole (negative) at t0."""
         if self.is_zero():
             raise ValueError("valuation of zero undefined")
-        t0 = _point(t0)
         return self.num.valuation_at(t0) - self.den.valuation_at(t0)
 
     def is_regular_at(self, t0) -> bool:
@@ -227,6 +215,14 @@ class RatFunc:
 
 
 _P1 = Poly.one()
+
+
+def _over_monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num/den with both divided by the leading coefficient of den."""
+    if den._is_monic():
+        return num, den
+    inv = den.lead_inverse()
+    return num * inv, den * inv
 
 
 def _cancel(a: Poly, b: Poly, g: Poly) -> tuple[Poly, Poly]:

@@ -1,12 +1,12 @@
 """Exact Gaussian-rational scalars.
 
-Every computation in this package happens over Q(i).  A scalar is a
-pair of ``fractions.Fraction`` values (real and imaginary part).
-Fraction keeps each part in lowest terms with a positive denominator,
-so equality is structural and values are hashable.  Polynomials
-(:mod:`torsionfam.poly`) keep their coefficients as Gaussian integers
-over a common denominator instead, and build GaussRat values only
-when a caller asks for a coefficient or a value.
+Every computation in this package happens over Q(i).  A scalar holds
+one canonical triple of integers, ``parts`` = (re, im, den), for the
+value (re + im*i)/den, with den > 0 and gcd(re, im, den) = 1 (Knuth,
+TAOCP vol. 2, 4.5.1); zero is (0, 0, 1).  The form is unique, so
+equality and hashing compare the triples.  Polynomials
+(:mod:`torsionfam.poly`) keep their coefficients in the same
+convention, Gaussian integers over one denominator.
 
 Text form: plain rationals are written ``p/q`` (``p`` when q == 1);
 Gaussian rationals are written ``p/q+r/si`` with a trailing ``i`` on
@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "GaussRat",
+    "gauss_from_parts",
     "parse_integer",
     "parse_rational",
     "gauss_parts",
@@ -41,26 +43,53 @@ _GAUSS = re.compile(
     r"(?:(?P<isign>[+-]?)(?:(?P<inum>[0-9]+)(?:/(?P<iden>0*[1-9][0-9]*))?)?(?P<i>i))?"
 )
 
+_set = object.__setattr__
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+def gauss_from_parts(re: int, im: int, den: int) -> "GaussRat":
+    """The GaussRat (re + im*i)/den, for integers with den > 0."""
+    if den != 1:
+        g = gcd(re, im, den)
+        if g != 1:
+            re, im, den = re // g, im // g, den // g
+    x = object.__new__(GaussRat)
+    _set(x, "parts", (re, im, den))
+    return x
+
+
+def _parts(x) -> tuple[int, int, int]:
+    """The canonical triple (re, im, den) of a GaussRat, an int or a Fraction."""
+    if type(x) is GaussRat:
+        return x.parts
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator
+    raise TypeError(f"cannot coerce {type(x).__name__} to GaussRat")
 
 
 class GaussRat:
     """An element of Q(i).  Immutable and hashable."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("parts",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        for x in (re, im):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+        # a/q + (b/s) i over lcm(q, s) is in lowest terms, as a/q and b/s are
+        q, s = re.denominator, im.denominator
+        d = q if q == s else lcm(q, s)
+        _set(self, "parts", (re.numerator * (d // q), im.numerator * (d // s), d))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.parts[0], self.parts[2])
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.parts[1], self.parts[2])
 
     # -- constructors -------------------------------------------------
 
@@ -94,7 +123,7 @@ class GaussRat:
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.parts[0] and not self.parts[1]
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -105,7 +134,8 @@ class GaussRat:
         other = GaussRat._try_coerce(other)
         if other is None:
             return NotImplemented
-        return GaussRat(self.re + other.re, self.im + other.im)
+        (a, b, d), (c, e, f) = self.parts, other.parts
+        return gauss_from_parts(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
@@ -113,25 +143,24 @@ class GaussRat:
         other = GaussRat._try_coerce(other)
         if other is None:
             return NotImplemented
-        return GaussRat(self.re - other.re, self.im - other.im)
+        return self + -other
 
     def __rsub__(self, other):
         other = GaussRat._try_coerce(other)
         if other is None:
             return NotImplemented
-        return other - self
+        return other + -self
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        a, b, d = self.parts
+        return gauss_from_parts(-a, -b, d)
 
     def __mul__(self, other):
         other = GaussRat._try_coerce(other)
         if other is None:
             return NotImplemented
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        (a, b, d), (c, e, f) = self.parts, other.parts
+        return gauss_from_parts(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
@@ -139,13 +168,12 @@ class GaussRat:
         other = GaussRat._try_coerce(other)
         if other is None:
             return NotImplemented
-        n2 = other.re * other.re + other.im * other.im
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
+        (a, b, d), (c, e, f) = self.parts, other.parts
+        n2 = c * c + e * e
         if not n2:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussRat(
-            (self.re * other.re + self.im * other.im) / n2,
-            (self.im * other.re - self.re * other.im) / n2,
-        )
+        return gauss_from_parts((a * c + b * e) * f, (b * c - a * e) * f, d * n2)
 
     def __rtruediv__(self, other):
         other = GaussRat._try_coerce(other)
@@ -169,11 +197,13 @@ class GaussRat:
 
     def conj(self) -> "GaussRat":
         """Complex conjugate; an involution."""
-        return GaussRat(self.re, -self.im)
+        a, b, d = self.parts
+        return gauss_from_parts(a, -b, d)
 
     def abs2(self) -> Fraction:
         """Squared modulus re^2 + im^2, an exact rational."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self.parts
+        return Fraction(a * a + b * b, d * d)
 
     # -- comparison / hashing -----------------------------------------
 
@@ -181,10 +211,10 @@ class GaussRat:
         other = GaussRat._try_coerce(other)
         if other is None:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.parts == other.parts
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash(self.parts)
 
     def __repr__(self):
         return format_gauss(self)
@@ -192,8 +222,9 @@ class GaussRat:
 
 def format_rational(x: Fraction) -> str:
     """Canonical text for a rational: ``p/q``, or ``p`` when q == 1."""
-    x = _as_fraction(x)
-    return str(x)
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+    return str(Fraction(x))
 
 
 def parse_integer(text: str) -> int:
@@ -244,8 +275,7 @@ def gauss_parts(text: str) -> tuple[int, int, int]:
 
 def parse_gauss(text: str) -> GaussRat:
     """Parse a Gaussian rational; inverse of :func:`format_gauss`."""
-    x, y, den = gauss_parts(text)
-    return GaussRat(Fraction(x, den), Fraction(y, den))
+    return gauss_from_parts(*gauss_parts(text))
 
 
 def sign_of_real(x: GaussRat) -> int:
@@ -254,8 +284,9 @@ def sign_of_real(x: GaussRat) -> int:
     Raises if the value has a nonzero imaginary part or is zero; sign
     questions only make sense on the real line.
     """
-    if x.im:
+    re, im, _ = x.parts
+    if im:
         raise ValueError(f"sign undefined: {x!r} is not real")
-    if not x.re:
+    if not re:
         raise ValueError("sign undefined: value is zero")
-    return 1 if x.re > 0 else -1
+    return 1 if re > 0 else -1

@@ -1,26 +1,169 @@
-"""The Fraction-pair polynomial: the reference for ``torsionfam.poly``.
+"""The Fraction-pair references for ``torsionfam.scalars`` and ``torsionfam.poly``.
 
-This is the representation ``Poly`` had before it moved onto Gaussian
-integers over a common denominator: a tuple of ``GaussRat``
-coefficients, each a pair of ``fractions.Fraction``, with every kernel
-written coefficient by coefficient.  ``tests/test_poly.py`` compares
-the two on seeded corpora; nothing in the package imports this module.
+``FractionGauss`` is the representation ``GaussRat`` had before it
+moved onto one integer triple (re, im, den): a pair of
+``fractions.Fraction`` values, with every operation written on the two
+parts.  ``FractionPoly`` is the representation ``Poly`` had before it
+moved onto Gaussian integers over a common denominator: a tuple of
+``FractionGauss`` coefficients, with every kernel written coefficient
+by coefficient.  Both read a ``GaussRat`` operand through its ``re``
+and ``im``, so the tests can feed them the package's values, and
+compare equal to a ``GaussRat`` of the same value.
+``tests/test_poly.py`` and ``tests/test_scalars.py`` compare them
+with the package on seeded corpora; nothing in the package imports
+this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from torsionfam.scalars import GaussRat
+from torsionfam.scalars import GaussRat, format_gauss
+
+
+def _as_fraction(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+class FractionGauss:
+    """An element of Q(i) as two Fractions.  Immutable and hashable."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", _as_fraction(re))
+        object.__setattr__(self, "im", _as_fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FractionGauss is immutable")
+
+    @classmethod
+    def zero(cls) -> "FractionGauss":
+        return cls(0, 0)
+
+    @classmethod
+    def one(cls) -> "FractionGauss":
+        return cls(1, 0)
+
+    @classmethod
+    def coerce(cls, x) -> "FractionGauss":
+        out = cls._try_coerce(x)
+        if out is None:
+            raise TypeError(f"cannot coerce {type(x).__name__} to FractionGauss")
+        return out
+
+    @classmethod
+    def _try_coerce(cls, x):
+        if isinstance(x, FractionGauss):
+            return x
+        if isinstance(x, GaussRat):
+            return cls(x.re, x.im)
+        if isinstance(x, (int, Fraction)):
+            return cls(x, 0)
+        return None
+
+    def is_zero(self) -> bool:
+        return not self.re and not self.im
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    def __add__(self, other):
+        other = FractionGauss._try_coerce(other)
+        if other is None:
+            return NotImplemented
+        return FractionGauss(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = FractionGauss._try_coerce(other)
+        if other is None:
+            return NotImplemented
+        return FractionGauss(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        other = FractionGauss._try_coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __neg__(self):
+        return FractionGauss(-self.re, -self.im)
+
+    def __mul__(self, other):
+        other = FractionGauss._try_coerce(other)
+        if other is None:
+            return NotImplemented
+        return FractionGauss(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = FractionGauss._try_coerce(other)
+        if other is None:
+            return NotImplemented
+        n2 = other.re * other.re + other.im * other.im
+        if not n2:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        return FractionGauss(
+            (self.re * other.re + self.im * other.im) / n2,
+            (self.im * other.re - self.re * other.im) / n2,
+        )
+
+    def __rtruediv__(self, other):
+        other = FractionGauss._try_coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / self
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int):
+            raise TypeError("exponent must be an integer")
+        if n < 0:
+            return FractionGauss.one() / self ** (-n)
+        result = FractionGauss.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def conj(self) -> "FractionGauss":
+        return FractionGauss(self.re, -self.im)
+
+    def abs2(self) -> Fraction:
+        return self.re * self.re + self.im * self.im
+
+    def __eq__(self, other):
+        other = FractionGauss._try_coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return format_gauss(self)
 
 
 class FractionPoly:
-    """FractionPolynomial in ``t`` with GaussRat coefficients.  Immutable."""
+    """Polynomial in ``t`` with FractionGauss coefficients.  Immutable."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [GaussRat.coerce(c) for c in coeffs]
+        cs = [FractionGauss.coerce(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -36,16 +179,16 @@ class FractionPoly:
 
     @classmethod
     def one(cls) -> "FractionPoly":
-        return cls((GaussRat.one(),))
+        return cls((FractionGauss.one(),))
 
     @classmethod
     def var(cls) -> "FractionPoly":
         """The polynomial ``t``."""
-        return cls((GaussRat.zero(), GaussRat.one()))
+        return cls((FractionGauss.zero(), FractionGauss.one()))
 
     @classmethod
     def constant(cls, c) -> "FractionPoly":
-        return cls((GaussRat.coerce(c),))
+        return cls((FractionGauss.coerce(c),))
 
     @classmethod
     def coerce(cls, x) -> "FractionPoly":
@@ -58,7 +201,7 @@ class FractionPoly:
     def _try_coerce(cls, x):
         if isinstance(x, FractionPoly):
             return x
-        if isinstance(x, (int, Fraction, GaussRat)):
+        if isinstance(x, (int, Fraction, FractionGauss, GaussRat)):
             return cls.constant(x)
         return None
 
@@ -75,13 +218,13 @@ class FractionPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def leading(self) -> GaussRat:
+    def leading(self) -> FractionGauss:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, k: int) -> GaussRat:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else GaussRat.zero()
+    def coeff(self, k: int) -> FractionGauss:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else FractionGauss.zero()
 
     # -- arithmetic ---------------------------------------------------
 
@@ -111,15 +254,15 @@ class FractionPoly:
         return FractionPoly([-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            c = GaussRat.coerce(other)
+        if isinstance(other, (int, Fraction, FractionGauss, GaussRat)):
+            c = FractionGauss.coerce(other)
             return FractionPoly([a * c for a in self.coeffs])
         other = FractionPoly._try_coerce(other)
         if other is None:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return FractionPoly.zero()
-        out = [GaussRat.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [FractionGauss.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
         for j, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
@@ -149,7 +292,7 @@ class FractionPoly:
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             return FractionPoly.zero(), self
-        quot = [GaussRat.zero()] * (dq + 1)
+        quot = [FractionGauss.zero()] * (dq + 1)
         lead = other.leading()
         for k in range(dq, -1, -1):
             top = rem[k + other.degree]
@@ -179,9 +322,9 @@ class FractionPoly:
 
     # -- evaluation ---------------------------------------------------
 
-    def evaluate(self, x) -> GaussRat:
-        x = GaussRat.coerce(x)
-        acc = GaussRat.zero()
+    def evaluate(self, x) -> FractionGauss:
+        x = FractionGauss.coerce(x)
+        acc = FractionGauss.zero()
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -193,8 +336,8 @@ class FractionPoly:
         """
         if self.is_zero():
             raise ValueError("valuation of zero undefined")
-        t0 = GaussRat.coerce(t0)
-        linear = FractionPoly([-t0, GaussRat.one()])
+        t0 = FractionGauss.coerce(t0)
+        linear = FractionPoly([-t0, FractionGauss.one()])
         mult = 0
         current = self
         while True:
@@ -229,7 +372,7 @@ def fraction_poly_gcd(a: FractionPoly, b: FractionPoly) -> FractionPoly:
     for m, y in ((a, b), (b, a)):
         if m.coeffs and all(c.is_zero() for c in m.coeffs[:-1]):
             k = next((k for k, c in enumerate(y.coeffs) if not c.is_zero()), m.degree)
-            return FractionPoly([GaussRat.zero()] * min(k, m.degree) + [GaussRat.one()])
+            return FractionPoly([FractionGauss.zero()] * min(k, m.degree) + [FractionGauss.one()])
     while not b.is_zero():
         a, b = b, (a % b)
         if not b.is_zero():

@@ -350,7 +350,7 @@ def test_integer_reciprocal_matches_the_full_normalization():
         assert fields(1 / g) == fields(RatFunc(g.den, g.num))
 
 
-# -- a point given once as its integer triple --------------------------------
+# -- a point is a GaussRat holding its integer triple -------------------------
 
 POINTS = {  # t0 and its triple (re, im, d), t0 = (re + im i) / d
     GaussRat(0): (0, 0, 1),
@@ -363,19 +363,25 @@ POINTS = {  # t0 and its triple (re, im, d), t0 = (re + im i) / d
 
 
 def test_point_as_triple_matches_point_as_gaussrat():
+    """The point's parts are its triple; a real point given as an int or
+    a Fraction reads the same as the GaussRat."""
     rng = random.Random(1343)
     for t0, triple in POINTS.items():
+        assert t0.parts == triple
+        re, im, d = triple
+        same = [t0] + ([Fraction(re, d)] if not im else []) + ([re] if not im and d == 1 else [])
         linear = Poly([-t0, GaussRat.one()])
         for mult in range(5):
             for _ in range(6):
                 p = random_ratfunc(rng).num * linear**mult
-                assert p.valuation_at(t0) == p.valuation_at(triple) >= mult
-                re, im, d = p.value_parts(triple)
-                assert p.value_parts(t0) == (re, im, d)
+                assert {p.valuation_at(x) for x in same} == {p.valuation_at(t0)}
+                assert p.valuation_at(t0) >= mult
+                re, im, d = p.value_parts(t0)
+                assert {p.value_parts(x) for x in same} == {(re, im, d)}
                 assert p.evaluate(t0) == GaussRat(Fraction(re, d), Fraction(im, d))
                 g = RatFunc(random_ratfunc(rng).num, p)
                 for f in (g, 1 / g, g * RatFunc(linear) ** mult):
-                    assert f.valuation(t0) == f.valuation(triple)
+                    assert {f.valuation(x) for x in same} == {f.valuation(t0)}
                     regular = f.is_regular_at(t0)
-                    assert regular == f.is_regular_at(triple)
+                    assert {f.is_regular_at(x) for x in same} == {regular}
                     assert regular == (not f.den.evaluate(t0).is_zero())

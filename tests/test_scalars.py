@@ -1,12 +1,16 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
+from fraction_poly import FractionGauss
 
 from torsionfam.cli import main
 from torsionfam.fileio import load_complex, load_ledger
+from torsionfam.poly import Poly
+from torsionfam.ratfunc import RatFunc
 from torsionfam.scalars import (
     GaussRat,
     format_gauss,
@@ -141,3 +145,89 @@ def test_sign_of_real():
         sign_of_real(GaussRat(0, 1))
     with pytest.raises(ValueError):
         sign_of_real(GaussRat.zero())
+
+
+# -- the integer triple against the Fraction-pair reference ------------------
+
+SPECIAL = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (Fraction(2, 5), -3)]
+DENS = [1, 2, 3, 4, 6, 7, 12, 49, 343, 2401, 7**5, 2 * 7**4, 3 * 5 * 7**3]
+
+
+def ref_parts(ref):
+    """The canonical triple of a reference value, from its two Fractions."""
+    q, s = ref.re.denominator, ref.im.denominator
+    d = lcm(q, s)
+    return ref.re.numerator * (d // q), ref.im.numerator * (d // s), d
+
+
+def matches(x, ref):
+    """x is canonical and holds the reference's value, field by field."""
+    re, im, den = x.parts
+    assert den > 0 and gcd(re, im, den) == 1
+    assert (re, im) != (0, 0) or den == 1
+    return x.parts == ref_parts(ref) and (x.re, x.im) == (ref.re, ref.im)
+
+
+def test_gauss_rat_matches_the_fraction_pair_reference():
+    rng = random.Random(1401)
+
+    def part():
+        return Fraction(rng.randrange(-60, 61), rng.choice(DENS + [rng.randrange(1, 7**5 + 1)]))
+
+    pairs = SPECIAL + [(part(), part() if rng.random() < 0.7 else 0) for _ in range(120)]
+    values = [(GaussRat(a, b), FractionGauss(a, b)) for a, b in pairs]
+    for x, rx in values:
+        assert matches(x, rx)
+        assert matches(x.conj(), rx.conj()) and matches(-x, -rx)
+        assert x.abs2() == rx.abs2()
+        text = format_gauss(x)
+        assert text == format_gauss(rx)
+        assert parse_gauss(text).parts == x.parts and hash(parse_gauss(text)) == hash(x)
+        for n in range(-3, 4):
+            if n < 0 and not x:
+                with pytest.raises(ZeroDivisionError):
+                    x**n
+            else:
+                assert matches(x**n, rx**n)
+    for (x, rx), (y, ry) in zip(values, values[7:] + values[:7] + values[::-1]):
+        assert matches(x + y, rx + ry) and matches(x - y, rx - ry)
+        assert matches(x * y, rx * ry)
+        if y:
+            assert matches(x / y, rx / ry)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        for c in (3, Fraction(-2, 7)):
+            assert matches(x + c, rx + c) and matches(c - x, c - rx)
+            assert matches(x * c, rx * c)
+            if x:
+                assert matches(c / x, c / rx)
+
+
+def test_equal_values_built_by_different_routes_have_equal_parts():
+    half = GaussRat(Fraction(1, 2), Fraction(1, 2))
+    routes = [
+        GaussRat(Fraction(2, 4), Fraction(1, 2)),
+        parse_gauss("1/2+1/2i"),
+        parse_gauss("2/4 + 3/6i"),
+        Poly([Fraction(1, 6), half]).coeff(1),  # stored as (3, 3) over 6
+        Poly([Fraction(1, 2), Fraction(1, 2)]).evaluate(GaussRat.i()),
+        RatFunc(Poly([1, 1]), Poly([2])).evaluate(GaussRat.i()),
+        GaussRat(1, 1) * Fraction(1, 2),
+        1 / GaussRat(1, -1),
+        (GaussRat(1, -1) / 2).conj(),
+    ]
+    for x in routes:
+        assert x.parts == (1, 1, 2) and hash(x) == hash(half) and x == half
+    zeros = [GaussRat(), GaussRat(Fraction(0, 5), 0), half - half, parse_gauss("0/7"),
+             Poly([Fraction(1, 3)]).evaluate(5) * 0, GaussRat(2, 3) * 0]
+    for z in zeros:
+        assert z.parts == (0, 0, 1) and hash(z) == hash(GaussRat.zero()) and not z
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2", 1j, None])
+def test_gauss_rat_and_format_rational_take_only_ints_and_fractions(bad):
+    for build in (lambda: GaussRat(bad), lambda: GaussRat(1, bad),
+                  lambda: GaussRat(bad, Fraction(1, 2)), lambda: format_rational(bad)):
+        with pytest.raises(TypeError):
+            build()
