@@ -19,7 +19,7 @@ import argparse
 import math
 import random
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 from typing import Optional
@@ -47,15 +47,15 @@ from .eta import (
 )
 from .fileio import (
     ParseError,
+    _load_family,
     dump_complex,
     dump_knot,
     dump_ledger,
     load_complex,
     load_knot,
     load_ledger,
-    load_presentation,
 )
-from .groupring import GroupRingElem, Word, fox_derivative, presentation_complex
+from .groupring import GroupRingElem, Word, fox_derivative
 from .knots import alexander_from_fox, bundled_knots, conway_from_seifert, conway_normalize
 from .linalg import Matrix
 from .poly import Poly
@@ -76,6 +76,9 @@ class JobSpec:
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
+        if (self.command == "selftest") == bool(self.input_paths):
+            want = "no input file" if self.input_paths else "an input file"
+            raise ValueError(f"{self.command} takes {want}")
         object.__setattr__(self, "input_paths", tuple(self.input_paths))
 
 
@@ -300,40 +303,19 @@ def _read_text(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_family(path: str):
-    """Load a complex from a complex file or a presentation file.
-
-    Presentation files are pushed through the twisted presentation
-    complex of their representation; they carry no duality section.
-    """
-    text = _read_text(path)
-    header = next(
-        (line.split("#", 1)[0].strip() for line in text.splitlines()
-         if line.split("#", 1)[0].strip()),
-        "",
-    )
-    if header == "presentation v1":
-        names, relators, rho = load_presentation(text, path)
-        return presentation_complex(len(names), relators, rho), None
-    return load_complex(text, path)
-
-
-def _cmd_torsion(job: JobSpec) -> Report:
+def _cmd_torsion(job: JobSpec, path: str) -> Report:
     report = Report("torsion")
-    for path in job.input_paths:
-        cplx, _ = _load_family(path)
-        report.item("input", path)
-        report.item("ranks", " ".join(str(r) for r in cplx.ranks))
-        acyclic = is_generically_acyclic(cplx)
-        report.check(f"{path}:generically-acyclic", acyclic)
-        if not acyclic:
-            continue
-        value = torsion(cplx).value
-        report.item("torsion.value", value)
-        for t0 in _resolve_centers(report, value, job.options.get("t0")):
-            report.item(
-                f"torsion.valuation.{format_gauss(t0)}", value.valuation(t0)
-            )
+    cplx, _ = _load_family(_read_text(path), path)
+    report.item("input", path)
+    report.item("ranks", " ".join(str(r) for r in cplx.ranks))
+    acyclic = is_generically_acyclic(cplx)
+    report.check(f"{path}:generically-acyclic", acyclic)
+    if not acyclic:
+        return report
+    value = torsion(cplx).value
+    report.item("torsion.value", value)
+    for t0 in _resolve_centers(report, value, job.options.get("t0")):
+        report.item(f"torsion.valuation.{format_gauss(t0)}", value.valuation(t0))
     return report
 
 
@@ -369,125 +351,107 @@ def _analyze_point(cplx, t0, pairing):
         return exc.report, rejected
 
 
-def _cmd_analyze(job: JobSpec) -> Report:
+def _cmd_analyze(job: JobSpec, path: str) -> Report:
     report = Report("analyze")
-    for path in job.input_paths:
-        cplx, inline = _load_family(path)
-        report.item("input", path)
-        pairing = _load_duality(job, inline)
-        acyclic = is_generically_acyclic(cplx)
-        report.check(f"{path}:generically-acyclic", acyclic)
-        if not acyclic:
-            continue
-        value = torsion(cplx).value
-        report.item("torsion.value", value)
-        for t0 in _resolve_centers(report, value, job.options.get("t0")):
-            key = format_gauss(t0)
-            rep, rejected = _analyze_point(cplx, t0, pairing)
-            report.item(f"analysis.{key}.nu", rep.nu)
-            report.item(f"analysis.{key}.chi", rep.chi)
-            report.item(
-                f"analysis.{key}.dims", " ".join(str(d) for d in rep.dims.dims)
-            )
-            if rep.middle_dim_parity is not None:
-                report.item(f"analysis.{key}.middle_parity", rep.middle_dim_parity)
-            report.item(f"analysis.{key}.sign_flip", rep.sign_flip)
-            if rep.nu != rep.chi:
-                report.note(f"{path}:{key}: {CalibrationError(rep)}")
-            report.check(f"{path}:{key}:nu-equals-chi", rep.nu == rep.chi)
-            if rejected is not None:
-                report.note(f"{path}:{key}: duality pairing rejected: {rejected}")
-                report.check(f"{path}:{key}:duality", False)
-            elif rep.duality_ok is not None:
-                report.check(f"{path}:{key}:duality", rep.duality_ok)
+    cplx, inline = _load_family(_read_text(path), path)
+    report.item("input", path)
+    pairing = _load_duality(job, inline)
+    acyclic = is_generically_acyclic(cplx)
+    report.check(f"{path}:generically-acyclic", acyclic)
+    if not acyclic:
+        return report
+    value = torsion(cplx).value
+    report.item("torsion.value", value)
+    for t0 in _resolve_centers(report, value, job.options.get("t0")):
+        key = format_gauss(t0)
+        rep, rejected = _analyze_point(cplx, t0, pairing)
+        report.item(f"analysis.{key}.nu", rep.nu)
+        report.item(f"analysis.{key}.chi", rep.chi)
+        report.item(f"analysis.{key}.dims", " ".join(str(d) for d in rep.dims.dims))
+        if rep.middle_dim_parity is not None:
+            report.item(f"analysis.{key}.middle_parity", rep.middle_dim_parity)
+        report.item(f"analysis.{key}.sign_flip", rep.sign_flip)
+        if rep.nu != rep.chi:
+            report.note(f"{path}:{key}: {CalibrationError(rep)}")
+        report.check(f"{path}:{key}:nu-equals-chi", rep.nu == rep.chi)
+        if rejected is not None:
+            report.note(f"{path}:{key}: duality pairing rejected: {rejected}")
+            report.check(f"{path}:{key}:duality", False)
+        elif rep.duality_ok is not None:
+            report.check(f"{path}:{key}:duality", rep.duality_ok)
     return report
 
 
-def _cmd_eta_check(job: JobSpec) -> Report:
+def _cmd_eta_check(job: JobSpec, path: str) -> Report:
     report = Report("eta-check")
-    for path in job.input_paths:
-        profile, signs = load_ledger(_read_text(path), path)
-        report.item("input", path)
-        report.item("dimclass", profile.dimension_class)
-        report.item("jumps", len(profile.jumps))
-        for warning in profile.warnings():
-            report.note(f"{path}: {warning}")
-        complex_path = job.options.get("complex")
-        if complex_path:
-            cplx, inline = _load_family(complex_path)
-            pairing = _load_duality(job, inline)
-            reports = []
-            for rec in profile.jumps:
-                rep, rejected = _analyze_point(cplx, GaussRat(rec.t0), pairing)
-                reports.append(rep)
-                if rejected is not None:
-                    report.note(
-                        f"{path}:jump-{rec.t0}: duality pairing rejected: {rejected}"
-                    )
-                    report.check(f"{path}:jump-{rec.t0}:duality", False)
-                if rep.nu != rep.chi:
-                    report.note(f"{path}:jump-{rec.t0}: {CalibrationError(rep)}")
-                    report.check(f"{path}:jump-{rec.t0}:nu-equals-chi", False)
-            for rec, rep in zip(profile.jumps, reports):
-                parity_ok = (
-                    rep.middle_dim_parity == rec.sigma_odd % 2
-                    and rep.nu % 2 == rec.sigma_odd % 2
-                )
-                report.check(
-                    f"{path}:jump-{rec.t0}:family-parity", parity_ok
-                )
-                if rec.nu is not None:
-                    report.check(
-                        f"{path}:jump-{rec.t0}:nu-matches-family", rec.nu == rep.nu
-                    )
-            if signs is None:
-                signs = signs_from_reports(reports)
-                report.item("signs.synthesized",
-                            " ".join("+" if s == 1 else "-" for s in signs))
-        if signs is None:
-            raise ValueError(
-                f"{path}: ledger has no signs and no family complex was given"
+    profile, signs = load_ledger(_read_text(path), path)
+    report.item("input", path)
+    report.item("dimclass", profile.dimension_class)
+    report.item("jumps", len(profile.jumps))
+    for warning in profile.warnings():
+        report.note(f"{path}: {warning}")
+    complex_path = job.options.get("complex")
+    if complex_path:
+        cplx, inline = _load_family(_read_text(complex_path), complex_path)
+        pairing = _load_duality(job, inline)
+        reports = []
+        for rec in profile.jumps:
+            rep, rejected = _analyze_point(cplx, GaussRat(rec.t0), pairing)
+            reports.append(rep)
+            if rejected is not None:
+                report.note(f"{path}:jump-{rec.t0}: duality pairing rejected: {rejected}")
+                report.check(f"{path}:jump-{rec.t0}:duality", False)
+            if rep.nu != rep.chi:
+                report.note(f"{path}:jump-{rec.t0}: {CalibrationError(rep)}")
+                report.check(f"{path}:jump-{rec.t0}:nu-equals-chi", False)
+        for rec, rep in zip(profile.jumps, reports):
+            parity_ok = (
+                rep.middle_dim_parity == rec.sigma_odd % 2
+                and rep.nu % 2 == rec.sigma_odd % 2
             )
-        if profile.slope_data is None:
-            # eta itself is reconstructible; report its value at each jump
-            values = profile.interval_values()
-            for rec, before, after in zip(profile.jumps, values, values[1:]):
-                report.item(
-                    f"eta.at.{rec.t0}", eta_at_jump(after, before, rec.sigma_even)
-                )
-        verdict = ray_invariant_check(profile, signs)
-        if verdict.failing_interval is not None:
-            report.item("ray.failing_interval", verdict.failing_interval)
-        report.item(
-            "ray.phases", " ".join(str(p) for p in verdict.phases)
-        )
-        report.check(f"{path}:ray-invariance", verdict.passed)
+            report.check(f"{path}:jump-{rec.t0}:family-parity", parity_ok)
+            if rec.nu is not None:
+                report.check(f"{path}:jump-{rec.t0}:nu-matches-family", rec.nu == rep.nu)
+        if signs is None:
+            signs = signs_from_reports(reports)
+            report.item("signs.synthesized", " ".join("+" if s == 1 else "-" for s in signs))
+    if signs is None:
+        raise ValueError(f"{path}: ledger has no signs and no family complex was given")
+    if profile.slope_data is None:
+        # eta itself is reconstructible; report its value at each jump
+        values = profile.interval_values()
+        for rec, before, after in zip(profile.jumps, values, values[1:]):
+            report.item(f"eta.at.{rec.t0}", eta_at_jump(after, before, rec.sigma_even))
+    verdict = ray_invariant_check(profile, signs)
+    if verdict.failing_interval is not None:
+        report.item("ray.failing_interval", verdict.failing_interval)
+    report.item("ray.phases", " ".join(str(p) for p in verdict.phases))
+    report.check(f"{path}:ray-invariance", verdict.passed)
     return report
 
 
-def _cmd_conway(job: JobSpec) -> Report:
+def _cmd_conway(job: JobSpec, path: str) -> Report:
     report = Report("conway")
-    for path in job.input_paths:
-        pres, seifert, _names = load_knot(_read_text(path), path)
-        report.item("input", path)
+    pres, seifert, _names = load_knot(_read_text(path), path)
+    report.item("input", path)
+    try:
+        delta = alexander_from_fox(pres)
+    except ValueError as exc:
+        report.note(f"{path}: {exc}")
+        report.check(f"{path}:alexander", False)
+        return report
+    nabla = conway_normalize(delta)
+    report.item("alexander", repr(delta))
+    report.item("conway", repr(nabla))
+    if seifert is not None:
         try:
-            delta = alexander_from_fox(pres)
+            oracle = conway_from_seifert(seifert)
         except ValueError as exc:
-            report.note(f"{path}: {exc}")
-            report.check(f"{path}:alexander", False)
-            continue
-        nabla = conway_normalize(delta)
-        report.item("alexander", repr(delta))
-        report.item("conway", repr(nabla))
-        if seifert is not None:
-            try:
-                oracle = conway_from_seifert(seifert)
-            except ValueError as exc:
-                report.note(f"{path}: Seifert oracle rejected the matrix: {exc}")
-                report.check(f"{path}:oracle-agreement", False)
-                continue
-            report.item("conway.oracle", repr(oracle))
-            report.check(f"{path}:oracle-agreement", nabla == oracle)
+            report.note(f"{path}: Seifert oracle rejected the matrix: {exc}")
+            report.check(f"{path}:oracle-agreement", False)
+            return report
+        report.item("conway.oracle", repr(oracle))
+        report.check(f"{path}:oracle-agreement", nabla == oracle)
     return report
 
 
@@ -649,11 +613,11 @@ def run(job: JobSpec) -> Report:
         )
     command = _COMMANDS[job.command]
     if len(job.input_paths) < 2:
-        return command(job)
+        return command(job, *job.input_paths)
     report = Report(job.command)
     for path in job.input_paths:
         try:
-            part = command(replace(job, input_paths=(path,)))
+            part = command(job, path)
         except (ValueError, ZeroDivisionError) as exc:
             error = str(exc) if str(exc).startswith(path) else f"{path}: {exc}"
             report.errors.append(error)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from .linalg import Matrix, _eliminate
 from .ratfunc import RatFunc
-from .scalars import sign_of_real
+from .scalars import _Frozen, sign_of_real
 
 __all__ = [
     "CONVENTION_TAG",
@@ -62,7 +62,7 @@ _ZERO = RatFunc.zero()
 _ONE = RatFunc.one()
 
 
-class BasedChainComplex:
+class BasedChainComplex(_Frozen):
     """Finite free based chain complex with RatFunc boundary matrices."""
 
     __slots__ = ("ranks", "boundaries", "_memo")
@@ -101,9 +101,6 @@ class BasedChainComplex:
         object.__setattr__(obj, "boundaries", boundaries)
         object.__setattr__(obj, "_memo", {})
         return obj
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BasedChainComplex is immutable")
 
     @staticmethod
     def _as_matrix(b) -> Matrix:

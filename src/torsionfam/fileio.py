@@ -17,7 +17,7 @@ from typing import Optional
 
 from .complexes import BasedChainComplex
 from .eta import ArgPairing, EtaProfile, JumpRecord
-from .groupring import RepFamily, Word, parse_word
+from .groupring import RepFamily, Word, parse_word, presentation_complex
 from .knots import KnotPresentation, SeifertMatrix
 from .linalg import Matrix
 from .ratfunc import RatFunc, format_ratfunc, parse_ratfunc
@@ -39,6 +39,10 @@ _ZERO = RatFunc.zero()
 
 # largest rank load_complex accepts in any degree
 MAX_RANK = 1000
+# largest rank * (sum over the letters of all relators of the top entry
+# degree of the letter's image) load_presentation accepts: a torsion run
+# at the cap takes about 2 s (docs/formats.md)
+MAX_RELATOR_DEGREE = 100
 # largest Seifert rank load_knot accepts: the oracle grows like n^5, and
 # takes about 2 s on a dense 48x48 matrix (docs/formats.md)
 MAX_SEIFERT_RANK = 48
@@ -135,10 +139,10 @@ def _read_rational(reader: _Reader, lineno: int, tok: str, message: str = "bad r
         reader.error(lineno, message, tok)
 
 
-def _read_relator(reader: _Reader, names: list[str]) -> Word:
+def _read_relator(reader: _Reader, names: list[str]) -> tuple[int, Word]:
     lineno, args = _keyword_line(reader, "relator <word>", nargs=0, more=True)
     try:
-        return parse_word(" ".join(args), names)
+        return lineno, parse_word(" ".join(args), names)
     except ValueError as exc:
         raise ParseError(reader.path, lineno, str(exc)) from exc
 
@@ -261,7 +265,29 @@ def load_presentation(
         )
     except ValueError as exc:
         raise ParseError(path, reader.pos, str(exc)) from exc
-    return names, relators, rho
+    # the prefix pass of presentation_complex multiplies the letters'
+    # images, whose degrees add up: refuse what it could not finish
+    degree = [
+        [max(max(e.num.degree, e.den.degree) for row in m.rows for e in row) for m in mats]
+        for mats in (rho.images, rho.inverses)
+    ]
+    bound = 0
+    for lineno, rel in relators:
+        bound += rank * sum(degree[e < 0][g] for g, e in rel.letters)
+        if bound > MAX_RELATOR_DEGREE:
+            cap = MAX_RELATOR_DEGREE
+            reader.error(lineno, f"relators reach degree {bound}, past the cap of {cap}")
+    return names, [rel for _, rel in relators], rho
+
+
+def _load_family(text: str, path: str) -> tuple[BasedChainComplex, Optional[list[Matrix]]]:
+    """A complex file through :func:`load_complex`, or a presentation file
+    pushed through the twisted complex of its presentation, which carries
+    no duality section; the header line decides which."""
+    if _Reader(text, path).peek_line() == "presentation v1":
+        names, relators, rho = load_presentation(text, path)
+        return presentation_complex(len(names), relators, rho), None
+    return load_complex(text, path)
 
 
 def dump_presentation(names: list[str], relators: list[Word], rho: RepFamily) -> str:
@@ -302,7 +328,7 @@ def load_knot(
     while True:
         word = _peek_word(reader)
         if word == "relator":
-            relators.append(_read_relator(reader, names))
+            relators.append(_read_relator(reader, names)[1])
         elif word == "seifert":
             lineno, (tok,) = _keyword_line(reader, "seifert rank n", keys=2)
             n = _read_int(reader, lineno, tok)

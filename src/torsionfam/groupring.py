@@ -3,6 +3,10 @@ presentation complexes.
 
 Words are freely reduced tuples of (generator index, +-1) letters.
 Group-ring elements are finite integer combinations of words.  The
+integral group ring is implemented once, in ``_GroupRing``, over any
+group whose elements are hashable keys: :class:`GroupRingElem` is
+Z[F] for the free group F, and ``knots.LaurentInt`` is Z[t, 1/t], the
+group ring of its abelianization Z, keyed by the exponent.  The
 free derivative d/dx_g satisfies
 
     d(x)/dx = 1,   d(y)/dx = 0 (y != x),
@@ -24,11 +28,12 @@ d_1 . d_2 = phi(r) - 1 = 0 for every relator r.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .linalg import Matrix
 from .ratfunc import RatFunc
-from .scalars import parse_integer
+from .scalars import _Frozen, parse_integer
 
 __all__ = [
     "Word",
@@ -49,7 +54,7 @@ _ONE = RatFunc.one()
 MAX_WORD_LETTERS = 10_000
 
 
-class Word:
+class Word(_Frozen):
     """Freely reduced word in a free group.  Immutable."""
 
     __slots__ = ("letters",)
@@ -68,9 +73,6 @@ class Word:
             else:
                 reduced.append((gen, exp))
         object.__setattr__(self, "letters", tuple(reduced))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
 
     @classmethod
     def identity(cls) -> "Word":
@@ -108,23 +110,61 @@ class Word:
         return f"Word({format_word(self)!r})"
 
 
-class GroupRingElem:
-    """Finite Z-linear combination of words; no zero terms stored."""
+class _GroupRing(_Frozen):
+    """Finite Z-linear combination of group elements, ``terms`` mapping
+    each to its coefficient; no zero terms stored.  A subclass names
+    ``_key``, which checks or normalizes a group element, and
+    ``_key_mul``, the group law."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        acc: dict[Word, int] = {}
-        for word, coeff in terms.items() if isinstance(terms, dict) else terms:
-            if not isinstance(word, Word):
-                raise TypeError("group-ring keys must be Words")
-            acc[word] = acc.get(word, 0) + int(coeff)
-            if not acc[word]:
-                del acc[word]
+        key, acc = self._key, {}
+        for k, coeff in terms.items() if isinstance(terms, dict) else terms:
+            k = key(k)
+            acc[k] = acc.get(k, 0) + int(coeff)
+            if not acc[k]:
+                del acc[k]
         object.__setattr__(self, "terms", acc)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupRingElem is immutable")
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        return type(self)([*self.terms.items(), *other.terms.items()])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        mul, terms = self._key_mul, other.terms.items()
+        return type(self)(
+            (mul(ka, kb), ca * cb) for ka, ca in self.terms.items() for kb, cb in terms
+        )
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+
+class GroupRingElem(_GroupRing):
+    """Element of Z[F]: a finite Z-linear combination of words."""
+
+    __slots__ = ()
+    _key_mul = staticmethod(operator.mul)
+
+    @staticmethod
+    def _key(word):
+        if not isinstance(word, Word):
+            raise TypeError("group-ring keys must be Words")
+        return word
 
     @classmethod
     def zero(cls) -> "GroupRingElem":
@@ -137,31 +177,6 @@ class GroupRingElem:
     @classmethod
     def of_word(cls, w: Word, coeff: int = 1) -> "GroupRingElem":
         return cls(((w, coeff),))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "GroupRingElem") -> "GroupRingElem":
-        return GroupRingElem([*self.terms.items(), *other.terms.items()])
-
-    def __sub__(self, other: "GroupRingElem") -> "GroupRingElem":
-        return self + (-other)
-
-    def __neg__(self) -> "GroupRingElem":
-        return GroupRingElem({w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, other: "GroupRingElem") -> "GroupRingElem":
-        return GroupRingElem(
-            (wa * wb, ca * cb) for wa, ca in self.terms.items() for wb, cb in other.terms.items()
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupRingElem):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:

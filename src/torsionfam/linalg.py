@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import operator
 
+from .scalars import _Frozen
+
 __all__ = ["Matrix"]
 
 
-class Matrix:
+class Matrix(_Frozen):
     """Immutable rows-of-tuples matrix with explicit shape."""
 
     __slots__ = ("nrows", "ncols", "rows", "_hash")
@@ -45,9 +47,6 @@ class Matrix:
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     # -- constructors -------------------------------------------------
 

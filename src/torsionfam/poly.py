@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import GaussRat, _parts, format_gauss, gauss_from_parts, gauss_parts
+from .scalars import GaussRat, _Exact, _parts, format_gauss, gauss_from_parts, gauss_parts
 
 __all__ = ["Poly", "poly_gcd", "format_poly", "parse_poly"]
 
@@ -79,7 +79,7 @@ def _scaled(re, im, den: int, cr: int, ci: int, cd: int) -> "Poly":
     )
 
 
-class Poly:
+class Poly(_Exact):
     """Polynomial in ``t`` with Gaussian-rational coefficients.  Immutable."""
 
     __slots__ = ("re", "im", "den")
@@ -89,9 +89,6 @@ class Poly:
         _set(self, "re", p.re)
         _set(self, "im", p.im)
         _set(self, "den", p.den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -112,13 +109,6 @@ class Poly:
     def constant(cls, c) -> "Poly":
         x, y, d = _parts(c)
         return _make([x], [y], d)
-
-    @classmethod
-    def coerce(cls, x) -> "Poly":
-        out = cls._try_coerce(x)
-        if out is None:
-            raise TypeError(f"cannot coerce {type(x).__name__} to Poly")
-        return out
 
     @classmethod
     def _try_coerce(cls, x):
@@ -144,7 +134,7 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.re
 
-    def __bool__(self) -> bool:
+    def __bool__(self) -> bool:  # tested in the inner loops of _product, _sum, poly_gcd
         return bool(self.re)
 
     def leading(self) -> GaussRat:
@@ -203,12 +193,6 @@ class Poly:
             return NotImplemented
         return self._add(other, -1)
 
-    def __rsub__(self, other):
-        other = Poly._try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return other._add(self, -1)
-
     def __neg__(self):
         return _raw(
             tuple(-x for x in self.re), tuple(-y for y in self.im), self.den
@@ -242,14 +226,7 @@ class Poly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial exponent must be a non-negative integer")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return self._power(n)
 
     def _divide(self, other, want_quotient: bool):
         """Quotient (or None) and remainder of division by ``other``.

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import Poly, format_poly, parse_poly, poly_gcd
-from .scalars import GaussRat
+from .scalars import GaussRat, _Exact
 
 __all__ = [
     "RatFunc",
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-class RatFunc:
+class RatFunc(_Exact):
     """Element of Q(i)(t) in reduced, monic-denominator form."""
 
     __slots__ = ("num", "den")
@@ -56,9 +56,6 @@ class RatFunc:
             num, den = _over_monic(*_cancel(num, den, poly_gcd(num, den)))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
 
     @classmethod
     def _reduced(cls, num: Poly, den: Poly) -> "RatFunc":
@@ -84,13 +81,6 @@ class RatFunc:
         return cls._reduced(Poly.var(), Poly.one())
 
     @classmethod
-    def coerce(cls, x) -> "RatFunc":
-        out = cls._try_coerce(x)
-        if out is None:
-            raise TypeError(f"cannot coerce {type(x).__name__} to RatFunc")
-        return out
-
-    @classmethod
     def _try_coerce(cls, x):
         if isinstance(x, RatFunc):
             return x
@@ -102,9 +92,6 @@ class RatFunc:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def __bool__(self) -> bool:
-        return not self.num.is_zero()
 
     def is_constant(self) -> bool:
         return self.num.degree <= 0 and self.den.degree == 0
@@ -125,12 +112,6 @@ class RatFunc:
             return NotImplemented
         return _sum(self.num, self.den, -other.num, other.den)
 
-    def __rsub__(self, other):
-        other = RatFunc._try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __neg__(self):
         return RatFunc._reduced(-self.num, self.den)
 
@@ -150,27 +131,14 @@ class RatFunc:
             raise ZeroDivisionError("division by the zero function")
         return _product(self.num, self.den, *_over_monic(other.den, other.num))
 
-    def __rtruediv__(self, other):
-        other = RatFunc._try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
         if n < 0:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of the zero function")
-            return (RatFunc.one() / self) ** (-n)
-        result = RatFunc.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return (RatFunc.one() / self)._power(-n)
+        return self._power(n)
 
     def conj(self) -> "RatFunc":
         """Coefficientwise Gaussian conjugation, t fixed; an involution."""

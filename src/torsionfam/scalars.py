@@ -14,6 +14,12 @@ the imaginary part, e.g. ``1/2-3/4i``, ``i``, ``-2i``, ``5/3``.
 Spaces are tolerated anywhere; :func:`parse_gauss` and
 :func:`format_gauss` round-trip exactly.  Every number of every input
 format is read here, straight into integers (:func:`gauss_parts`).
+
+``GaussRat``, ``Poly`` and ``RatFunc`` share one protocol, written once
+in ``_Exact``: ``coerce`` from ``_try_coerce``, truth from ``is_zero``,
+reflected ``-`` and ``/`` from the forward operators, and powers by
+square-and-multiply; each keeps its own kernels and exponent rules.
+``_Frozen`` is the immutability guard of every value class.
 """
 
 from __future__ import annotations
@@ -46,6 +52,55 @@ _GAUSS = re.compile(
 _set = object.__setattr__
 
 
+class _Frozen:
+    """Immutable: fields are set once, through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class _Exact(_Frozen):
+    """The value protocol of GaussRat, Poly and RatFunc.  A subclass
+    provides ``_try_coerce`` (the value or None), ``is_zero``, ``one``
+    and the forward operators."""
+
+    __slots__ = ()
+
+    @classmethod
+    def coerce(cls, x):
+        out = cls._try_coerce(x)
+        if out is None:
+            raise TypeError(f"cannot coerce {type(x).__name__} to {cls.__name__}")
+        return out
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    def __rsub__(self, other):
+        other = self._try_coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __rtruediv__(self, other):
+        other = self._try_coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / self
+
+    def _power(self, n: int):
+        """self ** n for an integer n >= 0, by square-and-multiply."""
+        result, base = self.one(), self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+
 def gauss_from_parts(re: int, im: int, den: int) -> "GaussRat":
     """The GaussRat (re + im*i)/den, for integers with den > 0."""
     if den != 1:
@@ -66,7 +121,7 @@ def _parts(x) -> tuple[int, int, int]:
     raise TypeError(f"cannot coerce {type(x).__name__} to GaussRat")
 
 
-class GaussRat:
+class GaussRat(_Exact):
     """An element of Q(i).  Immutable and hashable."""
 
     __slots__ = ("parts",)
@@ -79,9 +134,6 @@ class GaussRat:
         q, s = re.denominator, im.denominator
         d = q if q == s else lcm(q, s)
         _set(self, "parts", (re.numerator * (d // q), im.numerator * (d // s), d))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussRat is immutable")
 
     @property
     def re(self) -> Fraction:
@@ -106,13 +158,6 @@ class GaussRat:
         return cls(0, 1)
 
     @classmethod
-    def coerce(cls, x) -> "GaussRat":
-        out = cls._try_coerce(x)
-        if out is None:
-            raise TypeError(f"cannot coerce {type(x).__name__} to GaussRat")
-        return out
-
-    @classmethod
     def _try_coerce(cls, x):
         if isinstance(x, GaussRat):
             return x
@@ -124,9 +169,6 @@ class GaussRat:
 
     def is_zero(self) -> bool:
         return not self.parts[0] and not self.parts[1]
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
 
     # -- arithmetic ---------------------------------------------------
 
@@ -144,12 +186,6 @@ class GaussRat:
         if other is None:
             return NotImplemented
         return self + -other
-
-    def __rsub__(self, other):
-        other = GaussRat._try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + -self
 
     def __neg__(self):
         a, b, d = self.parts
@@ -175,25 +211,12 @@ class GaussRat:
             raise ZeroDivisionError("division by zero in Q(i)")
         return gauss_from_parts((a * c + b * e) * f, (b * c - a * e) * f, d * n2)
 
-    def __rtruediv__(self, other):
-        other = GaussRat._try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
         if n < 0:
-            return GaussRat.one() / self ** (-n)
-        result = GaussRat.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return GaussRat.one() / self._power(-n)
+        return self._power(n)
 
     def conj(self) -> "GaussRat":
         """Complex conjugate; an involution."""

@@ -43,3 +43,22 @@ def test_every_traced_target_resolves_to_a_package_function():
     # the tracer wraps every alias of a method in its class; scalars.mul
     # counts both sides of a product only while __rmul__ is __mul__
     assert GaussRat.__rmul__ is GaussRat.__mul__
+
+
+def test_every_traced_method_is_bound_in_its_own_class():
+    """``tracing.install`` rebinds a method only where ``vars(owner)`` holds
+    it, so a traced method a class inherits would go silently uncounted."""
+    tracing = load_tracing()
+    modules = {
+        name: mod
+        for name, mod in sys.modules.items()
+        if name == "torsionfam" or name.startswith("torsionfam.")
+    }
+    methods = 0
+    for group, (_, _, targets) in tracing.GROUPS.items():
+        for dotted in targets:
+            owner, attr = tracing._resolve(modules, dotted)
+            if isinstance(owner, type):
+                assert attr in vars(owner), f"{group}: {dotted} is inherited"
+                methods += 1
+    assert methods >= 1

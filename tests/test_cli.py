@@ -22,6 +22,14 @@ def test_jobspec_validation():
         JobSpec(command="frobnicate")
 
 
+def test_jobspec_needs_input_files_except_selftest():
+    """Each command reports on one file at a time, so a job names its files."""
+    with pytest.raises(ValueError, match="torsion takes an input file"):
+        JobSpec(command="torsion")
+    with pytest.raises(ValueError, match="selftest takes no input file"):
+        JobSpec(command="selftest", input_paths=("a.cplx",))
+
+
 def test_torsion_circle(capsys):
     code, out, err = invoke(capsys, "torsion", str(DATA / "circle.cplx"))
     assert code == 0
@@ -475,4 +483,23 @@ def test_multi_file_error_without_a_path_is_led_by_its_file(capsys, tmp_path):
     message = f"{bad}: relator 'x0 x1' is not respected by the representation"
     assert err == f"torsionfam: error: {message}\n"
     assert f"note error: {message}\n" in out
+    assert f"check {good}:generically-acyclic pass" in out
+
+
+def test_long_relators_are_refused_before_the_fox_pass(capsys, tmp_path):
+    """x^50 y^50 x^-50 y^-50 over the torus2 images is respected, but its
+    Fox pass runs for minutes; the loader refuses it at the relator."""
+    text = (DATA / "torus2.pres").read_text()
+    slow = tmp_path / "slow.pres"
+    slow.write_text(text.replace("relator x y x^-1 y^-1", "relator x^50 y^50 x^-50 y^-50"))
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "torsion", str(slow))
+    assert code == 2 and time.perf_counter() - start < 2
+    cap = "relators reach degree 200, past the cap of 100"
+    assert err == f"torsionfam: error: {slow}:3: {cap}\n" and out == ""
+    good = DATA / "torus2.pres"
+    code, out, err = invoke(capsys, "torsion", str(slow), str(good), "--format", "structured")
+    assert code == 2
+    assert err == f"torsionfam: error: {slow}:3: {cap}\n"
+    assert f"note error: {slow}:3: {cap}\n" in out
     assert f"check {good}:generically-acyclic pass" in out

@@ -6,6 +6,7 @@ from torsionfam.corpus import acceptance_corpus, circle_family, torus3_family
 from torsionfam.eta import ArgPairing, EtaProfile, JumpRecord
 from torsionfam.fileio import (
     MAX_RANK,
+    MAX_RELATOR_DEGREE,
     MAX_SEIFERT_ENTRY_DIGITS,
     MAX_SEIFERT_RANK,
     ParseError,
@@ -21,7 +22,9 @@ from torsionfam.fileio import (
 from torsionfam.groupring import MAX_WORD_LETTERS, RepFamily, parse_word
 from torsionfam.knots import bundled_knots
 from torsionfam.linalg import Matrix
-from torsionfam.ratfunc import cayley
+from torsionfam.ratfunc import RatFunc, cayley
+
+ZERO = RatFunc.zero()
 
 
 def test_complex_round_trip_with_duality():
@@ -181,6 +184,47 @@ def test_size_caps_fail_fast():
         load_presentation(knot.replace("knot v1", "presentation v1"))
     with pytest.raises(ValueError, match="cap of"):
         parse_word(" ".join(["x^5000"] * 3), ["x"])
+
+
+def _power_commutators(rank: int, powers) -> str:
+    """A presentation with one relator x^n y^n x^-n y^-n per power n; its
+    images are diagonal unitary Cayley values, of degree 1 in every entry."""
+    names = ["x", "y"]
+    speeds = ((1, 2, 3)[:rank], (Fraction(1, 2), 3, 5)[:rank])  # of x, of y
+    images = tuple(
+        Matrix([[cayley(s) if a == b else ZERO for b in range(rank)] for a, s in enumerate(row)])
+        for row in speeds
+    )
+    rels = [parse_word(f"x^{n} y^{n} x^-{n} y^-{n}", names) for n in powers]
+    return dump_presentation(names, rels, RepFamily(rank=rank, images=images, unitary=True))
+
+
+def test_relator_degree_cap_counts_rank_and_every_relator():
+    assert MAX_RELATOR_DEGREE == 100
+    # the bound is rank * (sum over relators of 4n letters of degree 1)
+    accepted = [(1, [25]), (1, [12, 12, 1]), (2, [12]), (3, [8])]
+    refused = [(1, [26], 3), (1, [12, 12, 2], 5), (2, [13], 3), (2, [6, 7], 4), (3, [9], 3)]
+    for rank, powers in accepted:
+        names, relators, rho = load_presentation(_power_commutators(rank, powers), "p.pres")
+        assert len(relators) == len(powers) and rho.rank == rank
+    for rank, powers, lineno in refused:
+        with pytest.raises(ParseError, match=f"past the cap of {MAX_RELATOR_DEGREE}") as info:
+            load_presentation(_power_commutators(rank, powers), "p.pres")
+        assert info.value.lineno == lineno
+    with pytest.raises(ParseError, match="relators reach degree 104,"):
+        load_presentation(_power_commutators(1, [26]))
+    # an inverse letter counts the degree of the inverse image: here 2, not 1
+    shear = (
+        "presentation v1\ngenerators x\nrelator {}\n"
+        "rep rank 2\nimage x\n[0,1] [1]\n[-1] [0,1]\nend\n"
+    )
+    for word in ("x^50", "x^-25"):
+        load_presentation(shear.format(word))
+    with pytest.raises(ParseError, match="relators reach degree 104,"):
+        load_presentation(shear.format("x^-26"))
+    # images of degree 0 add nothing: the word cap alone bounds them
+    constant = "presentation v1\ngenerators x\nrelator x^4000\nrep rank 1\nimage x\n[i]\nend\n"
+    assert len(load_presentation(constant)[1][0]) == 4000
 
 
 def test_negative_complex_rank_reported_at_the_ranks_line():
