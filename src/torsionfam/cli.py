@@ -16,12 +16,10 @@ runs on identical inputs.  Exit status is 0 when every check passes,
 from __future__ import annotations
 
 import argparse
-import math
 import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
 from typing import Optional
 
 from . import __version__
@@ -58,7 +56,7 @@ from .fileio import (
 from .groupring import GroupRingElem, Word, fox_derivative
 from .knots import alexander_from_fox, bundled_knots, conway_from_seifert, conway_normalize
 from .linalg import Matrix
-from .poly import Poly
+from .poly import rational_real_roots
 from .ratfunc import RatFunc, cayley, conj_family
 from .scalars import GaussRat, format_gauss, parse_gauss
 
@@ -136,132 +134,10 @@ class Report:
 # -- degeneration point discovery -------------------------------------------
 
 
-# Largest number of (numerator, denominator) divisor pairs the rational
-# root search of ``--t0 auto`` will try.
-AUTO_CANDIDATE_CAP = 20_000
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs of 0 < n <= 10**12, ascending: trial division up to
-    the cube root of what is left leaves 1, p, p^2 or p*q, split by Pollard's rho."""
-    if n > 10**12:
-        raise ValueError("auto discovery infeasible: coefficients too large, supply --t0")
-    factors, p = [], 2
-    while p * p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            factors.append((p, e))
-        p += 1
-    root = math.isqrt(n)
-    if root * root == n > 1:
-        factors.append((root, 2))
-    elif _is_prime(n):
-        factors.append((n, 1))
-    elif n > 1:
-        p = _rho_factor(n)
-        p, q = sorted((p, n // p))
-        if p * q != n or not (_is_prime(p) and _is_prime(q)):
-            raise ArithmeticError(f"Pollard's rho split {n} wrongly")
-        factors += [(p, 1), (q, 1)]
-    return factors
-
-
-def _rho_factor(n: int) -> int:
-    """A proper factor of a composite n that has no small factor: Pollard's
-    rho with Brent's cycle search, retried with the next constant on failure."""
-    for c in count(1):
-        x = y = 2
-        power = steps = g = 1
-        while g == 1:
-            if steps == power:
-                x, power, steps = y, 2 * power, 0
-            y = (y * y + c) % n
-            steps += 1
-            g = math.gcd(x - y, n)
-        if g != n:
-            return g
-
-
-def _divisor_count(n: int) -> int:
-    """Number of divisors of n > 0, without listing them."""
-    return math.prod(e + 1 for _, e in _factorize(n))
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with bases 2 to 17, deterministic below 3.4 * 10**14."""
-    bases = (2, 3, 5, 7, 11, 13, 17)
-    if n < 2 or n in bases:
-        return n in bases
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
-    d = (n - 1) >> s
-    for a in bases:
-        x = pow(a, d, n)
-        if x == 1:
-            continue
-        for _ in range(s):
-            if x == n - 1:
-                break
-            x = x * x % n
-        else:
-            return False
-    return True
-
-
-def _integer_divisors(n: int) -> list[int]:
-    divisors = [1]
-    for p, e in _factorize(n):
-        divisors = [d * p**k for d in divisors for k in range(e + 1)]
-    return sorted(divisors)
-
-
-def rational_real_roots(p: Poly) -> tuple[list[Fraction], int]:
-    """Real rational roots of a Q(i) polynomial, with leftover degree.
-
-    Returns (roots, leftover) where roots lists each distinct real
-    rational root and leftover is the degree still unaccounted for
-    after dividing out those roots with multiplicity; a positive
-    leftover means zeros outside the exact rational search (complex or
-    irrational).  A root a/b of the integer polynomial p * conj(p),
-    divided by its content, has a | constant term and b | leading
-    term; more than AUTO_CANDIDATE_CAP such pairs is refused.
-    """
-    if p.is_zero():
-        raise ValueError("root search on the zero polynomial")
-    # strip zero roots
-    t_zero_mult = p.valuation_at(GaussRat.zero())
-    roots = [Fraction(0)] if t_zero_mult else []
-    work = p
-    for _ in range(t_zero_mult):
-        work = work // Poly.var()
-    if work.degree == 0:
-        return roots, 0
-    # p * conj(p) is real; its numerators over the content are integers
-    ints = (work * work.conj()).re
-    content = math.gcd(*ints)
-    const, lead = ints[0] // content, ints[-1] // content
-    pairs = _divisor_count(const) * _divisor_count(lead)
-    if pairs > AUTO_CANDIDATE_CAP:
-        raise ValueError(
-            f"auto discovery infeasible: {pairs} divisor pairs "
-            f"exceed the cap of {AUTO_CANDIDATE_CAP}, supply --t0"
-        )
-    tops, bottoms = _integer_divisors(const), _integer_divisors(lead)
-    candidates = {Fraction(sign * a, b) for a in tops for b in bottoms for sign in (1, -1)}
-    found = [r for r in sorted(candidates) if work.evaluate(GaussRat(r)).is_zero()]
-    accounted = t_zero_mult + sum(work.valuation_at(GaussRat(r)) for r in found)
-    roots.extend(found)
-    return sorted(roots), p.degree - accounted
-
-
 def discover_centers(value: RatFunc) -> tuple[list[Fraction], int]:
     """Real rational zeros and poles of a torsion value, with leftovers."""
     roots_num, left_num = rational_real_roots(value.num)
-    roots_den, left_den = ([], 0)
-    if value.den.degree > 0:
-        roots_den, left_den = rational_real_roots(value.den)
+    roots_den, left_den = rational_real_roots(value.den)
     centers = sorted(set(roots_num) | set(roots_den))
     return centers, left_num + left_den
 

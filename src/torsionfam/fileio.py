@@ -17,7 +17,7 @@ from typing import Optional
 
 from .complexes import BasedChainComplex
 from .eta import ArgPairing, EtaProfile, JumpRecord
-from .groupring import RepFamily, Word, parse_word, presentation_complex
+from .groupring import RepFamily, Word, parse_word, presentation_complex, specialize_word
 from .knots import KnotPresentation, SeifertMatrix
 from .linalg import Matrix
 from .ratfunc import RatFunc, format_ratfunc, parse_ratfunc
@@ -233,6 +233,12 @@ def load_presentation(
     text: str, path: str = "<presentation>"
 ) -> tuple[list[str], list[Word], RepFamily]:
     """Parse generator names, relators, and a representation family."""
+    names, relators, rho = _read_presentation(text, path)
+    return names, [rel for _, rel in relators], rho
+
+
+def _read_presentation(text: str, path: str):
+    """:func:`load_presentation`, with each relator's line number."""
     reader = _Reader(text, path)
     _expect_header(reader, "presentation v1")
     lineno, names = _keyword_line(reader, "generators name ...", more=True)
@@ -277,16 +283,21 @@ def load_presentation(
         if bound > MAX_RELATOR_DEGREE:
             cap = MAX_RELATOR_DEGREE
             reader.error(lineno, f"relators reach degree {bound}, past the cap of {cap}")
-    return names, [rel for _, rel in relators], rho
+    return names, relators, rho
 
 
 def _load_family(text: str, path: str) -> tuple[BasedChainComplex, Optional[list[Matrix]]]:
     """A complex file through :func:`load_complex`, or a presentation file
     pushed through the twisted complex of its presentation, which carries
-    no duality section; the header line decides which."""
+    no duality section; the header line decides which.  A relator the
+    representation does not respect is reported at its line."""
     if _Reader(text, path).peek_line() == "presentation v1":
-        names, relators, rho = load_presentation(text, path)
-        return presentation_complex(len(names), relators, rho), None
+        names, relators, rho = _read_presentation(text, path)
+        ident = Matrix.identity(rho.rank, RatFunc.one(), _ZERO)
+        for lineno, rel in relators:
+            if specialize_word(rel, rho) != ident:
+                raise ParseError(path, lineno, "relator is not respected by the representation")
+        return presentation_complex(len(names), [rel for _, rel in relators], rho), None
     return load_complex(text, path)
 
 

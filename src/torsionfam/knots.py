@@ -51,6 +51,8 @@ __all__ = [
     "bundled_knots",
 ]
 
+_ZERO = RatFunc.zero()
+
 
 class LaurentInt(_GroupRing):
     """Integer Laurent polynomial: an element of the group ring Z[t, 1/t]
@@ -216,7 +218,7 @@ def _laurent_ratfunc(terms: dict[int, int]) -> RatFunc:
     numerator over t^-lo, coprime to it because its constant term is nonzero."""
     exps = [e for e, c in terms.items() if c]
     if not exps:
-        return RatFunc.zero()
+        return _ZERO
     lo, hi = min(0, *exps), max(exps)
     re = tuple(terms.get(e, 0) for e in range(lo, hi + 1))
     den = _raw((0,) * -lo + (1,), (0,) * (1 - lo), 1)  # t^-lo

@@ -18,17 +18,19 @@ one number, so ``coeffs``, ``coeff`` and ``evaluate`` hand out
 (re, im, den) in lowest terms, and a point t0 is read as its triple.
 
 Coefficients live in Q(i), so division is exact and gcds are
-normalized monic.
+normalized monic.  :func:`rational_real_roots` finds the real rational
+roots q-adically, on integers alone, without factoring any of them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import count
+from math import gcd, isqrt, lcm
 
 from .scalars import GaussRat, _Exact, _parts, format_gauss, gauss_from_parts, gauss_parts
 
-__all__ = ["Poly", "poly_gcd", "format_poly", "parse_poly"]
+__all__ = ["Poly", "poly_gcd", "rational_real_roots", "format_poly", "parse_poly"]
 
 _set = object.__setattr__
 
@@ -402,6 +404,51 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         if b:
             b = b.monic()
     return a.monic() if a else a
+
+
+def rational_real_roots(p: Poly) -> tuple[list[Fraction], int]:
+    """Real rational roots of a nonzero polynomial, with leftover degree.
+
+    Returns the distinct real rational roots, ascending, and the degree
+    of p left after dividing them out with multiplicity; a positive
+    leftover means zeros that are irrational or not real.  A real root
+    is a root of the real and of the imaginary numerators, so the search
+    runs on the numerators c of the imaginary part (of the real part
+    when p is real), zero roots stripped, made square-free.  A root a/b
+    of c has a | c_0 and b | c_n.  The roots are found q-adically (Loos,
+    SIAM J. Comput. 12, 1983; von zur Gathen and Gerhard, Modern
+    Computer Algebra, 15.4): q is the first prime not dividing c_n at
+    which every root of c mod q is simple, and Newton steps lift each
+    root r mod q modulo q^(2^j) until the modulus m exceeds 2|c_0 c_n|.
+    Then c_n * a/b, an integer of absolute value at most |c_0 c_n|, is
+    the symmetric residue of c_n * r mod m.  A candidate is kept only if
+    p vanishes there exactly.
+    """
+    if not p.re:
+        raise ValueError("root search on the zero polynomial")
+    roots = [] if p.re[0] or p.im[0] else [Fraction(0)]
+    c = p.im if any(p.im) else p.re
+    c = Poly(c[next(k for k, x in enumerate(c) if x):])
+    c = c // poly_gcd(c, Poly([k * x for k, x in enumerate(c.re)][1:]))
+    dc = Poly([k * x for k, x in enumerate(c.re)][1:])
+    lead = c.re[-1]
+    for q in count(2):
+        if lead % q and all(q % d for d in range(2, isqrt(q) + 1)):
+            residues = [r for r in range(q) if not c.value_parts(r)[0] % q]
+            if all(dc.value_parts(r)[0] % q for r in residues):
+                break
+    bound = 2 * abs(c.re[0] * lead)
+    for r in residues:
+        m = q
+        while m <= bound:
+            m *= m
+            r = (r - c.value_parts(r)[0] * pow(dc.value_parts(r)[0], -1, m)) % m
+        s = lead * r % m
+        x = Fraction(s - m if 2 * s > m else s, lead)
+        if p.evaluate(x).is_zero():
+            roots.append(x)
+    roots.sort()
+    return roots, p.degree - sum(p.valuation_at(x) for x in roots)
 
 
 def format_poly(p: Poly) -> str:

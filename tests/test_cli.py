@@ -1,3 +1,4 @@
+import math
 import time
 from pathlib import Path
 
@@ -252,80 +253,55 @@ def test_auto_discovery_divides_out_the_content(capsys, tmp_path):
 
 
 def test_auto_discovery_refuses_too_many_candidates(capsys, tmp_path):
-    start = time.perf_counter()
-    code, _, err = invoke(
+    """A candidate cap once refused this file (13,286,025 divisor pairs);
+    the q-adic search has no cap and answers with the leftover note."""
+    code, out, err = invoke(
         capsys, "torsion", str(_one_boundary(tmp_path, "wide", "720720,1,720720")),
+        "--format", "structured",
     )
-    assert code == 2
-    assert "auto discovery infeasible" in err and "supply --t0" in err
-    assert time.perf_counter() - start < 5.0
+    assert code == 0 and err == ""
+    assert "valuation" not in out
+    assert "note 2 zero/pole degrees of the torsion lie outside exact rational search" in out
 
 
 def test_auto_discovery_refuses_before_listing_divisors(capsys, tmp_path):
-    """The cap is applied to divisor counts, so a refusal is immediate."""
+    """The file the cap refused at once is answered at once."""
     path = str(_one_boundary(tmp_path, "wide", "720720,1,720720"))
     start = time.perf_counter()
     code, _, err = invoke(capsys, "torsion", path)
     elapsed = time.perf_counter() - start
-    assert code == 2
-    assert err == (
-        "torsionfam: error: auto discovery infeasible: 13286025 divisor pairs "
-        "exceed the cap of 20000, supply --t0\n"
-    )
+    assert code == 0 and err == ""
     assert elapsed < 0.05
 
 
-def _trial_divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def test_divisor_count_matches_listing():
+def test_auto_discovery_on_degree_40_with_40_digit_coefficients(capsys, tmp_path):
     import random
 
-    from torsionfam.cli import _divisor_count, _integer_divisors, _is_prime
+    rng = random.Random(1640)
 
-    rng = random.Random(71)
-    for n in list(range(1, 400)) + [rng.randrange(1, 10**5) for _ in range(100)]:
-        assert _integer_divisors(n) == _trial_divisors(n)
-        assert _divisor_count(n) == len(_trial_divisors(n))
-        assert _is_prime(n) == (len(_trial_divisors(n)) == 2)
-    # strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5; 2, 3, 5, 7; and 2, 13, 23
-    for n in (2047, 1373653, 25326001, 3215031751, 1122004669633):
-        assert not _is_prime(n)
-    big_p, big_q = 999983, 999979  # primes just below 10**6
-    assert _is_prime(big_p) and _is_prime(999999999989)
-    for n, count in ((big_p * big_q, 4), (big_p**2, 3), (999999999989, 2),
-                     (10**12, 169), (720720, 240), (2**39, 40), (7**14, 15)):
-        assert _divisor_count(n) == count
-    with pytest.raises(ValueError, match="coefficients too large"):
-        _divisor_count(10**12 + 1)
+    def poly():
+        return ",".join(str(rng.choice((1, -1)) * rng.randrange(10**39, 10**40))
+                        for _ in range(41))
 
-
-def _squarefree(*primes):
-    from itertools import combinations
-    from math import prod
-
-    return sorted(prod(c) for k in range(len(primes) + 1) for c in combinations(primes, k))
-
-
-@pytest.mark.parametrize(
-    "n, expected",
-    [
-        (999983**2, [1, 999983, 999983**2]),  # cofactor p^2, read directly
-        (999983 * 999979, _squarefree(999979, 999983)),  # cofactor p*q, split by rho
-        (7 * 999983, _squarefree(7, 999983)),  # cofactor p after trial division
-        (2 * 3 * 101 * 1009 * 9973, _squarefree(2, 3, 101, 1009, 9973)),
-    ],
-)
-def test_integer_divisors_from_the_factorization(n, expected):
-    from torsionfam.cli import _divisor_count, _integer_divisors
-
+    path = tmp_path / "big.cplx"
+    path.write_text(f"complex v1\nranks 1 1\nboundary 1\n[{poly()}]/[{poly()}]\nend\n")
     start = time.perf_counter()
-    divisors = _integer_divisors(n)
-    elapsed = time.perf_counter() - start
-    assert divisors == expected
-    assert _divisor_count(n) == len(expected)
-    assert elapsed < 0.01
+    code, out, err = invoke(capsys, "torsion", str(path), "--format", "structured")
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and err == ""
+    assert "note 80 zero/pole degrees of the torsion lie outside" in out
+
+
+def test_auto_discovery_when_every_prime_below_100_divides_the_lead(capsys, tmp_path):
+    """(P t - 1)(t - 3), P the product of the primes below 100: the search
+    must take a prime of at least 101."""
+    lead = math.prod(p for p in range(2, 100) if all(p % d for d in range(2, p)))
+    path = _one_boundary(tmp_path, "primorial", f"3,{-3 * lead - 1},{lead}")
+    code, out, err = invoke(capsys, "torsion", str(path), "--format", "structured")
+    assert code == 0 and err == ""
+    assert [line for line in out.splitlines() if "valuation" in line] == [
+        f"item torsion.valuation.1/{lead} 1", "item torsion.valuation.3 1",
+    ]
 
 
 def _break_calibration(monkeypatch, nu=3):
@@ -474,13 +450,32 @@ def test_multi_file_run_matches_its_single_file_runs(capsys):
 
 
 def test_multi_file_error_without_a_path_is_led_by_its_file(capsys, tmp_path):
+    pole = tmp_path / "pole.cplx"
+    pole.write_text("complex v1\nranks 1 1\nboundary 1\n[1]/[0,1]\nend\n")
+    good = DATA / "circle.cplx"
+    code, out, err = invoke(
+        capsys, "analyze", str(pole), str(good), "--t0", "0", "--format", "structured"
+    )
+    assert code == 2
+    message = f"{pole}: matrix not defined over the local ring"
+    assert err == f"torsionfam: error: {message}\n"
+    assert f"note error: {message}\n" in out
+    assert f"check {good}:0:nu-equals-chi pass" in out
+
+
+def test_unrespected_relator_is_named_by_file_and_line(capsys, tmp_path):
+    """The error names the relator's line, not its letters (x^100 expands
+    to 100 of them), in single-file and multi-file runs alike."""
     bad = tmp_path / "bad.pres"
-    text = (DATA / "torus2.pres").read_text().replace("relator x y x^-1 y^-1", "relator x y")
+    text = (DATA / "torus2.pres").read_text().replace("relator x y x^-1 y^-1", "relator x^100")
     bad.write_text(text)
+    message = f"{bad}:3: relator is not respected by the representation"
+    for command in ("torsion", "analyze"):
+        code, out, err = invoke(capsys, command, str(bad))
+        assert (code, out, err) == (2, "", f"torsionfam: error: {message}\n")
     good = DATA / "circle.cplx"
     code, out, err = invoke(capsys, "torsion", str(bad), str(good), "--format", "structured")
     assert code == 2
-    message = f"{bad}: relator 'x0 x1' is not respected by the representation"
     assert err == f"torsionfam: error: {message}\n"
     assert f"note error: {message}\n" in out
     assert f"check {good}:generically-acyclic pass" in out

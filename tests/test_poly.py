@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from fraction_poly import FractionPoly, fraction_poly_gcd
 
-from torsionfam.poly import Poly, format_poly, parse_poly, poly_gcd
+from torsionfam.poly import Poly, format_poly, parse_poly, poly_gcd, rational_real_roots
 from torsionfam.scalars import GaussRat
 
 
@@ -267,3 +268,127 @@ def test_equal_values_have_equal_fields_and_hashes():
             assert other == a
             assert (other.re, other.im, other.den) == (a.re, a.im, a.den)
             assert hash(other) == hash(a)
+
+
+# -- real rational roots against the divisor search -------------------------
+
+
+def _divisors(n):
+    """Every positive divisor of n != 0, by trial division."""
+    n, divisors, d = abs(n), [1], 2
+    while n > 1:
+        if d * d > n:
+            d = n
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            divisors = [x * d**k for x in divisors for k in range(e + 1)]
+        d += 1
+    return divisors
+
+
+def _divisor_search(p):
+    """Reference for rational_real_roots: tries 0 and every +-a/b in lowest
+    terms with a | c_0 and b | c_n, for c the real numerators of p (the
+    imaginary ones when p is imaginary) with the zero roots stripped."""
+    c = p.re if any(p.re) else p.im
+    c = c[next(k for k, x in enumerate(c) if x):]
+    tops, bottoms = _divisors(c[0]), _divisors(c[-1])
+    candidates = [Fraction(0)] + [
+        Fraction(s * a, b) for a in tops for b in bottoms if gcd(a, b) == 1 for s in (1, -1)
+    ]
+    roots = sorted(x for x in candidates if p.evaluate(x).is_zero())
+    return roots, p.degree - sum(p.valuation_at(x) for x in roots)
+
+
+def _linear(x):
+    return Poly([-x, 1])
+
+
+def _planted_roots_poly(rng):
+    """Planted roots a/b with |a|, b <= 12 (multiplicity 1 to 3), irreducible
+    quadratic cofactors, zero roots, and one of: nothing, a Gaussian scalar,
+    a non-real root, or an imaginary part with a rational root of its own."""
+    p = Poly.one()
+    for _ in range(rng.randrange(4)):
+        p = p * _linear(Fraction(rng.randint(-12, 12), rng.randint(1, 12))) ** rng.randint(1, 3)
+    for _ in range(rng.randrange(3)):
+        b, c = rng.randint(-5, 5), rng.randint(-9, 9)
+        while b * b - 4 * c >= 0 and isqrt(b * b - 4 * c) ** 2 == b * b - 4 * c:
+            c += 1
+        p = p * Poly([c, b, rng.randint(1, 3)])
+    kind = rng.randrange(4)
+    if kind == 1:
+        p = p * GaussRat(rng.randint(1, 5), rng.randint(-5, 5))
+    elif kind == 2:
+        p = p * _linear(GaussRat(Fraction(rng.randint(-3, 3), 2), rng.choice((-1, 1, 2))))
+    elif kind == 3:
+        twist = _linear(Fraction(rng.randint(-12, 12), rng.randint(1, 12)))
+        p = p + twist * Poly([rng.randint(1, 5), rng.randint(-3, 3)]) * GaussRat(0, 1)
+    if rng.randrange(4) == 0:
+        p = p * Poly.var() ** rng.randint(1, 2)
+    if p.degree < 1:
+        p = p * _linear(Fraction(rng.randint(-12, 12), rng.randint(1, 12)))
+    return p
+
+
+def test_rational_roots_match_the_divisor_search():
+    rng = random.Random(81)
+    found = Counter()
+    for _ in range(1200):
+        p = _planted_roots_poly(rng)
+        roots, leftover = rational_real_roots(p)
+        assert (roots, leftover) == _divisor_search(p), p
+        found["zero root"] += Fraction(0) in roots
+        found["gaussian"] += any(p.im)
+        found["leftover"] += leftover > 0
+        found["multiple root"] += any(p.valuation_at(x) > 1 for x in roots)
+    assert min(found.values()) > 100, found
+
+
+def test_rational_roots_of_hand_picked_polynomials():
+    i = GaussRat(0, 1)
+    cases = [
+        (Poly([7]), [], 0),
+        (_linear(i), [], 1),
+        (_linear(Fraction(1, 2)) * _linear(i), [Fraction(1, 2)], 1),
+        # the imaginary part vanishes at 3, the real part does not
+        (_linear(1) * _linear(2) + _linear(3) * i, [], 2),
+        (Poly.var() ** 2 * _linear(Fraction(-3, 4)) ** 2, [Fraction(-3, 4), 0], 0),
+        (Poly([720720, 1, 720720]), [], 2),
+        (Poly([0, 0, i]) * _linear(5), [0, 5], 0),
+    ]
+    for p, roots, leftover in cases:
+        assert rational_real_roots(p) == (roots, leftover), p
+    with pytest.raises(ValueError, match="zero polynomial"):
+        rational_real_roots(Poly.zero())
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_lifting_bound_reads_back_the_largest_root(sign):
+    """(t - a)(n t + 1) has c_0 = -a and c_n = n, so its root a reaches the
+    read-back's limit |c_n a| = |c_0 c_n|: a modulus m > |c_0 c_n| does not
+    tell c_n a from c_n a - m, and m > 2 |c_0 c_n| does."""
+    for n in range(1, 8):
+        for a in range(1, 120):
+            p = _linear(sign * a) * Poly([1, n])
+            assert (p.re[0], p.re[-1]) == (-sign * a, n)
+            assert rational_real_roots(p) == (sorted({Fraction(sign * a), Fraction(-1, n)}), 0)
+
+
+def test_rational_roots_match_sympy_on_40_digit_roots():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(82)
+    for _ in range(12):
+        p = Poly([rng.randint(1, 10**40), 0, rng.randint(1, 10**40)])  # no real root
+        for _ in range(rng.randint(1, 3)):
+            a = rng.choice((1, -1)) * rng.randrange(10**39, 10**40)
+            p = p * _linear(Fraction(a, rng.randrange(1, 10**40))) ** rng.randint(1, 2)
+        p = p * p.den
+        content, factors = sympy.Poly(list(reversed(p.re)), t).factor_list()
+        linear = [(f, k) for f, k in factors if f.degree() == 1]
+        want = sorted(Fraction(-int(f.nth(0)), int(f.nth(1))) for f, _ in linear)
+        assert rational_real_roots(p) == (want, p.degree - sum(k for _, k in linear))
