@@ -176,7 +176,7 @@ def _read_text(path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"{path}: cannot read: {exc.strerror}") from exc
 
 
 def _cmd_torsion(job: JobSpec, path: str) -> Report:
@@ -455,7 +455,8 @@ def selftest(seed: int = 20250) -> Report:
     ok = True
     for _ in range(20):
         mat = random_local_matrix(rng, rng.randrange(1, 6), rng.randrange(1, 6))
-        ok = ok and snf_local(mat, 0, "first") == snf_local(mat, 0, "last")
+        back = mat.submatrix(range(mat.nrows - 1, -1, -1), range(mat.ncols - 1, -1, -1))
+        ok = ok and snf_local(mat, 0) == snf_local(back, 0)
     report.check("invariants.snf-pivots", ok)
 
     ok = True
@@ -478,9 +479,11 @@ def selftest(seed: int = 20250) -> Report:
 def run(job: JobSpec) -> Report:
     """Dispatch a job to its command implementation, one input file at a time.
 
-    A usage or parse error in a run of one file propagates.  In a run of
-    several, the file is left out of the report, with the error, led by
-    the file's path, in ``errors`` and a note, and the other files go on.
+    A usage or parse error in a file is led by the file's path once.  In
+    a run of one file it propagates, as a ``ValueError`` with the path
+    when it carried none.  In a run of several, the file is left out of
+    the report, with the error in ``errors`` and a note, and the other
+    files go on.
     """
     convention = job.options.get("convention", CONVENTION_TAG)
     if convention != CONVENTION_TAG:
@@ -488,14 +491,18 @@ def run(job: JobSpec) -> Report:
             f"unknown convention {convention!r}; only {CONVENTION_TAG} exists in v1"
         )
     command = _COMMANDS[job.command]
-    if len(job.input_paths) < 2:
-        return command(job, *job.input_paths)
+    if not job.input_paths:
+        return command(job)
     report = Report(job.command)
     for path in job.input_paths:
         try:
             part = command(job, path)
         except (ValueError, ZeroDivisionError) as exc:
-            error = str(exc) if str(exc).startswith(path) else f"{path}: {exc}"
+            error = str(exc) if str(exc).startswith(f"{path}:") else f"{path}: {exc}"
+            if len(job.input_paths) == 1:
+                if error == str(exc):
+                    raise
+                raise ValueError(error) from exc
             report.errors.append(error)
             report.note(f"error: {error}")
             continue

@@ -22,18 +22,20 @@ number of the local torsion modules (see the deformation module), with
 the circle family 0 -> R --(z-1)--> R -> 0 as the pinned example:
 its torsion is (z - 1)**(+1).
 
-Column subsets are chosen greedily (leftmost independent columns,
-ties broken by lowest index), so the output is deterministic including
-its sign.  A second, rightmost-scanning strategy is provided purely to
-let tests certify that the valuation does not depend on the choice.
-The completed staircase also certifies acyclicity: it completes
-exactly when the complex is generically acyclic.
+Column subsets are chosen greedily, scanning the columns from the left
+and keeping each one that raises the rank, so the output is
+deterministic including its sign.  That scan is the only one: tests
+show that the valuation does not depend on the choice by permuting the
+input's bases, not the scan (reversing every basis gives the staircase
+that scans from the right).  The completed staircase also certifies
+acyclicity: it completes exactly when the complex is generically
+acyclic.
 
 A complex is immutable, so what is derived from it alone is computed
-once and kept in a private memo on the object: the staircase and the
-torsion value of each strategy, and (filled by the deformation module)
-the parameter-independent part of each accepted duality pairing.  The
-memo lives and dies with the complex.
+once and kept in a private memo on the object: the staircase, the
+torsion value, and (filled by the deformation module) the
+parameter-independent part of each accepted duality pairing.  The memo
+lives and dies with the complex.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ class TorsionValue:
             raise ValueError("torsion value cannot be zero")
 
 
-def _staircase(c: BasedChainComplex, rightmost: bool):
+def _staircase(c: BasedChainComplex):
     """Eliminations of d_1 .. d_m on the rows left uncovered below.
 
     None when a step lacks full row rank or C_m is not used up, which
@@ -152,8 +154,7 @@ def _staircase(c: BasedChainComplex, rightmost: bool):
     uncovered = range(c.ranks[0])  # rows of degree k-1 not chosen there
     for k in range(1, c.top_degree + 1):
         mat = c.boundary(k)
-        order = range(mat.ncols - 1, -1, -1) if rightmost else range(mat.ncols)
-        step = _eliminate([list(mat.rows[j]) for j in uncovered], order)
+        step = _eliminate([list(mat.rows[j]) for j in uncovered], range(mat.ncols))
         if len(step[0]) != len(uncovered):
             return None
         steps.append(step)
@@ -170,64 +171,58 @@ def _memoized(c: BasedChainComplex, key, compute):
     return memo[key]
 
 
-def _steps(c: BasedChainComplex, rightmost: bool):
-    """The memoized staircase of one strategy."""
-    return _memoized(c, ("staircase", rightmost), lambda: _staircase(c, rightmost))
+def _steps(c: BasedChainComplex):
+    """The memoized staircase."""
+    return _memoized(c, "staircase", lambda: _staircase(c))
 
 
 def is_generically_acyclic(c: BasedChainComplex) -> bool:
     """Exactness over the rational function field.
 
     Equivalent to acyclicity of the evaluated complex for all but
-    finitely many parameter values.  Reads the memoized leftmost
-    staircase, the one ``torsion`` uses.
+    finitely many parameter values.  Reads the memoized staircase, the
+    one ``torsion`` uses.
     """
-    return _steps(c, rightmost=False) is not None
+    return _steps(c) is not None
 
 
-def _subset_determinants(c: BasedChainComplex, rightmost: bool) -> list[RatFunc]:
+def _subset_determinants(c: BasedChainComplex) -> list[RatFunc]:
     """Staircase determinants D_1 .. D_m of the subset algorithm.
 
     D_k is the product of the pivots that picked the columns, negated
-    when the row swaps and the sort of the picked columns have opposite
-    parity.  Raises when the complex is not generically acyclic.
+    when the number of row swaps is odd; the columns are picked in
+    ascending order, so no sort of them adds a sign.  Raises when the
+    complex is not generically acyclic.
     """
-    steps = _steps(c, rightmost)
+    steps = _steps(c)
     if steps is None:
         raise ValueError("torsion undefined: complex not generically acyclic")
     dets: list[RatFunc] = []
-    for picked, pivots, odd in steps:
+    for _, pivots, odd in steps:
         det = _ONE
         for pivot in pivots:
             det = det * pivot
-        inversions = sum(a > b for i, a in enumerate(picked) for b in picked[i + 1:])
-        dets.append(-det if odd != (inversions % 2 == 1) else det)
+        dets.append(-det if odd else det)
     return dets
 
 
-def torsion(c: BasedChainComplex, _strategy: str = "leftmost") -> TorsionValue:
+def torsion(c: BasedChainComplex) -> TorsionValue:
     """Sign-determined torsion of a generically acyclic complex.
 
     Deterministic: the same input yields the same value including its
-    sign.  ``_strategy`` ("leftmost" or "rightmost") switches the
-    column-subset scan and exists for the subset-independence checks;
-    the published convention is the leftmost scan.
+    sign, fixed by the leftmost staircase of ``FT-cal-1``.
 
-    The value and its staircase are memoized on the complex, one entry
-    per strategy, so repeated calls (``torsion_sign_at``,
-    ``singularity_exponent``, the deformation analysis at every point)
-    return the stored value.  A complex that is not generically acyclic
-    raises on every call.
+    The value and its staircase are memoized on the complex, so
+    repeated calls (``torsion_sign_at``, ``singularity_exponent``, the
+    deformation analysis at every point) return the stored value.  A
+    complex that is not generically acyclic raises on every call.
     """
-    if _strategy not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown subset strategy {_strategy!r}")
-    return _memoized(c, ("torsion", _strategy), lambda: _torsion(c, _strategy))
+    return _memoized(c, "torsion", lambda: _torsion(c))
 
 
-def _torsion(c: BasedChainComplex, strategy: str) -> TorsionValue:
-    dets = _subset_determinants(c, rightmost=strategy == "rightmost")
+def _torsion(c: BasedChainComplex) -> TorsionValue:
     value = _ONE
-    for k, d in enumerate(dets, start=1):
+    for k, d in enumerate(_subset_determinants(c), start=1):
         value = value * d if k % 2 == 1 else value / d
     return TorsionValue(value)
 

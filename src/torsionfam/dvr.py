@@ -140,25 +140,32 @@ class TorsionModuleSummary:
 
 @dataclass(frozen=True)
 class DeformationReport:
-    """Per-degeneration-point summary of a family complex."""
+    """Per-degeneration-point summary of a family complex.
+
+    Holds what the analysis found: the point, the torsion's exponent
+    ``nu`` there, the local torsion dimensions and the duality verdict.
+    Read off these: ``chi``, the Euler number of the dims; the parity of
+    the middle dim (None for even top degree); and ``sign_flip``, whether
+    the torsion changes sign across t0 (nu odd).
+    """
 
     t0: GaussRat
     nu: int
-    chi: int
     dims: TorsionModuleSummary
-    middle_dim_parity: Optional[int]
-    sign_flip: bool
     duality_ok: Optional[bool] = None
 
-    def __post_init__(self):
-        if self.chi != euler_number(self.dims):
-            raise ValueError("report chi disagrees with its dims")
-        if self.sign_flip != (self.nu % 2 == 1):
-            raise ValueError("sign_flip must equal the parity of nu")
+    @property
+    def chi(self) -> int:
+        return euler_number(self.dims)
+
+    @property
+    def middle_dim_parity(self) -> Optional[int]:
         mid = self.dims.middle_dim()
-        want = None if mid is None else mid % 2
-        if self.middle_dim_parity != want:
-            raise ValueError("middle_dim_parity disagrees with dims")
+        return None if mid is None else mid % 2
+
+    @property
+    def sign_flip(self) -> bool:
+        return self.nu % 2 == 1
 
 
 def _require_local(mat: Matrix, t0) -> None:
@@ -167,40 +174,31 @@ def _require_local(mat: Matrix, t0) -> None:
             raise ValueError("matrix not defined over the local ring")
 
 
-def snf_local(mat: Matrix, t0, strategy: str = "first") -> DivisorProfile:
+def snf_local(mat: Matrix, t0) -> DivisorProfile:
     """Elementary divisors of a matrix over the local ring at t0.
 
-    Pivots on an entry of minimal valuation, clears the rows below it
-    with transformations invertible over the local ring (every ratio
-    has valuation >= 0), and recurses on the rest; the pivot row is
-    never read again, so no column operations are needed.  ``strategy``
-    picks among minimal-valuation pivots ("first" or "last" in
-    row-major scan order); the result is pivot-order independent, and
-    tests assert exactly that.
+    Pivots on the first entry of least valuation in row-major order,
+    clears the rows below it with transformations invertible over the
+    local ring (every ratio has valuation >= 0), and recurses on the
+    rest; the pivot row is never read again, so no column operations
+    are needed.  The result does not depend on the pivot; tests assert
+    that on row- and column-permuted matrices.
     """
-    if strategy not in ("first", "last"):
-        raise ValueError(f"unknown pivot strategy {strategy!r}")
     _require_local(mat, t0)
     work = [list(r) for r in mat.rows]
     nr, nc = mat.nrows, mat.ncols
     lo = 0
     vals: list[int] = []
     while lo < min(nr, nc):
-        pivot = None
-        pivot_val = None
-        for j in range(lo, nr):
-            for k in range(lo, nc):
-                e = work[j][k]
-                if e.is_zero():
-                    continue
-                v = e.valuation(t0)
-                better = pivot_val is None or v < pivot_val
-                tie = pivot_val is not None and v == pivot_val and strategy == "last"
-                if better or tie:
-                    pivot, pivot_val = (j, k), v
-        if pivot is None:
+        candidates = [
+            (work[j][k].valuation(t0), j, k)
+            for j in range(lo, nr)
+            for k in range(lo, nc)
+            if not work[j][k].is_zero()
+        ]
+        if not candidates:
             break
-        pj, pk = pivot
+        pivot_val, pj, pk = min(candidates)  # ties: first in row-major order
         work[lo], work[pj] = work[pj], work[lo]
         for row in work:
             row[lo], row[pk] = row[pk], row[lo]
@@ -311,7 +309,6 @@ def analyze(
     if not is_generically_acyclic(c):
         raise ValueError("torsion undefined: complex not generically acyclic")
     dims = torsion_modules(c, t0)
-    chi = euler_number(dims)
     nu = singularity_exponent(c, t0)
     duality_ok: Optional[bool] = None
     if duality is not None:
@@ -320,16 +317,7 @@ def analyze(
         duality_ok = all(
             dims.dims[i] == dims.dims[m - 1 - i] for i in range(m)
         ) and dims.dims[m] == 0
-    mid = dims.middle_dim()
-    report = DeformationReport(
-        t0=t0,
-        nu=nu,
-        chi=chi,
-        dims=dims,
-        middle_dim_parity=None if mid is None else mid % 2,
-        sign_flip=nu % 2 == 1,
-        duality_ok=duality_ok,
-    )
-    if nu != chi:
+    report = DeformationReport(t0=t0, nu=nu, dims=dims, duality_ok=duality_ok)
+    if nu != report.chi:
         raise CalibrationError(report)
     return report

@@ -39,10 +39,10 @@ _ZERO = RatFunc.zero()
 
 # largest rank load_complex accepts in any degree
 MAX_RANK = 1000
-# largest rank * (sum over the letters of all relators of the top entry
-# degree of the letter's image) load_presentation accepts: a torsion run
-# at the cap takes about 2 s (docs/formats.md)
-MAX_RELATOR_DEGREE = 100
+# largest rank * (sum over the letters of all relators of the letter's
+# weight, 8 * degree + log2 height of its image) load_presentation
+# accepts: a torsion run at the cap took at most 2.3 s (docs/formats.md)
+MAX_RELATOR_WEIGHT = 800
 # largest Seifert rank load_knot accepts: the oracle grows like n^5, and
 # takes about 2 s on a dense 48x48 matrix (docs/formats.md)
 MAX_SEIFERT_RANK = 48
@@ -272,18 +272,23 @@ def _read_presentation(text: str, path: str):
     except ValueError as exc:
         raise ParseError(path, reader.pos, str(exc)) from exc
     # the prefix pass of presentation_complex multiplies the letters'
-    # images, whose degrees add up: refuse what it could not finish
-    degree = [
-        [max(max(e.num.degree, e.den.degree) for row in m.rows for e in row) for m in mats]
-        for mats in (rho.images, rho.inverses)
-    ]
+    # images, whose degrees and coefficient sizes add up: refuse what it
+    # could not finish
+    weight = [[_weight(m) for m in mats] for mats in (rho.images, rho.inverses)]
     bound = 0
     for lineno, rel in relators:
-        bound += rank * sum(degree[e < 0][g] for g, e in rel.letters)
-        if bound > MAX_RELATOR_DEGREE:
-            cap = MAX_RELATOR_DEGREE
-            reader.error(lineno, f"relators reach degree {bound}, past the cap of {cap}")
+        bound += rank * sum(weight[e < 0][g] for g, e in rel.letters)
+        if bound > MAX_RELATOR_WEIGHT:
+            cap = MAX_RELATOR_WEIGHT
+            reader.error(lineno, f"relators reach weight {bound}, past the cap of {cap}")
     return names, relators, rho
+
+
+def _weight(m: Matrix) -> int:
+    """8 * degree + floor(log2 height) of the entries (docs/formats.md)."""
+    polys = [p for e in m.entries() for p in (e.num, e.den)]
+    height = max(abs(x) for p in polys for x in (*p.re, *p.im, p.den))
+    return 8 * max(p.degree for p in polys) + height.bit_length() - 1
 
 
 def _load_family(text: str, path: str) -> tuple[BasedChainComplex, Optional[list[Matrix]]]:

@@ -174,15 +174,15 @@ class Matrix(_Frozen):
         """Rank over the entry field, by exact Gaussian elimination."""
         return len(_eliminate([list(r) for r in self.rows], range(self.ncols))[0])
 
-    def pivot_columns(self, col_order=None) -> list[int]:
-        """Columns picked as pivots when scanning in ``col_order``.
+    def pivot_columns(self) -> list[int]:
+        """Columns picked as pivots, scanning from the left.
 
-        Returns the selected column indices (in scan order); their count
-        is the rank, and the corresponding column submatrix has full
-        column rank.  Deterministic for a fixed order.
+        A column is picked when it raises the rank of the columns
+        picked before it.  Returns the picked indices in ascending
+        order; their count is the rank, and the corresponding column
+        submatrix has full column rank.
         """
-        order = range(self.ncols) if col_order is None else list(col_order)
-        return _eliminate([list(r) for r in self.rows], order)[0]
+        return _eliminate([list(r) for r in self.rows], range(self.ncols))[0]
 
     def det(self):
         """Determinant of a square matrix with at least one entry."""

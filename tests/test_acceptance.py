@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from rebasing import matrix_rebasings
 
 from torsionfam.complexes import (
     conjugate_complex,
@@ -226,7 +227,8 @@ def test_criterion_6_conway_pipeline():
 
 def test_criterion_7_engine_invariants():
     """Fox identity x500, valuation additivity x500, SNF pivot
-    independence x200, torsion Galois equivariance x100.  All exact."""
+    independence x200 (reversed and permuted matrices), torsion Galois
+    equivariance x100.  All exact."""
     started = time.time()
     rng = random.Random(707)
     for _ in range(500):
@@ -243,9 +245,11 @@ def test_criterion_7_engine_invariants():
         g = random_ratfunc(rng, zero_at=t0 if rng.randrange(2) else None)
         assert (f * g).valuation(t0) == f.valuation(t0) + g.valuation(t0)
 
+    perm_rng = random.Random(7070)  # the permutations only
     for _ in range(200):
         mat = random_local_matrix(rng, rng.randrange(1, 6), rng.randrange(1, 6))
-        assert snf_local(mat, 0, "first") == snf_local(mat, 0, "last")
+        want = snf_local(mat, 0)
+        assert all(snf_local(p, 0) == want for p in matrix_rebasings(perm_rng, mat))
 
     for k in range(100):
         cplx = acceptance_corpus(1, 9000 + k)[0].complex

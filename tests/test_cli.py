@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 from torsionfam.cli import JobSpec, Report, main, run, selftest
 from torsionfam.corpus import circle_family, torus3_family
-from torsionfam.fileio import dump_complex, dump_ledger
+from torsionfam.fileio import ParseError, dump_complex, dump_ledger
 from torsionfam.ratfunc import cayley
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -150,12 +151,19 @@ def test_parse_error_exit_code(capsys, tmp_path):
     code, out, err = invoke(capsys, "analyze", str(bad))
     assert code == 2
     assert "bad.cplx:4" in err
+    # a run of one file propagates the parse error itself, path and line
+    with pytest.raises(ParseError, match=f"^{re.escape(str(bad))}:4: ") as info:
+        run(JobSpec("analyze", (str(bad),)))
+    assert info.value.lineno == 4
 
 
 def test_missing_file_exit_code(capsys):
-    code, _, err = invoke(capsys, "torsion", "no-such-file.cplx")
-    assert code == 2
-    assert "cannot read" in err
+    code, out, err = invoke(capsys, "torsion", "no-such-file.cplx")
+    assert (code, out) == (2, "")
+    assert err == "torsionfam: error: no-such-file.cplx: cannot read: No such file or directory\n"
+    # a multi-file run names the file once too
+    code, out, err = invoke(capsys, "torsion", "no-such-file.cplx", str(DATA / "circle.cplx"))
+    assert code == 2 and err.count("no-such-file.cplx") == 1 and "cannot read" in err
 
 
 def test_unknown_convention_rejected(capsys):
@@ -450,14 +458,18 @@ def test_multi_file_run_matches_its_single_file_runs(capsys):
 
 
 def test_multi_file_error_without_a_path_is_led_by_its_file(capsys, tmp_path):
+    """An error that carries no path is led by its file's path, in a run
+    of one file as in a run of several."""
     pole = tmp_path / "pole.cplx"
     pole.write_text("complex v1\nranks 1 1\nboundary 1\n[1]/[0,1]\nend\n")
+    message = f"{pole}: matrix not defined over the local ring"
+    code, out, err = invoke(capsys, "analyze", str(pole), "--t0", "0")
+    assert (code, out, err) == (2, "", f"torsionfam: error: {message}\n")
     good = DATA / "circle.cplx"
     code, out, err = invoke(
         capsys, "analyze", str(pole), str(good), "--t0", "0", "--format", "structured"
     )
     assert code == 2
-    message = f"{pole}: matrix not defined over the local ring"
     assert err == f"torsionfam: error: {message}\n"
     assert f"note error: {message}\n" in out
     assert f"check {good}:0:nu-equals-chi pass" in out
@@ -490,7 +502,7 @@ def test_long_relators_are_refused_before_the_fox_pass(capsys, tmp_path):
     start = time.perf_counter()
     code, out, err = invoke(capsys, "torsion", str(slow))
     assert code == 2 and time.perf_counter() - start < 2
-    cap = "relators reach degree 200, past the cap of 100"
+    cap = "relators reach weight 1700, past the cap of 800"
     assert err == f"torsionfam: error: {slow}:3: {cap}\n" and out == ""
     good = DATA / "torus2.pres"
     code, out, err = invoke(capsys, "torsion", str(slow), str(good), "--format", "structured")
@@ -498,3 +510,31 @@ def test_long_relators_are_refused_before_the_fox_pass(capsys, tmp_path):
     assert err == f"torsionfam: error: {slow}:3: {cap}\n"
     assert f"note error: {slow}:3: {cap}\n" in out
     assert f"check {good}:generically-acyclic pass" in out
+
+
+@pytest.mark.parametrize(
+    "rank,images,relator",
+    [
+        # Cayley images with 9-digit speeds: degree sum 80 (over 60 s uncapped)
+        (
+            1,
+            ["[1,987654321i]/[1,-987654321i]", "[1,123456787/1000003i]/[1,-123456787/1000003i]"],
+            "x^20 y^20 x^-20 y^-20",
+        ),
+        # a rotation of degree 0 whose coefficients grow (over 60 s uncapped)
+        (2, ["[3/5] [-4/5]\n[4/5] [3/5]"], "x^10000"),
+    ],
+)
+def test_large_coefficients_count_toward_the_relator_cap(capsys, tmp_path, rank, images, relator):
+    """The cap weighs the images' coefficient sizes, not only their degrees."""
+    names = ["x", "y"][: len(images)]
+    blocks = "".join(f"image {g}\n{img}\n" for g, img in zip(names, images))
+    path = tmp_path / "big.pres"
+    path.write_text(
+        f"presentation v1\ngenerators {' '.join(names)}\nrelator {relator}\n"
+        f"rep rank {rank}\n{blocks}end\n"
+    )
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "torsion", str(path), "--t0", "0")
+    assert code == 2 and time.perf_counter() - start < 2
+    assert out == "" and err.startswith(f"torsionfam: error: {path}:3: relators reach weight")

@@ -1,7 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from rebasing import (
+    permutation_sign,
+    permuted_complex,
+    reversal,
+    reversed_complex,
+    shuffle_sign,
+    shuffled,
+)
 
 from torsionfam.complexes import (
     CONVENTION_TAG,
@@ -20,7 +29,7 @@ from torsionfam.corpus import (
     elementary_complex,
     random_acyclic_complex,
 )
-from torsionfam.dvr import singularity_exponent
+from torsionfam.dvr import analyze, singularity_exponent
 from torsionfam.fileio import dump_complex, load_complex
 from torsionfam.linalg import Matrix
 from torsionfam.ratfunc import RatFunc, cayley, conj_family
@@ -99,15 +108,23 @@ def test_torsion_deterministic():
 
 
 def test_subset_strategy_valuation_independent():
-    """Two deterministic subset scans agree on every valuation."""
+    """A permuted basis changes the torsion by the exact sign law of
+    ``rebasing`` and leaves nu and the local dimensions at every center
+    as they are; the reversal gives the staircase scanning from the right."""
+    rng = random.Random(1099)  # the permutations only
     for k in range(20):
-        c = acceptance_corpus(1, 1000 + k)[0].complex
-        left = torsion(c, _strategy="leftmost").value
-        right = torsion(c, _strategy="rightmost").value
-        assert left == right or left == -right
-        for t0 in (-2, -1, 0, 1, 2):
-            t0 = GaussRat(t0)
-            assert left.valuation(t0) == right.valuation(t0)
+        fam = acceptance_corpus(1, 1000 + k)[0]
+        c = fam.complex
+        want = torsion(c).value * shuffle_sign(c)
+        rebasings = [[reversal(r) for r in c.ranks]]
+        rebasings += [[shuffled(rng, r) for r in c.ranks] for _ in range(2)]
+        for perms in rebasings:
+            pc = permuted_complex(c, perms)
+            sign = math.prod(permutation_sign(p) for p in perms)
+            assert torsion(pc).value * shuffle_sign(pc) == sign * want
+            for center in fam.centers:
+                a, b = analyze(c, GaussRat(center)), analyze(pc, GaussRat(center))
+                assert (a.nu, a.dims) == (b.nu, b.dims)
 
 
 # -- conjugation -----------------------------------------------------------------
@@ -318,14 +335,16 @@ def small_corpus():
     return [fam.complex for fam in acceptance_corpus(12, 8080)]
 
 
-@pytest.mark.parametrize("rightmost", [False, True])
-def test_staircase_determinants_match_submatrix_det(small_corpus, rightmost):
-    """Each D_k read off the picking elimination equals det of its square."""
+@pytest.mark.parametrize("reverse", [False, True])
+def test_staircase_determinants_match_submatrix_det(small_corpus, reverse):
+    """Each D_k read off the picking elimination equals det of its
+    square, on each complex and on it with every basis reversed."""
     from torsionfam.complexes import _staircase, _subset_determinants
 
     for c in small_corpus:
-        steps = _staircase(c, rightmost)
-        dets = _subset_determinants(c, rightmost)
+        c = reversed_complex(c) if reverse else c
+        steps = _staircase(c)
+        dets = _subset_determinants(c)
         uncovered = list(range(c.ranks[0]))
         for k, ((picked, _, _), d) in enumerate(zip(steps, dets), start=1):
             square = c.boundary(k).submatrix(uncovered, sorted(picked))
@@ -380,22 +399,23 @@ def _fresh(c):
     return load_complex(dump_complex(c))[0]
 
 
-def test_rightmost_torsion_not_served_from_the_leftmost_memo():
-    a, b = T - 1, T + 2
-    c = BasedChainComplex([1, 2, 1], [Matrix([[a, b]]), Matrix([[-b], [a]])])
-    left = torsion(c).value
-    right = torsion(c, "rightmost").value
-    # here the two scans give opposite signs: a / a and b / (-b)
-    assert (left, right) == (ONE, -ONE)
-    assert right == torsion(_fresh(c), "rightmost").value
-    assert torsion(c).value == left
+def test_memoized_torsion_matches_fresh(small_corpus, monkeypatch):
+    """One staircase entry, one torsion entry, one ``_staircase`` call."""
+    import torsionfam.complexes as complexes_module
 
+    staircase = complexes_module._staircase
+    calls = []
 
-def test_memoized_torsion_matches_fresh(small_corpus):
+    def counting_staircase(cplx, *args):
+        calls.append(cplx)
+        return staircase(cplx, *args)
+
+    monkeypatch.setattr(complexes_module, "_staircase", counting_staircase)
     for c in small_corpus:
-        for order in (("leftmost", "rightmost"), ("rightmost", "leftmost")):
-            memo = _fresh(c)
-            first = [torsion(memo, s) for s in order]
-            again = [torsion(memo, s) for s in order]
-            fresh = [torsion(_fresh(c), s) for s in order]
-            assert first == again == fresh
+        memo = _fresh(c)
+        calls.clear()
+        first = torsion(memo)
+        assert is_generically_acyclic(memo)
+        again = torsion(memo)
+        assert len(memo._memo) == 2 and calls == [memo]
+        assert first == again == torsion(_fresh(c))

@@ -6,7 +6,7 @@ from torsionfam.corpus import acceptance_corpus, circle_family, torus3_family
 from torsionfam.eta import ArgPairing, EtaProfile, JumpRecord
 from torsionfam.fileio import (
     MAX_RANK,
-    MAX_RELATOR_DEGREE,
+    MAX_RELATOR_WEIGHT,
     MAX_SEIFERT_ENTRY_DIGITS,
     MAX_SEIFERT_RANK,
     ParseError,
@@ -200,31 +200,40 @@ def _power_commutators(rank: int, powers) -> str:
 
 
 def test_relator_degree_cap_counts_rank_and_every_relator():
-    assert MAX_RELATOR_DEGREE == 100
-    # the bound is rank * (sum over relators of 4n letters of degree 1)
-    accepted = [(1, [25]), (1, [12, 12, 1]), (2, [12]), (3, [8])]
-    refused = [(1, [26], 3), (1, [12, 12, 2], 5), (2, [13], 3), (2, [6, 7], 4), (3, [9], 3)]
+    """The cap bounds rank * (sum of the letters' weights, 8 * degree +
+    floor(log2 height) of each image) over all relators."""
+    assert MAX_RELATOR_WEIGHT == 800
+    # 4n letters per relator; x and y weigh 8 and 9 at rank 1 (degree 1,
+    # heights 1 and 2), 9 and 9 at rank 2, 9 and 10 at rank 3
+    accepted = [(1, [23]), (1, [11, 11, 1]), (2, [11]), (3, [7])]
+    refused = [(1, [24], 3), (1, [11, 11, 2], 5), (2, [12], 3), (2, [6, 6], 4), (3, [8], 3)]
     for rank, powers in accepted:
         names, relators, rho = load_presentation(_power_commutators(rank, powers), "p.pres")
         assert len(relators) == len(powers) and rho.rank == rank
     for rank, powers, lineno in refused:
-        with pytest.raises(ParseError, match=f"past the cap of {MAX_RELATOR_DEGREE}") as info:
+        with pytest.raises(ParseError, match=f"past the cap of {MAX_RELATOR_WEIGHT}") as info:
             load_presentation(_power_commutators(rank, powers), "p.pres")
         assert info.value.lineno == lineno
-    with pytest.raises(ParseError, match="relators reach degree 104,"):
-        load_presentation(_power_commutators(1, [26]))
-    # an inverse letter counts the degree of the inverse image: here 2, not 1
+    with pytest.raises(ParseError, match="relators reach weight 816,"):
+        load_presentation(_power_commutators(1, [24]))
+    # an inverse letter counts the weight of the inverse image: here degree
+    # 2, so 16, not 8
     shear = (
         "presentation v1\ngenerators x\nrelator {}\n"
         "rep rank 2\nimage x\n[0,1] [1]\n[-1] [0,1]\nend\n"
     )
     for word in ("x^50", "x^-25"):
         load_presentation(shear.format(word))
-    with pytest.raises(ParseError, match="relators reach degree 104,"):
+    with pytest.raises(ParseError, match="relators reach weight 832,"):
         load_presentation(shear.format("x^-26"))
-    # images of degree 0 add nothing: the word cap alone bounds them
-    constant = "presentation v1\ngenerators x\nrelator x^4000\nrep rank 1\nimage x\n[i]\nend\n"
-    assert len(load_presentation(constant)[1][0]) == 4000
+    # constant images of height 1 add nothing: the word cap alone bounds them
+    constant = "presentation v1\ngenerators x\nrelator {}\nrep rank {}\nimage x\n{}\nend\n"
+    assert len(load_presentation(constant.format("x^4000", 1, "[i]"))[1][0]) == 4000
+    # a constant of height 5 weighs 2, rank times: its coefficients grow
+    rotation = constant.format("{}", 2, "[3/5] [-4/5]\n[4/5] [3/5]")
+    load_presentation(rotation.format("x^200"))
+    with pytest.raises(ParseError, match="relators reach weight 804,"):
+        load_presentation(rotation.format("x^201"))
 
 
 def test_negative_complex_rank_reported_at_the_ranks_line():

@@ -3,8 +3,9 @@
 Each case runs the CLI from the repository root on the bundled demo
 inputs and compares its ``--format structured`` output (standard output
 followed by standard error), byte for byte, with a committed file under
-``tests/golden/``.  ``corpus_torsion.txt`` holds the leftmost and
-rightmost torsion of every family of the acceptance corpus.  Regenerate
+``tests/golden/``.  ``corpus_torsion.txt`` holds the torsion of every
+family of the acceptance corpus, then that of the same family with
+every degree's basis reversed (the rightmost staircase).  Regenerate
 the files (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -16,6 +17,7 @@ from io import StringIO
 from pathlib import Path
 
 import pytest
+from rebasing import reversed_complex
 
 from torsionfam.cli import main
 from torsionfam.complexes import torsion
@@ -60,7 +62,7 @@ def _corpus_torsion() -> str:
     lines = []
     for spec in acceptance_corpus(ACCEPTANCE_SIZE, 20250):
         left = torsion(spec.complex).value
-        right = torsion(spec.complex, "rightmost").value
+        right = torsion(reversed_complex(spec.complex)).value
         lines.append(f"{spec.name} {left} {right}")
     return "\n".join(lines) + "\n"
 
