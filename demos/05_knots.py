@@ -1,9 +1,11 @@
 """Conway polynomials two ways: Fox calculus and the Seifert oracle.
 
-The Fox path runs a knot group presentation through the torsion
-engine with the abelianization family (every meridian acts by t) and
-normalizes the resulting Alexander polynomial; the oracle rewrites
-det(s V - (1/s) V^T) in z = s - 1/s.  They agree exactly, sign and all.
+The Fox path reads the Alexander matrix of a knot group presentation
+(every meridian acts by t) and takes over Z[t, 1/t] the determinant
+that the torsion of its twisted complex reduces to, (t - 1) / torsion =
++- t^k Delta(t); it normalizes that Alexander polynomial, and the
+oracle rewrites det(s V - (1/s) V^T) in z = s - 1/s.  They agree
+exactly, sign and all.
 """
 
 from torsionfam import (

@@ -5,8 +5,8 @@ complexes twisted by rational families of monodromies, analyzes
 degeneration points over the local ring at a parameter value, verifies
 the parity correspondence between the torsion's sign flips and the
 middle torsion dimension, keeps the eta-invariant ledger arithmetic
-honest, and recovers Conway polynomials of knots through the same
-torsion engine.
+honest, and recovers Conway polynomials of knots from the Fox-matrix
+minor that the torsion of a knot's twisted complex reduces to.
 
 Everything is exact: a scalar is a Gaussian rational held as one
 integer triple (re, im, den) in lowest terms, polynomials are

@@ -1,44 +1,37 @@
-"""Knot invariants through the torsion engine, with a Seifert oracle.
+"""Knot invariants from Fox calculus, with a Seifert oracle.
 
-The Fox-calculus path: under the abelianization every meridian goes to
-t, so the Fox Jacobian of a knot group presentation is the Alexander
-matrix over Z[t, 1/t], read directly off the relators (the general
-``groupring.presentation_complex`` is the reference).  Its twisted
-complex is fed to the torsion engine, and the Alexander polynomial is
-recovered from
+The Fox path: under the abelianization every meridian goes to t, so a
+knot group presentation's Fox Jacobian is the Alexander matrix over
+Z[t, 1/t], read off the relators (``groupring.presentation_complex`` is
+the reference).  The torsion of the twisted complex is (t - 1) / D_2
+(Milnor 1962; Turaev 1986): the ``FT-cal-1`` staircase picks generator
+0 in d_1 = (t - 1, ..., t - 1), and D_2 = +- t^k Delta(t) is the Fox
+matrix's determinant without generator 0's row.  So the path takes D_2
+alone, over Z[t, 1/t] on integers; the torsion route is its oracle in
+the tests.  Delta is normalized symmetric with Delta(1) = 1, and the
+Conway form substitutes z = s - 1/s with s^2 = t, on integer lists.
 
-    (t - 1) / torsion  =  +- t^k * Delta(t),
-
-then normalized to the symmetric representative with Delta(1) = 1.
-The Conway form substitutes z = s - 1/s with s^2 = t, on integer
-coefficient lists throughout.
-
-The independent oracle takes f(t) = det(t V - V^T) for a Seifert
-matrix V: an integer Bareiss determinant at each of t = 0, 1, ..., n,
-read back by Newton interpolation over Z.  Then det(s V - V^T / s) is
-s^-n f(s^2), rewritten in z; for a genuine knot Seifert matrix the
-constant term is 1, which pins the sign.  Both paths must agree
-exactly on the bundled knots, and they do; that agreement is the
-package's computable version of the statement that the torsion
+The independent oracle takes f(t) = det(t V - V^T) for a Seifert matrix
+V from integer Bareiss determinants at t = 0, 1, ..., n, read back by
+Newton interpolation over Z (as the Fox path reads the block its unit
+pivots leave).  Then det(s V - V^T / s) = s^-n f(s^2) is rewritten in z;
+for a genuine knot Seifert matrix the constant term is 1, which pins
+the sign.  Both paths agree exactly on the bundled knots: the torsion
 function of a knot determines its Conway polynomial.
 
-:class:`LaurentInt` is the group ring Z[t, 1/t] of the infinite cyclic
-group, as ``groupring.GroupRingElem`` is Z[F] of the free group; both
-are one implementation, ``groupring._GroupRing``, keyed by the exponent
-here and by the word there.
+:class:`LaurentInt` is Z[t, 1/t], the group ring of the infinite cyclic
+group, as ``GroupRingElem`` is Z[F]; both are ``groupring._GroupRing``.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from math import comb, gcd
 
-from .complexes import BasedChainComplex, torsion
 from .groupring import Word, _GroupRing, format_word
-from .linalg import Matrix
-from .poly import _raw
-from .ratfunc import RatFunc
 
 __all__ = [
     "LaurentInt",
@@ -50,8 +43,6 @@ __all__ = [
     "conway_from_seifert",
     "bundled_knots",
 ]
-
-_ZERO = RatFunc.zero()
 
 
 class LaurentInt(_GroupRing):
@@ -107,25 +98,17 @@ def _format_terms(terms, var: str) -> str:
 
 @dataclass(frozen=True)
 class KnotPresentation:
-    """Presentation of a knot group by meridian generators.
-
-    Relators must be conjugation-shaped: after abelianizing, each is
-    a difference of two meridians (or trivial), which is what the
-    Wirtinger form x_k = w x_j w^-1 reduces to.
-    """
+    """Presentation of a knot group by meridian generators.  Relators are
+    conjugation-shaped: after abelianizing, each is a difference of two
+    meridians (or trivial), as the Wirtinger form x_k = w x_j w^-1 is."""
 
     strands: int
     wirtinger_relators: tuple[Word, ...]
-    meridian: int = 0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "wirtinger_relators", tuple(self.wirtinger_relators)
-        )
+        object.__setattr__(self, "wirtinger_relators", tuple(self.wirtinger_relators))
         if self.strands < 1:
             raise ValueError("presentation needs at least one generator")
-        if not 0 <= self.meridian < self.strands:
-            raise ValueError("meridian index out of range")
         for rel in self.wirtinger_relators:
             if rel.max_generator() >= self.strands:
                 raise ValueError("relator uses an undeclared generator")
@@ -190,68 +173,93 @@ class SeifertMatrix:
         return SeifertMatrix(tuple(zip(*self.entries)))
 
 
-def _alexander_complex(k: KnotPresentation) -> BasedChainComplex:
-    """The complex of k twisted by x_g -> t: d_1 is (t - 1, ..., t - 1), and
-    column i of d_2 holds the Fox derivatives of relator i, from one pass
-    keeping the prefix's exponent sum s: x_g adds t^s to entry g, then
+def _fox_columns(k: KnotPresentation) -> list[dict[int, dict[int, int]]]:
+    """Column i of the Alexander matrix: relator i's Fox derivatives under
+    x_g -> t as {g: {exponent: coefficient}}, zero terms dropped, from one
+    pass keeping the prefix's exponent sum s: x_g adds t^s to entry g, then
     s <- s + 1; x_g^-1 sets s <- s - 1, then subtracts t^s."""
-    n, columns = k.strands, []
+    columns = []
     for rel in k.wirtinger_relators:
-        fox, s = [{} for _ in range(n)], 0
+        fox, s = defaultdict(dict), 0
         for g, e in rel.letters:
             at = s if e == 1 else s - 1
             fox[g][at] = fox[g].get(at, 0) + e
             s += e
         if s:
-            raise ValueError(
-                f"relator {format_word(rel)!r} is not respected by the representation"
-            )
-        columns.append([_laurent_ratfunc(terms) for terms in fox])
-    d1 = Matrix([[RatFunc.var() - 1] * n], n)
-    if not columns:
-        return BasedChainComplex([1, n], [d1])
-    return BasedChainComplex([1, n, len(columns)], [d1, Matrix(zip(*columns), len(columns))])
-
-
-def _laurent_ratfunc(terms: dict[int, int]) -> RatFunc:
-    """sum c t^e as a reduced RatFunc: with lowest exponent lo < 0, the
-    numerator over t^-lo, coprime to it because its constant term is nonzero."""
-    exps = [e for e, c in terms.items() if c]
-    if not exps:
-        return _ZERO
-    lo, hi = min(0, *exps), max(exps)
-    re = tuple(terms.get(e, 0) for e in range(lo, hi + 1))
-    den = _raw((0,) * -lo + (1,), (0,) * (1 - lo), 1)  # t^-lo
-    return RatFunc._reduced(_raw(re, (0,) * len(re), 1), den)
+            raise ValueError(f"relator {format_word(rel)!r} is not respected by the representation")
+        columns.append({g: {e: c for e, c in t.items() if c} for g, t in fox.items()})
+    return columns
 
 
 def alexander_from_fox(k: KnotPresentation) -> LaurentInt:
-    """Alexander polynomial via the torsion of the presentation complex.
+    """Alexander polynomial, symmetric with Delta(1) = 1, from D_2 over
+    Z[t, 1/t] (see the module docstring).  Raises when the twisted complex
+    is not generically acyclic: the relator count is not strands - 1, or
+    D_2 = 0."""
+    columns, minor = _fox_columns(k), {}
+    if len(columns) == k.strands - 1:
+        minor = _laurent_minor(
+            {g: {j: c[g] for j, c in enumerate(columns) if c.get(g)} for g in range(1, k.strands)}
+        )
+    if not minor:
+        raise ValueError(
+            "degenerate presentation: torsion undefined: complex not generically acyclic"
+        )
+    return _centered_unit_form(LaurentInt(minor), "degenerate presentation")
 
-    The Alexander matrix is read directly over Z[t, 1/t]; the general
-    :func:`groupring.presentation_complex` gives the same complex under
-    the abelianization family and is its reference.  Returns the
-    symmetric representative with Delta(1) = 1; raises on presentations
-    whose twisted complex is not generically acyclic or whose torsion
-    does not have the knot shape.
-    """
-    cplx = _alexander_complex(k)
-    try:
-        tau = torsion(cplx).value
-    except ValueError as exc:
-        raise ValueError(f"degenerate presentation: {exc}") from exc
-    t_minus_1 = RatFunc.var() - 1
-    raw = t_minus_1 / tau
-    # expect +- t^k * Delta with integer coefficients: the reduced
-    # denominator, always monic, must be a power of t
-    den, num = raw.den, raw.num
-    if any(den.re[:-1]) or any(den.im):
-        raise ValueError("degenerate presentation: torsion lacks the knot shape")
-    if num.den != 1 or any(num.im):
-        raise ValueError("degenerate presentation: non-integral Alexander data")
-    return _centered_unit_form(
-        LaurentInt(enumerate(num.re, -den.degree)), "degenerate presentation"
-    )
+
+def _laurent_minor(rows: dict[int, dict]) -> dict[int, int]:
+    """Square determinant over Z[t, 1/t] up to a unit +- t^k; {} for 0.
+
+    rows[i] maps a column to its nonzero entry {exponent: coefficient}.
+    Each column in turn is cleared on a unit entry of the sparsest row
+    holding one, if any (Markowitz order within the column; on a braid
+    closure, Burau's reduction: each crossing's new arc goes on its own
+    relator).  The pivots multiply to a unit; the block left, its rows
+    shifted into Z[t], goes to the interpolation."""
+    cols: dict[int, set] = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    for j in sorted(cols):
+        units = [i for i in cols[j] if len(rows[i][j]) == 1 and abs(*rows[i][j].values()) == 1]
+        if units:
+            _pivot(rows, cols, min(units, key=lambda i: (len(rows[i]), i)), j)
+    if len(cols) < len(rows) or not all(rows.values()):
+        return {}
+    block = [[row.get(j, {}) for j in sorted(cols)] for row in rows.values()]
+    if len(block) <= 1:
+        return block[0][0] if block else {0: 1}
+    lows = [min(min(a) for a in row if a) for row in block]
+    degree = sum(max(max(a) for a in row if a) for row in block) - sum(lows)
+    block = [[[(e - lo, c) for e, c in a.items()] for a in row] for row, lo in zip(block, lows)]
+
+    def at(t):
+        powers = list(accumulate(repeat(t, degree), operator.mul, initial=1))
+        return [[sum(c * powers[e] for e, c in a) for a in row] for row in block]
+
+    return {e: c for e, c in enumerate(_interpolated_det(at, degree)) if c}
+
+
+def _pivot(rows: dict[int, dict], cols: dict[int, set], r: int, c: int) -> None:
+    """Clear column c on the unit rows[r][c], then drop row r and column c."""
+    prow = rows.pop(r)
+    for j in prow:
+        cols[j].discard(r)
+    ((k, u),) = prow.pop(c).items()
+    for i in cols.pop(c):
+        row, f = rows[i], [(e - k, -u * x) for e, x in rows[i].pop(c).items()]
+        for j, b in prow.items():
+            acc = row.setdefault(j, {})
+            cols[j].add(i)
+            for e, x in f:
+                for d, y in b.items():
+                    acc[e + d] = acc.get(e + d, 0) + x * y
+                    if not acc[e + d]:
+                        del acc[e + d]
+            if not acc:
+                del row[j]
+                cols[j].discard(i)
 
 
 def _centered_unit_form(delta: LaurentInt, prefix: str) -> LaurentInt:
@@ -298,17 +306,18 @@ def conway_from_seifert(v: SeifertMatrix) -> ConwayPolynomial:
 
 
 def _seifert_alexander(v) -> list[int]:
-    """Ascending coefficients of f(t) = det(t V - V^T), n + 1 of them.
+    """Ascending coefficients of f(t) = det(t V - V^T), n + 1 of them."""
+    return _interpolated_det(
+        lambda t: [[t * a - b for a, b in zip(row, col)] for row, col in zip(v, zip(*v))], len(v)
+    )
 
-    f is fixed by its values at t = 0, 1, ..., n.  The k-th forward
-    difference of an integer polynomial is k! times an integer, so
-    Newton's form has integer coefficients; a Horner pass expands it.
-    """
-    n = len(v)
-    diffs = [
-        _int_det([[t * a - b for a, b in zip(row, col)] for row, col in zip(v, zip(*v))])
-        for t in range(n + 1)
-    ]
+
+def _interpolated_det(matrix_at, n: int) -> list[int]:
+    """The n + 1 ascending coefficients of f(t) = det matrix_at(t) in Z[t],
+    of degree at most n, from its values at t = 0, 1, ..., n: the k-th
+    forward difference of an integer polynomial is k! times an integer,
+    so Newton's form has integer coefficients; a Horner pass expands it."""
+    diffs = [_int_det(matrix_at(t)) for t in range(n + 1)]
     # diffs[k] becomes the k-th forward difference at 0, over k!
     for k in range(1, n + 1):
         for i in range(n, k - 1, -1):
@@ -322,14 +331,11 @@ def _seifert_alexander(v) -> list[int]:
 
 
 def _int_det(rows: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant of a square integer matrix.
-
-    Each step replaces the entries right of and below the pivot by the
-    2x2 minors ``a_ij a_kk - a_ik a_kj`` over the previous pivot, exact
-    by Sylvester's identity, and drops the pivot row and column.  The
-    pivot is the first nonzero entry of its column, a row swap flips
-    the sign, and the last pivot is the determinant.
-    """
+    """Bareiss fraction-free determinant of a square integer matrix: each
+    step replaces the entries below and right of the pivot by the 2x2
+    minors ``a_ij a_kk - a_ik a_kj`` over the previous pivot (exact by
+    Sylvester's identity).  The pivot is the first nonzero entry of its
+    column, a row swap flips the sign, and the last pivot is the result."""
     a, prev, sign = list(rows), 1, 1
     while a:
         piv = next((i for i, row in enumerate(a) if row[0]), None)
@@ -381,14 +387,7 @@ def _two_bridge_presentation(p: int, q: int) -> KnotPresentation:
 def bundled_knots() -> dict[str, tuple[KnotPresentation, SeifertMatrix]]:
     """The five stock knots with presentations and Seifert matrices."""
     unknot = KnotPresentation(strands=1, wirtinger_relators=())
-    torus25 = SeifertMatrix(
-        (
-            (-1, 1, 0, 0),
-            (0, -1, 1, 0),
-            (0, 0, -1, 1),
-            (0, 0, 0, -1),
-        )
-    )
+    torus25 = SeifertMatrix(((-1, 1, 0, 0), (0, -1, 1, 0), (0, 0, -1, 1), (0, 0, 0, -1)))
     return {
         "unknot": (unknot, SeifertMatrix(())),
         "trefoil": (_two_bridge_presentation(3, 1), SeifertMatrix(((-1, 1), (0, -1)))),

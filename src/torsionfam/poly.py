@@ -25,6 +25,7 @@ roots q-adically, on integers alone, without factoring any of them.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import count
 from math import gcd, isqrt, lcm
 
@@ -406,6 +407,18 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic() if a else a
 
 
+def _gauss_gcd(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """A gcd in Z[i] of (re, im) pairs, by Euclid with rounded quotients:
+    each remainder has at most half the norm of the divisor."""
+    while b != (0, 0):
+        norm = b[0] * b[0] + b[1] * b[1]
+        # q = a / b rounded: a conj(b) / norm, each part to the nearest integer
+        qr = (2 * (a[0] * b[0] + a[1] * b[1]) + norm) // (2 * norm)
+        qi = (2 * (a[1] * b[0] - a[0] * b[1]) + norm) // (2 * norm)
+        a, b = b, (a[0] - qr * b[0] + qi * b[1], a[1] - qr * b[1] - qi * b[0])
+    return a
+
+
 def rational_real_roots(p: Poly) -> tuple[list[Fraction], int]:
     """Real rational roots of a nonzero polynomial, with leftover degree.
 
@@ -414,7 +427,8 @@ def rational_real_roots(p: Poly) -> tuple[list[Fraction], int]:
     leftover means zeros that are irrational or not real.  A real root
     is a root of the real and of the imaginary numerators, so the search
     runs on the numerators c of the imaginary part (of the real part
-    when p is real), zero roots stripped, made square-free.  A root a/b
+    when p is real) of p over its Z[i]-content, zero roots stripped,
+    made square-free.  A root a/b
     of c has a | c_0 and b | c_n.  The roots are found q-adically (Loos,
     SIAM J. Comput. 12, 1983; von zur Gathen and Gerhard, Modern
     Computer Algebra, 15.4): q is the first prime not dividing c_n at
@@ -427,7 +441,13 @@ def rational_real_roots(p: Poly) -> tuple[list[Fraction], int]:
     if not p.re:
         raise ValueError("root search on the zero polynomial")
     roots = [] if p.re[0] or p.im[0] else [Fraction(0)]
-    c = p.im if any(p.im) else p.re
+    # the content gr + gi i has no roots; a monic denominator upstream
+    # leaves conj(lead) in it, which would double the digits of c
+    gr, gi = reduce(_gauss_gcd, zip(p.re, p.im))
+    norm = gr * gr + gi * gi
+    re = [(a * gr + b * gi) // norm for a, b in zip(p.re, p.im)]
+    im = [(b * gr - a * gi) // norm for a, b in zip(p.re, p.im)]
+    c = im if any(im) else re
     c = Poly(c[next(k for k, x in enumerate(c) if x):])
     c = c // poly_gcd(c, Poly([k * x for k, x in enumerate(c.re)][1:]))
     dc = Poly([k * x for k, x in enumerate(c.re)][1:])

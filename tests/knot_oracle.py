@@ -1,0 +1,151 @@
+"""The torsion route to the Alexander polynomial, and braid-closure knots.
+
+``knots.alexander_from_fox`` takes D_2, the Fox matrix's determinant
+without generator 0's row, over Z[t, 1/t].  That is a short cut through
+the torsion: the presentation complex twisted by x_g -> t has
+d_1 = (t - 1, ..., t - 1) and d_2 the Fox matrix, its ``FT-cal-1``
+torsion is (t - 1) / D_2, and D_2 = +- t^k Delta(t).  This module keeps
+the long way round, the complex over Q(i)(t) fed to
+``complexes.torsion``, so that ``tests/test_knots.py`` can show on
+seeded corpora that both give the same Delta and the same errors.
+
+It also draws knots as closures of seeded braids, with the Wirtinger
+presentation read off the diagram and the Burau matrix of the braid,
+whose minor of I - psi(beta) is an independent oracle for Delta
+(Birman, *Braids, Links and Mapping Class Groups*, 1974, section 3).
+Nothing in the package imports this module.
+"""
+
+from __future__ import annotations
+
+from laurent_oracle import _laurent_det
+
+from torsionfam.complexes import BasedChainComplex, torsion
+from torsionfam.groupring import Word
+from torsionfam.knots import KnotPresentation, LaurentInt, _centered_unit_form, _fox_columns
+from torsionfam.linalg import Matrix
+from torsionfam.poly import _raw
+from torsionfam.ratfunc import RatFunc
+
+
+def _laurent_ratfunc(terms: dict[int, int]) -> RatFunc:
+    """sum c t^e as a reduced RatFunc: with lowest exponent lo < 0, the
+    numerator over t^-lo, coprime to it because its constant term is nonzero."""
+    if not terms:
+        return RatFunc.zero()
+    lo, hi = min(0, *terms), max(terms)
+    re = tuple(terms.get(e, 0) for e in range(lo, hi + 1))
+    den = _raw((0,) * -lo + (1,), (0,) * (1 - lo), 1)  # t^-lo
+    return RatFunc._reduced(_raw(re, (0,) * len(re), 1), den)
+
+
+def _alexander_complex(k: KnotPresentation) -> BasedChainComplex:
+    """The complex of k twisted by x_g -> t: d_1 is (t - 1, ..., t - 1), and
+    column i of d_2 holds the Fox derivatives of relator i."""
+    n, columns = k.strands, _fox_columns(k)
+    d1 = Matrix([[RatFunc.var() - 1] * n], n)
+    if not columns:
+        return BasedChainComplex([1, n], [d1])
+    rows = ([_laurent_ratfunc(col.get(g, {})) for col in columns] for g in range(n))
+    return BasedChainComplex([1, n, len(columns)], [d1, Matrix(rows, len(columns))])
+
+
+def torsion_alexander(k: KnotPresentation) -> LaurentInt:
+    """Delta from (t - 1) / torsion = +- t^k Delta(t), normalized as the
+    package normalizes it; raises what the torsion engine raises."""
+    try:
+        tau = torsion(_alexander_complex(k)).value
+    except ValueError as exc:
+        raise ValueError(f"degenerate presentation: {exc}") from exc
+    raw = (RatFunc.var() - 1) / tau
+    # expect +- t^k * Delta with integer coefficients: the reduced
+    # denominator, always monic, must be a power of t
+    den, num = raw.den, raw.num
+    if any(den.re[:-1]) or any(den.im):
+        raise ValueError("degenerate presentation: torsion lacks the knot shape")
+    if num.den != 1 or any(num.im):
+        raise ValueError("degenerate presentation: non-integral Alexander data")
+    return _centered_unit_form(
+        LaurentInt(enumerate(num.re, -den.degree)), "degenerate presentation"
+    )
+
+
+# -- closures of seeded braids ---------------------------------------------------------
+
+
+def random_knot_braid(rng, strands: int, crossings: int) -> list[tuple[int, int]]:
+    """Letters (i, e) for sigma_i^e, 0 <= i < strands - 1, drawn until the
+    permutation is one strands-cycle, so that the closure is a knot."""
+    while True:
+        word = [(rng.randrange(strands - 1), rng.choice((1, -1))) for _ in range(crossings)]
+        perm = list(range(strands))
+        for i, _ in word:
+            perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        orbit, p = {0}, perm[0]
+        while p not in orbit:
+            orbit.add(p)
+            p = perm[p]
+        if len(orbit) == strands:
+            return word
+
+
+def braid_closure(strands: int, word) -> KnotPresentation:
+    """Wirtinger presentation of the closure, relators in crossing order.
+
+    Every crossing starts a new arc: sigma_i sends the arc at position
+    i + 1 under the one at i, so the new arc at i is over old over^-1
+    (the Artin action x_i -> x_i x_(i+1) x_i^-1), and sigma_i^-1 is the
+    mirror.  The closure then identifies the arcs at each position at the
+    bottom with those at the top.  The last relator follows from the
+    others and is left out.
+    """
+    arcs, relators = list(range(strands)), []
+    for i, e in word:
+        new = strands + len(relators)
+        over, old = (arcs[i], arcs[i + 1]) if e == 1 else (arcs[i + 1], arcs[i])
+        arcs[i], arcs[i + 1] = (new, over) if e == 1 else (over, new)
+        relators.append((over, e, old, new))
+    parent = list(range(strands + len(word)))
+
+    def root(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for p in range(strands):
+        a, b = sorted((root(arcs[p]), root(p)))
+        parent[b] = a
+    names: dict[int, int] = {}
+    for a in range(len(parent)):
+        names.setdefault(root(a), len(names))
+
+    def x(a, e=1):
+        return (names[root(a)], e)
+
+    words = [Word([x(o, e), x(a), x(o, -e), x(n, -1)]) for o, e, a, n in relators]
+    return KnotPresentation(strands=len(names), wirtinger_relators=tuple(words[:-1]))
+
+
+def burau_alexander(strands: int, word) -> LaurentInt:
+    """Delta of the closure from the unreduced Burau matrix psi(beta): the
+    minor of I - psi(beta) without its first row and column is +- t^k Delta,
+    taken by the Laurent Bareiss determinant.
+
+    sigma_i acts on columns i, i + 1 by [[1 - t, t], [1, 0]] (the Fox
+    Jacobian of the Artin action), sigma_i^-1 by its inverse
+    [[0, 1], [1/t, 1 - 1/t]].
+    """
+    one, zero = LaurentInt.constant(1), LaurentInt({})
+    psi = [[one if j == k else zero for k in range(strands)] for j in range(strands)]
+    for i, e in word:
+        if e == 1:
+            a, b, c, d = LaurentInt({0: 1, 1: -1}), LaurentInt({1: 1}), one, zero
+        else:
+            a, b, c, d = zero, one, LaurentInt({-1: 1}), LaurentInt({0: 1, -1: -1})
+        for row in psi:
+            row[i], row[i + 1] = row[i] * a + row[i + 1] * c, row[i] * b + row[i + 1] * d
+    minor = [
+        [(one if j == k else zero) - psi[j][k] for k in range(1, strands)]
+        for j in range(1, strands)
+    ]
+    return _centered_unit_form(_laurent_det(minor), "Burau")

@@ -3,6 +3,13 @@ import time
 from math import gcd
 
 import pytest
+from knot_oracle import (
+    _alexander_complex,
+    braid_closure,
+    burau_alexander,
+    random_knot_braid,
+    torsion_alexander,
+)
 from laurent_oracle import _laurent_det, conway_in_z, exact_div
 
 from torsionfam.corpus import random_word
@@ -12,8 +19,9 @@ from torsionfam.knots import (
     KnotPresentation,
     LaurentInt,
     SeifertMatrix,
-    _alexander_complex,
     _conway_in_z,
+    _fox_columns,
+    _laurent_minor,
     _int_det,
     _seifert_alexander,
     _two_bridge_presentation,
@@ -451,8 +459,10 @@ def _seeded_presentations(seed, count):
         yield KnotPresentation(strands=n, wirtinger_relators=tuple(relators))
 
 
-def test_alexander_complex_equals_presentation_complex():
-    """Field-identical boundaries on every input shape the Fox path takes."""
+def _fox_cases():
+    """Two-bridge knots, the bundled knots, presentations without relators,
+    connected sums and seeded presentations: every input shape the Fox
+    path takes, 173 of them."""
     rng = random.Random(41)
     pairs = [(p, q) for p in range(3, 22, 2) for q in range(1, p) if gcd(p, q) == 1]
     small = [(p, q) for p, q in pairs if p < 16]
@@ -466,12 +476,140 @@ def test_alexander_complex_equals_presentation_complex():
         + list(_seeded_presentations(42, 60))
     )
     assert len(cases) == 94 + 5 + 2 + 12 + 60
+    return cases
+
+
+def _square_presentations(seed, count):
+    """strands - 1 relators w x_a w^-1 x_b^-1 on 2 to 4 generators, so every
+    one reaches the minor; about a fifth have a Delta, the rest raise."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        relators = []
+        for _ in range(n - 1):
+            w = random_word(rng, n, 6)
+            a, b = rng.randrange(n), rng.randrange(n)
+            relators.append(w * Word.generator(a) * w.inverse() * Word.generator(b, -1))
+        yield KnotPresentation(strands=n, wirtinger_relators=tuple(relators))
+
+
+def test_alexander_complex_equals_presentation_complex():
+    """Field-identical boundaries on every input shape the Fox path takes."""
+    cases = _fox_cases()
     for k in cases:
         assert _fields(_alexander_complex(k)) == _fields(_reference_complex(k)), k
     seeded = cases[-60:]
     used = [{g for rel in k.wirtinger_relators for g, _ in rel.letters} for k in seeded]
     assert sum(len(u) < k.strands for u, k in zip(used, seeded)) > 10
     assert sum(len(k.wirtinger_relators) > 1 for k in seeded) > 20
+
+
+def _alexander_outcome(fn, k):
+    """The Delta fn returns, or the message of the ValueError it raises."""
+    try:
+        return fn(k)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _braid_closures(seed, sizes):
+    rng = random.Random(seed)
+    for crossings in sizes:
+        yield braid_closure(5, random_knot_braid(rng, 5, crossings))
+
+
+def test_integer_minor_equals_torsion_route():
+    """Delta and error text of the Z[t, 1/t] minor against (t - 1) / torsion."""
+    closures = list(_braid_closures(44, range(4, 61, 2)))
+    cases = _fox_cases() + list(_square_presentations(46, 300)) + closures
+    outcomes = []
+    for k in cases:
+        want = _alexander_outcome(torsion_alexander, k)
+        assert _alexander_outcome(alexander_from_fox, k) == want, k
+        outcomes.append(want)
+    degenerate = [o for o in outcomes if isinstance(o, str)]
+    assert len(degenerate) > 40
+    assert {
+        "degenerate presentation: torsion undefined: complex not generically acyclic",
+        "degenerate presentation: Delta(1) must be +1 or -1",
+    } <= set(degenerate)
+    assert sum(isinstance(o, LaurentInt) for o in outcomes[173:-len(closures)]) > 40
+    deltas = outcomes[-len(closures) :]
+    assert all(isinstance(delta, LaurentInt) for delta in deltas)
+    assert max(len(delta.terms) for delta in deltas) > 10
+
+
+def test_relator_order_does_not_change_delta():
+    """Reversed relators, so no column meets its new arc's row first."""
+    for k in _braid_closures(45, range(10, 41, 10)):
+        flipped = KnotPresentation(k.strands, tuple(reversed(k.wirtinger_relators)))
+        assert alexander_from_fox(flipped) == alexander_from_fox(k) == torsion_alexander(k)
+
+
+def test_block_without_unit_entries_is_interpolated():
+    """S(7, 3) on x0, x1 and S(9, 5) on x1, x2 share the meridian x1: their
+    connected sum, whose minor is a 2x2 block with no unit entry."""
+    left = _two_bridge_presentation(7, 3).wirtinger_relators[0]
+    right = _relabel(_two_bridge_presentation(9, 5).wirtinger_relators[0], (1, 2))
+    pres = KnotPresentation(strands=3, wirtinger_relators=(left, right))
+    entries = [col.get(g) for col in _fox_columns(pres) for g in (1, 2)]
+    assert sum(map(bool, entries)) == 3
+    assert all(len(a) > 1 for a in entries if a)
+    product = alexander_from_fox(_two_bridge_presentation(7, 3)) * alexander_from_fox(
+        _two_bridge_presentation(9, 5)
+    )
+    assert alexander_from_fox(pres) == product == torsion_alexander(pres)
+
+
+def _up_to_unit(terms):
+    """The associate of a Laurent polynomial with lowest exponent 0 and a
+    positive lowest coefficient."""
+    if not terms:
+        return {}
+    lo = min(terms)
+    sign = 1 if terms[lo] > 0 else -1
+    return {e - lo: sign * c for e, c in terms.items()}
+
+
+def _sample_minor_entry(rng):
+    kind = rng.random()
+    if kind < 0.4:
+        return {rng.randint(-2, 2): rng.choice((1, -1))}  # a unit: a pivot
+    if kind < 0.6:
+        return {rng.randint(-2, 2): rng.choice((2, -2, 3))}  # a monomial, no pivot
+    return {e: c for e in range(rng.randint(-2, 0), rng.randint(1, 3)) if (c := rng.randint(-2, 2))}
+
+
+@pytest.mark.parametrize("seed", [47, 48])
+def test_laurent_minor_equals_laurent_bareiss(seed):
+    """_laurent_minor up to +- t^k against the Laurent Bareiss determinant,
+    on sparse matrices of units, non-unit monomials and longer entries."""
+    rng = random.Random(seed)
+    zeros = 0
+    for _ in range(300):
+        n, density = rng.randint(0, 6), rng.choice((0.3, 0.6, 1.0))
+        entries = [
+            [_sample_minor_entry(rng) if rng.random() < density else {} for _ in range(n)]
+            for _ in range(n)
+        ]
+        rows = {i: {j: a for j, a in enumerate(row) if a} for i, row in enumerate(entries)}
+        want = _laurent_det([[LaurentInt(a) for a in row] for row in entries]).terms
+        zeros += not want
+        assert _up_to_unit(_laurent_minor(rows)) == _up_to_unit(want), entries
+    assert 20 < zeros < 200
+    # column 0 holds the monomial 2 and the unit 1, in rows of equal length:
+    # only the unit is a pivot; det [[2, 1 + t], [1, t]] = t - 1
+    hand = {0: {0: {0: 2}, 1: {0: 1, 1: 1}}, 1: {0: {0: 1}, 1: {1: 1}}}
+    assert _up_to_unit(_laurent_minor(hand)) == {0: 1, 1: -1}
+
+
+@pytest.mark.parametrize("crossings", [160, 240])
+def test_braid_closure_matches_burau(crossings):
+    """The minor of I - psi(beta) against the Fox path at braid scale."""
+    word = random_knot_braid(random.Random(crossings), 5, crossings)
+    delta = alexander_from_fox(braid_closure(5, word))
+    assert delta == burau_alexander(5, word)
+    assert len(delta.terms) > 20
 
 
 def test_connected_sum_alexander_is_the_product():

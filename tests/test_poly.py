@@ -6,7 +6,14 @@ from math import gcd, isqrt
 import pytest
 from fraction_poly import FractionPoly, fraction_poly_gcd
 
-from torsionfam.poly import Poly, format_poly, parse_poly, poly_gcd, rational_real_roots
+from torsionfam.poly import (
+    Poly,
+    _gauss_gcd,
+    format_poly,
+    parse_poly,
+    poly_gcd,
+    rational_real_roots,
+)
 from torsionfam.scalars import GaussRat
 
 
@@ -346,6 +353,45 @@ def test_rational_roots_match_the_divisor_search():
         found["leftover"] += leftover > 0
         found["multiple root"] += any(p.valuation_at(x) > 1 for x in roots)
     assert min(found.values()) > 100, found
+
+
+def test_rational_roots_ignore_the_gaussian_content():
+    """p times a Gaussian integer with 20-digit parts, and p with its
+    denominator made monic as RatFunc makes it, have p's roots."""
+    rng = random.Random(84)
+    for _ in range(150):
+        p = _planted_roots_poly(rng)
+        g = GaussRat(rng.randint(-(10**20), 10**20), rng.randint(1, 10**20))
+        want = _divisor_search(p)
+        assert rational_real_roots(p * g) == want, (p, g)
+        assert rational_real_roots(p * p.leading().conj()) == want, p
+
+
+def test_gauss_gcd_divides_and_is_divided():
+    """gcd(g a, g b) is g gcd(a, b) up to a unit: check by norms and division."""
+    rng = random.Random(85)
+    for _ in range(400):
+        a, b, g = ((rng.randint(-999, 999), rng.randint(-999, 999)) for _ in range(3))
+        if g == (0, 0) or a == b == (0, 0):
+            continue
+        ga, gb = (_gauss_mul(g, x) for x in (a, b))
+        d = _gauss_gcd(ga, gb)
+        assert _gauss_divides(d, ga) and _gauss_divides(d, gb) and _gauss_divides(g, d)
+        assert _norm(d) == _norm(g) * _norm(_gauss_gcd(a, b))
+
+
+def _gauss_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _norm(x):
+    return x[0] ** 2 + x[1] ** 2
+
+
+def _gauss_divides(d, x):
+    """x / d is in Z[i]: both parts of x conj(d) are multiples of |d|^2."""
+    re, im = _gauss_mul(x, (d[0], -d[1]))
+    return re % _norm(d) == 0 and im % _norm(d) == 0
 
 
 def test_rational_roots_of_hand_picked_polynomials():
