@@ -33,7 +33,7 @@ print("jump of eta across the point:", eta_jump(rec), "(always even)")
 print("eta at the jump from limits 3 and 1:", eta_at_jump(3, 1, rec.sigma_even))
 
 # The argument pairing against an even L-vector is defined mod 2.
-pairing = ArgPairing((Fraction(1, 4), Fraction(1, 3)), (2, 6), 2)
+pairing = ArgPairing((Fraction(1, 4), Fraction(1, 3)), (2, 6))
 print("\nargument pairing value:", arg_pairing_value(pairing), "(mod 2)")
 print("hat-eta of 1/2:", hat_eta(Fraction(1, 2), pairing), "(mod 4)")
 

@@ -4,13 +4,18 @@ Subcommands: ``torsion`` (torsion of a complex file and its valuations
 at degeneration points), ``analyze`` (full deformation reports),
 ``eta-check`` (ray invariance of an eta ledger, optionally fed by a
 family complex), ``conway`` (knot pipeline with oracle comparison),
-and ``selftest`` (bundled corpus and cross-module invariants).
+and ``selftest`` (bundled corpus and cross-module invariants).  The
+argparse parser is the one place that declares, defaults and checks
+the commands and their options; each subcommand names its handler
+there, and ``run`` takes the parsed namespace.
 
 Reports exist in two renderings: a human-readable text form and a
 versioned line-oriented key-value document (``--format structured``)
 meant for test harnesses; the structured form is byte-identical across
-runs on identical inputs.  Exit status is 0 when every check passes,
-1 on a failed verdict, 2 on usage or input errors.
+runs on identical inputs.  Every report is computed under the one sign
+convention ``FT-cal-1``, which both renderings name.  Exit status is 0
+when every check passes, 1 on a failed verdict, 2 on usage or input
+errors.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -44,7 +48,6 @@ from .eta import (
     signs_from_reports,
 )
 from .fileio import (
-    ParseError,
     _load_family,
     dump_complex,
     dump_knot,
@@ -60,24 +63,7 @@ from .poly import rational_real_roots
 from .ratfunc import RatFunc, cayley, conj_family
 from .scalars import GaussRat, format_gauss, parse_gauss
 
-__all__ = ["JobSpec", "Report", "run", "selftest", "main"]
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """One CLI invocation: a command, its inputs, and its options."""
-
-    command: str
-    input_paths: tuple[str, ...] = ()
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if (self.command == "selftest") == bool(self.input_paths):
-            want = "no input file" if self.input_paths else "an input file"
-            raise ValueError(f"{self.command} takes {want}")
-        object.__setattr__(self, "input_paths", tuple(self.input_paths))
+__all__ = ["Report", "run", "selftest", "main"]
 
 
 class Report:
@@ -131,44 +117,27 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-# -- degeneration point discovery -------------------------------------------
-
-
-def discover_centers(value: RatFunc) -> tuple[list[Fraction], int]:
-    """Real rational zeros and poles of a torsion value, with leftovers."""
-    roots_num, left_num = rational_real_roots(value.num)
-    roots_den, left_den = rational_real_roots(value.den)
-    centers = sorted(set(roots_num) | set(roots_den))
-    return centers, left_num + left_den
-
-
 # -- command implementations --------------------------------------------------
 
 
-def _parse_t0_option(raw: Optional[str]) -> Optional[list[GaussRat]]:
-    """None for 'auto'/missing, else the explicit list of points."""
-    if raw is None or raw == "auto":
-        return None
-    out = []
-    for tok in raw.split(","):
-        try:
-            out.append(parse_gauss(tok))
-        except ValueError as exc:
-            raise ValueError(f"bad --t0 value {tok!r}: {exc}") from exc
-    return out
-
-
-def _resolve_centers(report: Report, value: RatFunc, t0_option) -> list[GaussRat]:
-    explicit = _parse_t0_option(t0_option)
-    if explicit is not None:
-        return explicit
-    centers, leftover = discover_centers(value)
-    if leftover:
+def _resolve_centers(report: Report, value: RatFunc, t0: str) -> list[GaussRat]:
+    """The points of ``--t0``, or for 'auto' the real rational zeros and poles of value."""
+    if t0 != "auto":
+        out = []
+        for tok in t0.split(","):
+            try:
+                out.append(parse_gauss(tok))
+            except ValueError as exc:
+                raise ValueError(f"bad --t0 value {tok!r}: {exc}") from exc
+        return out
+    roots_num, left_num = rational_real_roots(value.num)
+    roots_den, left_den = rational_real_roots(value.den)
+    if left_num + left_den:
         report.note(
-            f"{leftover} zero/pole degrees of the torsion lie outside exact "
+            f"{left_num + left_den} zero/pole degrees of the torsion lie outside exact "
             "rational search (irrational or non-real); supply --t0 to analyze them"
         )
-    return [GaussRat(c) for c in centers]
+    return [GaussRat(c) for c in sorted(set(roots_num) | set(roots_den))]
 
 
 def _read_text(path: str) -> str:
@@ -179,7 +148,7 @@ def _read_text(path: str) -> str:
         raise ValueError(f"{path}: cannot read: {exc.strerror}") from exc
 
 
-def _cmd_torsion(job: JobSpec, path: str) -> Report:
+def _cmd_torsion(args: argparse.Namespace, path: str) -> Report:
     report = Report("torsion")
     cplx, _ = _load_family(_read_text(path), path)
     report.item("input", path)
@@ -190,13 +159,13 @@ def _cmd_torsion(job: JobSpec, path: str) -> Report:
         return report
     value = torsion(cplx).value
     report.item("torsion.value", value)
-    for t0 in _resolve_centers(report, value, job.options.get("t0")):
+    for t0 in _resolve_centers(report, value, args.t0):
         report.item(f"torsion.valuation.{format_gauss(t0)}", value.valuation(t0))
     return report
 
 
-def _load_duality(job: JobSpec, inline: Optional[list[Matrix]]):
-    opt = job.options.get("duality", "on")
+def _load_duality(args: argparse.Namespace, inline: Optional[list[Matrix]]):
+    opt = args.duality
     if opt == "off":
         return None
     if opt == "on":
@@ -227,18 +196,18 @@ def _analyze_point(cplx, t0, pairing):
         return exc.report, rejected
 
 
-def _cmd_analyze(job: JobSpec, path: str) -> Report:
+def _cmd_analyze(args: argparse.Namespace, path: str) -> Report:
     report = Report("analyze")
     cplx, inline = _load_family(_read_text(path), path)
     report.item("input", path)
-    pairing = _load_duality(job, inline)
+    pairing = _load_duality(args, inline)
     acyclic = is_generically_acyclic(cplx)
     report.check(f"{path}:generically-acyclic", acyclic)
     if not acyclic:
         return report
     value = torsion(cplx).value
     report.item("torsion.value", value)
-    for t0 in _resolve_centers(report, value, job.options.get("t0")):
+    for t0 in _resolve_centers(report, value, args.t0):
         key = format_gauss(t0)
         rep, rejected = _analyze_point(cplx, t0, pairing)
         report.item(f"analysis.{key}.nu", rep.nu)
@@ -258,7 +227,7 @@ def _cmd_analyze(job: JobSpec, path: str) -> Report:
     return report
 
 
-def _cmd_eta_check(job: JobSpec, path: str) -> Report:
+def _cmd_eta_check(args: argparse.Namespace, path: str) -> Report:
     report = Report("eta-check")
     profile, signs = load_ledger(_read_text(path), path)
     report.item("input", path)
@@ -266,10 +235,9 @@ def _cmd_eta_check(job: JobSpec, path: str) -> Report:
     report.item("jumps", len(profile.jumps))
     for warning in profile.warnings():
         report.note(f"{path}: {warning}")
-    complex_path = job.options.get("complex")
-    if complex_path:
-        cplx, inline = _load_family(_read_text(complex_path), complex_path)
-        pairing = _load_duality(job, inline)
+    if args.complex:
+        cplx, inline = _load_family(_read_text(args.complex), args.complex)
+        pairing = _load_duality(args, inline)
         reports = []
         for rec in profile.jumps:
             rep, rejected = _analyze_point(cplx, GaussRat(rec.t0), pairing)
@@ -306,7 +274,7 @@ def _cmd_eta_check(job: JobSpec, path: str) -> Report:
     return report
 
 
-def _cmd_conway(job: JobSpec, path: str) -> Report:
+def _cmd_conway(args: argparse.Namespace, path: str) -> Report:
     report = Report("conway")
     pres, seifert, _names = load_knot(_read_text(path), path)
     report.item("input", path)
@@ -338,7 +306,7 @@ def _selftest_ledgers() -> list[tuple[str, EtaProfile, list[int], bool]]:
     """Four bundled ledgers: three passing, one designed to fail."""
     jump1 = JumpRecord(Fraction(0), 1, 0, 1)
     jump2 = JumpRecord(Fraction(1), 2, 1, 2)
-    pairing = ArgPairing((Fraction(1, 4), Fraction(1, 3)), (2, 6), 2)
+    pairing = ArgPairing((Fraction(1, 4), Fraction(1, 3)), (2, 6))
     return [
         ("class3", EtaProfile(3, Fraction(1, 2), (jump1, jump2)), [1, -1, -1], True),
         ("su", EtaProfile(1, Fraction(0), (jump1,)), [1, -1], True),
@@ -476,30 +444,25 @@ def selftest(seed: int = 20250) -> Report:
 # -- dispatch ------------------------------------------------------------------
 
 
-def run(job: JobSpec) -> Report:
-    """Dispatch a job to its command implementation, one input file at a time.
+def run(args: argparse.Namespace) -> Report:
+    """Run a parsed command line, one input file at a time.
 
-    A usage or parse error in a file is led by the file's path once.  In
-    a run of one file it propagates, as a ``ValueError`` with the path
-    when it carried none.  In a run of several, the file is left out of
-    the report, with the error in ``errors`` and a note, and the other
-    files go on.
+    ``args`` comes from the parser of :func:`main`; each subcommand
+    names its handler there.  A usage or parse error in a file is led
+    by the file's path once.  In a run of one file it propagates, as a
+    ``ValueError`` with the path when it carried none.  In a run of
+    several, the file is left out of the report, with the error in
+    ``errors`` and a note, and the other files go on.
     """
-    convention = job.options.get("convention", CONVENTION_TAG)
-    if convention != CONVENTION_TAG:
-        raise ValueError(
-            f"unknown convention {convention!r}; only {CONVENTION_TAG} exists in v1"
-        )
-    command = _COMMANDS[job.command]
-    if not job.input_paths:
-        return command(job)
-    report = Report(job.command)
-    for path in job.input_paths:
+    if args.command == "selftest":
+        return args.handler(args.seed)
+    report = Report(args.command)
+    for path in args.inputs:
         try:
-            part = command(job, path)
+            part = args.handler(args, path)
         except (ValueError, ZeroDivisionError) as exc:
             error = str(exc) if str(exc).startswith(f"{path}:") else f"{path}: {exc}"
-            if len(job.input_paths) == 1:
+            if len(args.inputs) == 1:
                 if error == str(exc):
                     raise
                 raise ValueError(error) from exc
@@ -512,16 +475,6 @@ def run(job: JobSpec) -> Report:
     return report
 
 
-# command name -> handler; JobSpec accepts exactly these names
-_COMMANDS = {
-    "torsion": _cmd_torsion,
-    "analyze": _cmd_analyze,
-    "eta-check": _cmd_eta_check,
-    "conway": _cmd_conway,
-    "selftest": lambda job: selftest(int(job.options.get("seed", 20250))),
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torsionfam",
@@ -531,65 +484,48 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"torsionfam {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, handler, help, metavar=None):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if metavar is not None:
+            p.add_argument("inputs", nargs="+", metavar=metavar)
         p.add_argument(
             "--format", choices=("text", "structured"), default="text",
             help="output rendering (default: text)",
         )
-        p.add_argument(
-            "--convention", default=CONVENTION_TAG,
-            help="sign convention tag (only FT-cal-1 in v1)",
-        )
+        return p
 
-    p = sub.add_parser("torsion", help="torsion of complex files")
-    p.add_argument("inputs", nargs="+", metavar="FILE")
-    p.add_argument("--t0", default="auto", help="comma list of points, or 'auto'")
-    common(p)
+    t0_help = "comma list of points, or 'auto'"
+    p = command("torsion", _cmd_torsion, "torsion of complex files", "FILE")
+    p.add_argument("--t0", default="auto", help=t0_help)
 
-    p = sub.add_parser("analyze", help="deformation reports of complex files")
-    p.add_argument("inputs", nargs="+", metavar="FILE")
-    p.add_argument("--t0", default="auto", help="comma list of points, or 'auto'")
+    p = command("analyze", _cmd_analyze, "deformation reports of complex files", "FILE")
+    p.add_argument("--t0", default="auto", help=t0_help)
     p.add_argument(
         "--duality", default="on",
         help="'on' (inline section), 'off', or a file with a duality section",
     )
-    common(p)
 
-    p = sub.add_parser("eta-check", help="ray invariance of eta ledgers")
-    p.add_argument("inputs", nargs="+", metavar="LEDGER")
+    p = command("eta-check", _cmd_eta_check, "ray invariance of eta ledgers", "LEDGER")
     p.add_argument("--complex", default=None, help="family complex feeding the ledger")
     p.add_argument(
         "--duality", default="on",
         help="duality handling for --complex (on/off/file)",
     )
-    common(p)
 
-    p = sub.add_parser("conway", help="knot pipeline with Seifert oracle")
-    p.add_argument("inputs", nargs="+", metavar="KNOT")
-    common(p)
+    command("conway", _cmd_conway, "knot pipeline with Seifert oracle", "KNOT")
 
-    p = sub.add_parser("selftest", help="bundled corpus and invariants")
+    p = command("selftest", selftest, "bundled corpus and invariants")
     p.add_argument("--seed", type=int, default=20250,
                    help="seed for the randomized invariant samples")
-    common(p)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    options = {}
-    for key in ("t0", "duality", "convention", "seed", "complex"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            options[key] = getattr(args, key)
-    job = JobSpec(
-        command=args.command,
-        input_paths=tuple(getattr(args, "inputs", ())),
-        options=options,
-    )
+    args = _build_parser().parse_args(argv)
     try:
-        report = run(job)
-    except (ParseError, ValueError, ZeroDivisionError) as exc:
+        report = run(args)
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"torsionfam: error: {exc}", file=sys.stderr)
         return 2
     for error in report.errors:

@@ -41,6 +41,7 @@ lives and dies with the complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .linalg import Matrix, _eliminate
 from .ratfunc import RatFunc
@@ -134,10 +135,14 @@ class BasedChainComplex(_Frozen):
 
 @dataclass(frozen=True)
 class TorsionValue:
-    """Torsion scalar together with the sign convention that fixed it."""
+    """Torsion scalar, with the tag of the one sign convention that fixes it.
+
+    ``convention_tag`` is a class constant: every torsion value is
+    computed under ``FT-cal-1``, so no caller sets it.
+    """
 
     value: RatFunc
-    convention_tag: str = CONVENTION_TAG
+    convention_tag: ClassVar[str] = CONVENTION_TAG
 
     def __post_init__(self):
         if self.value.is_zero():

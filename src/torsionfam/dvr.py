@@ -105,10 +105,6 @@ class DivisorProfile:
     def total_valuation(self) -> int:
         return sum(self.valuations)
 
-    def positive_count(self) -> int:
-        """Number of divisors that actually vanish at the center."""
-        return sum(1 for v in self.valuations if v > 0)
-
 
 @dataclass(frozen=True)
 class TorsionModuleSummary:
@@ -125,10 +121,6 @@ class TorsionModuleSummary:
     @property
     def top_degree(self) -> int:
         return len(self.dims) - 1
-
-    def dims_cohomological(self) -> tuple[int, ...]:
-        """Degree-reversed view (index i holds the degree m-i entry)."""
-        return tuple(reversed(self.dims))
 
     def middle_dim(self) -> Optional[int]:
         """dim in the self-paired degree (m-1)/2, for odd top degree m."""

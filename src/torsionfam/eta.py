@@ -89,22 +89,22 @@ class ArgPairing:
     first cohomology, rationals taken mod 1; ``l_coeffs`` are the
     pairings of the complementary-degree part of the L-polynomial with
     the dual basis and must all be even -- that evenness is exactly
-    what makes the pairing well defined mod 2.
+    what makes the pairing well defined mod 2.  Both lists run over the
+    same basis, so their common length is the first Betti number b1.
     """
 
     arg_coeffs: tuple[Fraction, ...]
     l_coeffs: tuple[int, ...]
-    betti_b1: int
 
     def __post_init__(self):
         args = tuple(Fraction(a) for a in self.arg_coeffs)
         ls = tuple(int(c) for c in self.l_coeffs)
         object.__setattr__(self, "arg_coeffs", args)
         object.__setattr__(self, "l_coeffs", ls)
-        if self.betti_b1 < 1:
-            raise ValueError("betti_b1 must be positive")
-        if len(args) != self.betti_b1 or len(ls) != self.betti_b1:
-            raise ValueError("pairing lists must have length betti_b1")
+        if not args:
+            raise ValueError("pairing needs at least one coefficient (b1 >= 1)")
+        if len(args) != len(ls):
+            raise ValueError("pairing lists must have the same length b1")
         for c in ls:
             if c % 2:
                 raise ValueError(ODD_L_COEFF_ERROR)
@@ -126,9 +126,6 @@ def arg_pairing_value(p: ArgPairing) -> Fraction:
     Well defined on phase classes: shifting any arg coefficient by an
     integer changes the sum by an even integer.
     """
-    for c in p.l_coeffs:
-        if c % 2:
-            raise ValueError(ODD_L_COEFF_ERROR)
     total = Fraction(0)
     for a, c in zip(p.arg_coeffs, p.l_coeffs):
         total += (a % 1) * c
@@ -262,7 +259,7 @@ def orientation_reversal_sign(rank: int, schi: int) -> int:
 
 
 def profile_from_reports(
-    reports, dimension_class: int, base_value=0, sigma_evens=None
+    reports, dimension_class: int, base_value=0
 ) -> EtaProfile:
     """Ledger synthesized from deformation reports at increasing t0.
 
@@ -272,10 +269,8 @@ def profile_from_reports(
     two is enforced here because both came from the same analysis.
     """
     reports = sorted(reports, key=lambda r: r.t0.re)
-    if sigma_evens is None:
-        sigma_evens = [0] * len(reports)
     jumps = []
-    for rep, se in zip(reports, sigma_evens):
+    for rep in reports:
         if rep.t0.im:
             raise ValueError("ledger jump points must be real rationals")
         if rep.middle_dim_parity is None:
@@ -283,7 +278,7 @@ def profile_from_reports(
         rec = JumpRecord(
             t0=Fraction(rep.t0.re),
             sigma_odd=rep.middle_dim_parity,
-            sigma_even=int(se),
+            sigma_even=0,
             nu=rep.nu,
         )
         if rec.consistency_warning() is not None:

@@ -443,7 +443,7 @@ def load_ledger(
             if len(args) != len(ls):
                 reader.error(lineno, "args and lcoeffs must have equal length")
             try:
-                argpairs[idx] = ArgPairing(args, ls, betti_b1=len(args))
+                argpairs[idx] = ArgPairing(args, ls)
             except ValueError as exc:
                 raise ParseError(path, lineno, str(exc)) from exc
         else:

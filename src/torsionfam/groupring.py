@@ -88,9 +88,6 @@ class Word(_Frozen):
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.letters)))
 
-    def is_identity(self) -> bool:
-        return not self.letters
-
     def __len__(self) -> int:
         return len(self.letters)
 

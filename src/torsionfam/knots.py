@@ -144,11 +144,6 @@ class ConwayPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def even_only(self) -> bool:
-        return all(
-            c == 0 for k, c in enumerate(self.coefficients) if k % 2 == 1
-        )
-
     def __repr__(self):
         return _format_terms([(k, c) for k, c in enumerate(self.coefficients) if c], "z")
 

@@ -93,9 +93,6 @@ class RatFunc(_Exact):
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):

@@ -179,16 +179,16 @@ def test_criterion_5_argument_arithmetic(corpus_reports):
     started = time.time()
     rng = random.Random(606)
     base = ArgPairing(
-        (Fraction(1, 4), Fraction(2, 3), Fraction(-5, 6)), (2, -4, 6), 3
+        (Fraction(1, 4), Fraction(2, 3), Fraction(-5, 6)), (2, -4, 6)
     )
     reference = arg_pairing_value(base)
     for _ in range(1000):
         shifted = list(base.arg_coeffs)
         k = rng.randrange(3)
         shifted[k] += rng.randrange(-5, 6)
-        assert arg_pairing_value(ArgPairing(tuple(shifted), base.l_coeffs, 3)) == reference
+        assert arg_pairing_value(ArgPairing(tuple(shifted), base.l_coeffs)) == reference
     with pytest.raises(ValueError, match="not even"):
-        ArgPairing((Fraction(1, 2),), (1,), 1)
+        ArgPairing((Fraction(1, 2),), (1,))
     n_jumps = 0
     for fam, reports in corpus_reports[1]:
         profile = profile_from_reports(reports, dimension_class=1)

@@ -1,3 +1,4 @@
+import argparse
 import math
 import re
 import time
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from torsionfam.cli import JobSpec, Report, main, run, selftest
+from torsionfam.cli import Report, _build_parser, main, run, selftest
 from torsionfam.corpus import circle_family, torus3_family
 from torsionfam.fileio import ParseError, dump_complex, dump_ledger
 from torsionfam.ratfunc import cayley
@@ -19,17 +20,24 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_jobspec_validation():
-    with pytest.raises(ValueError, match="unknown command"):
-        JobSpec(command="frobnicate")
-
-
-def test_jobspec_needs_input_files_except_selftest():
-    """Each command reports on one file at a time, so a job names its files."""
-    with pytest.raises(ValueError, match="torsion takes an input file"):
-        JobSpec(command="torsion")
-    with pytest.raises(ValueError, match="selftest takes no input file"):
-        JobSpec(command="selftest", input_paths=("a.cplx",))
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        (["torsion"], "the following arguments are required: FILE"),
+        (["selftest", "a.cplx"], "unrecognized arguments: a.cplx"),
+        (["torsion", str(DATA / "circle.cplx"), "--convention", "FT-cal-1"],
+         "unrecognized arguments: --convention FT-cal-1"),
+    ],
+    ids=["unknown-command", "torsion-without-file", "selftest-with-file", "convention-switch"],
+)
+def test_usage_error_exits_2(capsys, argv, message):
+    """The parser alone rejects a bad command line, before any file is read."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == ""
+    assert message in captured.err
 
 
 def test_torsion_circle(capsys):
@@ -153,7 +161,7 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "bad.cplx:4" in err
     # a run of one file propagates the parse error itself, path and line
     with pytest.raises(ParseError, match=f"^{re.escape(str(bad))}:4: ") as info:
-        run(JobSpec("analyze", (str(bad),)))
+        run(_build_parser().parse_args(["analyze", str(bad)]))
     assert info.value.lineno == 4
 
 
@@ -166,26 +174,32 @@ def test_missing_file_exit_code(capsys):
     assert code == 2 and err.count("no-such-file.cplx") == 1 and "cannot read" in err
 
 
-def test_unknown_convention_rejected(capsys):
-    code, _, err = invoke(
-        capsys, "torsion", str(DATA / "circle.cplx"), "--convention", "other"
-    )
-    assert code == 2
-    assert "FT-cal-1" in err
-
-
 def test_run_api_report_shape():
-    job = JobSpec(
-        command="torsion",
-        input_paths=(str(DATA / "circle.cplx"),),
-        options={"t0": "0"},
-    )
-    report = run(job)
+    report = run(_build_parser().parse_args(["torsion", str(DATA / "circle.cplx"), "--t0", "0"]))
     assert isinstance(report, Report)
     assert report.all_pass
     structured = report.structured()
     assert structured.startswith("torsionfam-report v1\n")
     assert "convention FT-cal-1" in structured
+
+
+def test_readme_command_line_matches_parser():
+    """README's "Command line" section lists exactly the parser's subcommands and flags."""
+    readme = (DATA.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    (subparsers,) = (
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    flags = {
+        flag
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+    assert set(re.findall(r"^torsionfam ([a-z-]+)", section, re.M)) == set(subparsers.choices)
+    assert set(re.findall(r"--[a-z0-9]+", section)) == flags
 
 
 def test_selftest_seed_changes_samples_not_verdict():

@@ -80,6 +80,9 @@ def test_torsion_identity_boundary():
     assert isinstance(tv, TorsionValue)
     assert tv.value == ONE
     assert tv.convention_tag == CONVENTION_TAG
+    # the tag is a class constant, not a field a caller could set
+    with pytest.raises(TypeError):
+        TorsionValue(ONE, "other")
 
 
 def test_torsion_diagonal():

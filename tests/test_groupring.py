@@ -29,7 +29,7 @@ ONE = RatFunc.one()
 def test_free_reduction():
     w = Word([(0, 1), (1, 1), (1, -1), (0, -1), (2, 1)])
     assert w == Word.generator(2)
-    assert (X * X.inverse()).is_identity()
+    assert not (X * X.inverse()).letters
     assert COMM.inverse() == Y * X * Y.inverse() * X.inverse()
 
 

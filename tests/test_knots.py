@@ -696,7 +696,7 @@ def test_normalize_is_delta_of_s_squared_in_z():
             terms[k] = terms[-k] = c
         delta = LaurentInt(terms)
         nabla = conway_normalize(delta.shift(rng.randint(-3, 3)))
-        assert nabla.even_only()
+        assert not any(nabla.coefficients[1::2])
         value, power = LaurentInt({}), LaurentInt.constant(1)
         for c in nabla.coefficients:
             value = value + power * LaurentInt.constant(c)
@@ -783,7 +783,7 @@ def test_oracle_agreement(name):
     via_seifert = conway_from_seifert(seif)
     assert via_fox == via_seifert
     assert via_fox.coefficients == EXPECTED_CONWAY[name]
-    assert via_fox.even_only()
+    assert not any(via_fox.coefficients[1::2])
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_CONWAY))

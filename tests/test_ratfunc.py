@@ -302,7 +302,7 @@ def test_henrici_arithmetic_matches_unreduced_oracle():
         ) + ((("div", f / g, slow_div(f, g)),) if g else ()):
             assert fast == slow, (name, f, g)
             assert_canonical(fast)
-            if fast.is_constant():
+            if fast.num.degree <= 0 and fast.den.degree == 0:
                 values.add("zero" if fast.is_zero() else "constant")
         for h in (g, -g):
             kinds[_sum_kind(f, h)] = kinds.get(_sum_kind(f, h), 0) + 1
