@@ -61,7 +61,6 @@ __all__ = [
 
 CONVENTION_TAG = "FT-cal-1"
 
-_ZERO = RatFunc.zero()
 _ONE = RatFunc.one()
 
 
@@ -88,7 +87,7 @@ class BasedChainComplex(_Frozen):
                     f"boundary {k} has shape {mat.shape()}, expected {want}"
                 )
         for k in range(1, len(ranks) - 1):
-            prod = boundaries[k - 1].mul_with_zero(boundaries[k], _ZERO)
+            prod = boundaries[k - 1] @ boundaries[k]
             if not prod.is_zero():
                 raise ValueError(f"boundary condition fails: d_{k} . d_{k + 1} != 0")
         object.__setattr__(self, "ranks", ranks)
@@ -264,8 +263,7 @@ def direct_sum(a: BasedChainComplex, b: BasedChainComplex) -> BasedChainComplex:
     b = _pad(b, m)
     ranks = [ra + rb for ra, rb in zip(a.ranks, b.ranks)]
     boundaries = [
-        Matrix.block_diagonal(a.boundary(k), b.boundary(k), _ZERO)
-        for k in range(1, m + 1)
+        Matrix.block_diagonal(a.boundary(k), b.boundary(k)) for k in range(1, m + 1)
     ]
     return BasedChainComplex(ranks, boundaries)
 
@@ -276,7 +274,7 @@ def _pad(c: BasedChainComplex, m: int) -> BasedChainComplex:
     ranks = c.ranks + (0,) * (m - c.top_degree)
     boundaries = list(c.boundaries)
     for k in range(c.top_degree + 1, m + 1):
-        boundaries.append(Matrix.zeros(ranks[k - 1], 0, _ZERO))
+        boundaries.append(Matrix.zeros(ranks[k - 1], 0))
     return BasedChainComplex(ranks, boundaries)
 
 

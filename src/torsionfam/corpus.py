@@ -97,7 +97,7 @@ def elementary_complex(m: int, k: int, mat: Matrix) -> BasedChainComplex:
         if j == k:
             boundaries.append(mat)
         else:
-            boundaries.append(Matrix.zeros(ranks[j - 1], ranks[j], _ZERO))
+            boundaries.append(Matrix.zeros(ranks[j - 1], ranks[j]))
     return BasedChainComplex(ranks, boundaries)
 
 
@@ -113,12 +113,8 @@ def swap_pairing(c: BasedChainComplex) -> list[Matrix]:
     for i in range(m + 1):
         a = c.ranks[i]
         b = c.ranks[m - i]  # rank of dual(C) in degree i
-        rows = []
-        for j in range(b):
-            rows.append([_ZERO] * a + [_ONE if k == j else _ZERO for k in range(b)])
-        for j in range(a):
-            rows.append([_ONE if k == j else _ZERO for k in range(a)] + [_ZERO] * b)
-        pairing.append(Matrix(rows, a + b))
+        rows = Matrix.block_diagonal(Matrix.identity(a), Matrix.identity(b)).rows
+        pairing.append(Matrix(rows[a:] + rows[:a], a + b))
     return pairing
 
 
@@ -138,15 +134,10 @@ def hermitian_middle(m: int, mat: Matrix) -> tuple[BasedChainComplex, list[Matri
         raise ValueError("middle block must be Hermitian under the family involution")
     r = (m + 1) // 2
     cplx = elementary_complex(m, r, mat)
-    a = mat.nrows
     pairing = []
     for i in range(m + 1):
-        if cplx.ranks[i] == 0:
-            pairing.append(Matrix([], 0))
-        elif i == r and r % 2 == 0:
-            pairing.append(Matrix.identity(a, _ONE, _ZERO).scale(-_ONE))
-        else:
-            pairing.append(Matrix.identity(a, _ONE, _ZERO))
+        ident = Matrix.identity(cplx.ranks[i])
+        pairing.append(-ident if i == r and r % 2 == 0 else ident)
     return cplx, pairing
 
 
@@ -174,7 +165,7 @@ def combine(name: str, parts: list[FamilySpec]) -> FamilySpec:
             raise ValueError("combine needs equal top degrees")
         total = direct_sum(total, part.complex)
         pairing = [
-            Matrix.block_diagonal(p, q, _ZERO) for p, q in zip(pairing, part.pairing)
+            Matrix.block_diagonal(p, q) for p, q in zip(pairing, part.pairing)
         ]
         centers.update(part.centers)
     return FamilySpec(name, total, tuple(pairing), tuple(sorted(centers)))
@@ -220,10 +211,7 @@ def bundled_direct_sum() -> FamilySpec:
 
 def _unimodular_gauss(rng: random.Random, n: int) -> Matrix:
     """Random Z[i] matrix with unit determinant, from elementary moves."""
-    if n == 0:
-        return Matrix([], 0)
-    ident = Matrix.identity(n, _ONE, _ZERO)
-    rows = [list(r) for r in ident.rows]
+    rows = [list(r) for r in Matrix.identity(n).rows]
     units = [
         RatFunc.coerce(GaussRat(1)),
         RatFunc.coerce(GaussRat(-1)),
@@ -306,10 +294,9 @@ def _mirror_block(rng: random.Random, m: int, centers) -> FamilySpec:
             diag.append(_divisor(rng, centers, real_only=False))
         else:
             diag.append(_unit_factor(rng))
-    core = Matrix.diagonal(diag, _ZERO)
     u = _unimodular_gauss(rng, a)
     v = _unimodular_gauss(rng, a)
-    mat = u.mul_with_zero(core, _ZERO).mul_with_zero(v, _ZERO)
+    mat = u @ Matrix.diagonal(diag) @ v
     half = elementary_complex(m, k, mat)
     total, pairing = mirror_pair(half)
     return FamilySpec("mirror", total, tuple(pairing), tuple(centers))
@@ -324,9 +311,8 @@ def _hermitian_block(rng: random.Random, m: int, centers) -> FamilySpec:
             diag.append(_divisor(rng, centers, real_only=True))
         else:
             diag.append(RatFunc.coerce(rng.choice([1, 2, -1])))
-    core = Matrix.diagonal(diag, _ZERO)
     g = _unimodular_gauss(rng, a)
-    mat = g.mul_with_zero(core, _ZERO).mul_with_zero(g.transpose().conj(), _ZERO)
+    mat = g @ Matrix.diagonal(diag) @ g.transpose().conj()
     cplx, pairing = hermitian_middle(m, mat)
     return FamilySpec("hermitian", cplx, tuple(pairing), tuple(centers))
 

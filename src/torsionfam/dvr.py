@@ -41,7 +41,6 @@ from .complexes import (
     torsion,
 )
 from .linalg import Matrix, _clear_below
-from .ratfunc import RatFunc
 from .scalars import GaussRat
 
 __all__ = [
@@ -57,9 +56,6 @@ __all__ = [
     "DualityError",
     "CalibrationError",
 ]
-
-_ZERO = RatFunc.zero()
-_ONE = RatFunc.one()
 
 
 class DualityError(ValueError):
@@ -261,8 +257,8 @@ def check_duality_pairing(
             raise DualityError(f"duality matrix {i} not defined over the local ring")
         if p.nrows != p.ncols:
             raise DualityError(f"duality matrix {i} is not square")
-        det = known[i] if known is not None else p.det() if p.nrows else None
-        if det is not None and (det.is_zero() or det.valuation(t0) != 0):
+        det = known[i] if known is not None else p.det()
+        if det.is_zero() or det.valuation(t0) != 0:
             raise DualityError(
                 f"duality matrix {i} is not invertible over the local ring"
             )
@@ -271,8 +267,8 @@ def check_duality_pairing(
         return
     dual = dual_complex(c)
     for i in range(1, m + 1):
-        lhs = dual.boundary(i).mul_with_zero(pairing[i], _ZERO)
-        rhs = pairing[i - 1].mul_with_zero(c.boundary(i), _ZERO)
+        lhs = dual.boundary(i) @ pairing[i]
+        rhs = pairing[i - 1] @ c.boundary(i)
         if lhs != rhs:
             raise DualityError(f"duality pairing is not a chain map in degree {i}")
     c._memo[key] = tuple(dets)

@@ -20,7 +20,7 @@ from .eta import ArgPairing, EtaProfile, JumpRecord
 from .groupring import RepFamily, Word, parse_word, presentation_complex, specialize_word
 from .knots import KnotPresentation, SeifertMatrix
 from .linalg import Matrix
-from .ratfunc import RatFunc, format_ratfunc, parse_ratfunc
+from .ratfunc import format_ratfunc, parse_ratfunc
 from .scalars import format_rational, parse_integer, parse_rational
 
 __all__ = [
@@ -34,8 +34,6 @@ __all__ = [
     "load_ledger",
     "dump_ledger",
 ]
-
-_ZERO = RatFunc.zero()
 
 # largest rank load_complex accepts in any degree
 MAX_RANK = 1000
@@ -162,7 +160,7 @@ def _read_matrix(reader: _Reader, nrows: int, ncols: int) -> Matrix:
                 reader.error(lineno, "bad rational-function token", tok)
         rows.append(row)
     if ncols == 0 or nrows == 0:
-        return Matrix.zeros(nrows, ncols, _ZERO)
+        return Matrix.zeros(nrows, ncols)
     return Matrix(rows, ncols)
 
 
@@ -298,7 +296,7 @@ def _load_family(text: str, path: str) -> tuple[BasedChainComplex, Optional[list
     representation does not respect is reported at its line."""
     if _Reader(text, path).peek_line() == "presentation v1":
         names, relators, rho = _read_presentation(text, path)
-        ident = Matrix.identity(rho.rank, RatFunc.one(), _ZERO)
+        ident = Matrix.identity(rho.rank)
         for lineno, rel in relators:
             if specialize_word(rel, rho) != ident:
                 raise ParseError(path, lineno, "relator is not respected by the representation")

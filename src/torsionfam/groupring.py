@@ -31,6 +31,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 
+from .complexes import BasedChainComplex
 from .linalg import Matrix
 from .ratfunc import RatFunc
 from .scalars import _Frozen, parse_integer
@@ -46,9 +47,6 @@ __all__ = [
     "parse_word",
     "format_word",
 ]
-
-_ZERO = RatFunc.zero()
-_ONE = RatFunc.one()
 
 # longest word parse_word expands, in letters
 MAX_WORD_LETTERS = 10_000
@@ -223,18 +221,18 @@ class RepFamily:
         object.__setattr__(self, "images", images)
         if self.rank < 1:
             raise ValueError("representation rank must be positive")
-        ident = Matrix.identity(self.rank, _ONE, _ZERO)
+        ident = Matrix.identity(self.rank)
         for g, mat in enumerate(images):
             if not isinstance(mat, Matrix) or mat.shape() != (self.rank, self.rank):
                 raise ValueError(f"image of generator {g} has wrong shape")
-            det = mat.det() if self.rank else _ONE
+            det = mat.det()
             if det.is_zero():
                 raise ValueError(f"image of generator {g} is singular")
             if self.unitary:
-                if mat.mul_with_zero(mat.transpose().conj(), _ZERO) != ident:
+                if mat @ mat.transpose().conj() != ident:
                     raise ValueError(f"image of generator {g} is not unitary")
             if self.special:
-                if det != _ONE:
+                if det != 1:
                     raise ValueError(f"image of generator {g} has determinant != 1")
         object.__setattr__(self, "inverses", tuple(mat.inverse() for mat in images))
 
@@ -254,7 +252,7 @@ class RepFamily:
 
 def specialize_word(w: Word, rho: RepFamily) -> Matrix:
     """Image of a word: the ordered product of generator images."""
-    out = Matrix.identity(rho.rank, _ONE, _ZERO)
+    out = Matrix.identity(rho.rank)
     for g, e in w.letters:
         factor = rho.image(g) if e == 1 else rho.image_inverse(g)
         out = out @ factor
@@ -263,7 +261,7 @@ def specialize_word(w: Word, rho: RepFamily) -> Matrix:
 
 def specialize(e: GroupRingElem, rho: RepFamily) -> Matrix:
     """Ring homomorphism from the group ring into RatFunc matrices."""
-    out = Matrix.zeros(rho.rank, rho.rank, _ZERO)
+    out = Matrix.zeros(rho.rank, rho.rank)
     for w, c in e.terms.items():
         out = out + specialize_word(w, rho).scale(RatFunc.coerce(c))
     return out
@@ -283,8 +281,6 @@ def presentation_complex(generators, relators, rho: RepFamily):
     reference).  The last P, rho(r), must be 1; relators are checked in
     order, for undeclared generators first.
     """
-    from .complexes import BasedChainComplex
-
     ngens = int(generators)
     if ngens < 1:
         raise ValueError("presentation needs at least one generator")
@@ -294,7 +290,7 @@ def presentation_complex(generators, relators, rho: RepFamily):
             f"representation covers {rho.ngens} generators, presentation has {ngens}"
         )
     d = rho.rank
-    ident = Matrix.identity(d, _ONE, _ZERO)
+    ident = Matrix.identity(d)
 
     # d_1 : C_1 -> C_0, block row of (rho(x_j) - 1)^T
     d1 = Matrix([r for j in range(ngens) for r in (rho.images[j] - ident).rows], d).transpose()
@@ -304,7 +300,7 @@ def presentation_complex(generators, relators, rho: RepFamily):
     for rel in relators:
         if rel.max_generator() >= ngens:
             raise ValueError(f"relator {format_word(rel)!r} uses an undeclared generator")
-        blocks, prefix = [Matrix.zeros(d, d, _ZERO)] * ngens, ident
+        blocks, prefix = [Matrix.zeros(d, d)] * ngens, ident
         for g, e in rel.letters:
             if e == 1:
                 blocks[g] = blocks[g] + prefix

@@ -1,15 +1,16 @@
-"""Exact dense matrices over the package's scalar types.
+"""Exact dense matrices over Q(i)(t).
 
 A :class:`Matrix` carries its shape explicitly (zero-row and
 zero-column matrices occur constantly as boundaries of ranked chain
-complexes), stores entries as a tuple of row tuples, and works for any
-entry type with field arithmetic and ``is_zero`` -- in practice
-GaussRat and RatFunc.
+complexes) and stores :class:`RatFunc` entries as a tuple of row
+tuples.  With one entry ring, the empty cases need no help from the
+caller: an empty sum is ``_ZERO`` and the determinant of the 0x0
+matrix is ``_ONE``, the empty product.
 
 Storage is dense, but the product is sparse: row j of A @ B sums
 a_jl * (row l of B) over the nonzero a_jl only, touching only the
 nonzero entries of that row of B, so its cost is the number of nonzero
-pairs.  An entry that no pair reaches is the entry class's ``zero()``.
+pairs.  An entry that no pair reaches is ``_ZERO``.
 Terms are added in increasing l, the order of the dense dot product.
 
 All elimination is one forward-elimination kernel, :func:`_eliminate`,
@@ -23,9 +24,13 @@ from __future__ import annotations
 
 import operator
 
+from .ratfunc import RatFunc
 from .scalars import _Frozen
 
 __all__ = ["Matrix"]
+
+_ZERO = RatFunc.zero()
+_ONE = RatFunc.one()
 
 
 class Matrix(_Frozen):
@@ -51,31 +56,29 @@ class Matrix(_Frozen):
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int, zero) -> "Matrix":
-        return cls([[zero] * ncols for _ in range(nrows)], ncols)
+    def zeros(cls, nrows: int, ncols: int) -> "Matrix":
+        return cls([[_ZERO] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
-    def identity(cls, n: int, one, zero) -> "Matrix":
-        return cls(
-            [[one if j == k else zero for k in range(n)] for j in range(n)], n
-        )
+    def identity(cls, n: int) -> "Matrix":
+        return cls.diagonal([_ONE] * n)
 
     @classmethod
-    def diagonal(cls, entries, zero) -> "Matrix":
+    def diagonal(cls, entries) -> "Matrix":
         entries = list(entries)
         n = len(entries)
         return cls(
-            [[entries[j] if j == k else zero for k in range(n)] for j in range(n)],
+            [[entries[j] if j == k else _ZERO for k in range(n)] for j in range(n)],
             n,
         )
 
     @classmethod
-    def block_diagonal(cls, a: "Matrix", b: "Matrix", zero) -> "Matrix":
+    def block_diagonal(cls, a: "Matrix", b: "Matrix") -> "Matrix":
         rows = []
         for r in a.rows:
-            rows.append(list(r) + [zero] * b.ncols)
+            rows.append(list(r) + [_ZERO] * b.ncols)
         for r in b.rows:
-            rows.append([zero] * a.ncols + list(r))
+            rows.append([_ZERO] * a.ncols + list(r))
         return cls(rows, a.ncols + b.ncols)
 
     # -- access -------------------------------------------------------
@@ -113,22 +116,11 @@ class Matrix(_Frozen):
         return Matrix(rows, self.ncols)
 
     def __neg__(self) -> "Matrix":
-        return self.map(lambda e: e if e.is_zero() else -e)
+        return self.map(operator.neg)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        if self.nrows == 0:
-            return Matrix([], other.ncols)
-        if other.ncols == 0:
-            return Matrix([[] for _ in range(self.nrows)], 0)
-        if self.ncols == 0:
-            # sum over an empty index set: need a zero of the right type
-            raise ValueError(
-                "product over an empty inner dimension has no entry type; "
-                "use mul_with_zero"
-            )
-        zero = self.rows[0][0].zero()
         brows = [[(k, b) for k, b in enumerate(r) if not b.is_zero()] for r in other.rows]
         out = []
         for ra in self.rows:
@@ -137,17 +129,16 @@ class Matrix(_Frozen):
                 if rb and not a.is_zero():
                     for k, b in rb:
                         acc[k] = a * b if acc[k] is None else acc[k] + a * b
-            out.append([zero if s is None else s for s in acc])
+            out.append([_ZERO if s is None else s for s in acc])
         return Matrix(out, other.ncols)
 
-    def mul_with_zero(self, other: "Matrix", zero) -> "Matrix":
-        """Matrix product that also works across zero inner dimension."""
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matrix product")
-        if self.ncols == 0:
-            return Matrix.zeros(self.nrows, other.ncols, zero)
-        if self.nrows == 0 or other.ncols == 0:
-            return Matrix.zeros(self.nrows, other.ncols, zero)
+    def mul_with_zero(self, other: "Matrix") -> "Matrix":
+        """Same as ``self @ other``.
+
+        Kept only because ``bench/tracing.py`` names this method;
+        package code uses ``@``.  A separate function, not an alias of
+        ``__matmul__``, so the tracer does not wrap one function twice.
+        """
         return self @ other
 
     def scale(self, c) -> "Matrix":
@@ -184,17 +175,14 @@ class Matrix(_Frozen):
         """
         return _eliminate([list(r) for r in self.rows], range(self.ncols))[0]
 
-    def det(self):
-        """Determinant of a square matrix with at least one entry."""
+    def det(self) -> RatFunc:
+        """Determinant of a square matrix; the 0x0 one is ``_ONE``."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        if self.nrows == 0:
-            raise ValueError("0x0 determinant needs an explicit one; see caller")
-        cls = self.rows[0][0].__class__
         picked, pivots, odd = _eliminate([list(r) for r in self.rows], range(self.ncols))
         if len(picked) < self.nrows:
-            return cls.zero()
-        det = cls.one()
+            return _ZERO
+        det = _ONE
         for pivot in pivots:
             det = det * pivot
         return -det if odd else det
@@ -208,18 +196,11 @@ class Matrix(_Frozen):
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        if n == 0:
-            return Matrix([], 0)
-        cls = self.rows[0][0].__class__
-        one, zero = cls.one(), cls.zero()
-        work = [
-            list(row) + [one if k == j else zero for k in range(n)]
-            for j, row in enumerate(self.rows)
-        ]
+        work = [[*row, *unit] for row, unit in zip(self.rows, Matrix.identity(n).rows)]
         if _eliminate(work, range(2 * n))[0] != list(range(n)):
             raise ValueError("matrix is singular")
         # below the diagonal the forward pass left stale entries; zero them
-        work = [[zero] * j + work[j][j:] for j in range(n - 1, -1, -1)]
+        work = [[_ZERO] * j + work[j][j:] for j in range(n - 1, -1, -1)]
         _, pivots, _ = _eliminate(work, [*range(n - 1, -1, -1), *range(n, 2 * n)])
         return Matrix(
             [[e / p for e in row[n:]] for row, p in zip(reversed(work), reversed(pivots))],

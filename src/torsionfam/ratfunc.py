@@ -305,10 +305,6 @@ class LocalGerm:
     def evaluate(self) -> GaussRat:
         return self.value.evaluate(self.center)
 
-    def decompose(self) -> tuple[int, RatFunc]:
-        """Uniformizer-power decomposition at the center."""
-        return normalize_at(self.value, self.center)
-
 
 def format_ratfunc(f: RatFunc) -> str:
     """Canonical text ``num/den``, with ``/den`` omitted when den == 1."""

@@ -223,11 +223,6 @@ class GaussRat(_Exact):
         a, b, d = self.parts
         return gauss_from_parts(a, -b, d)
 
-    def abs2(self) -> Fraction:
-        """Squared modulus re^2 + im^2, an exact rational."""
-        a, b, d = self.parts
-        return Fraction(a * a + b * b, d * d)
-
     # -- comparison / hashing -----------------------------------------
 
     def __eq__(self, other):

@@ -141,9 +141,6 @@ class FractionGauss:
     def conj(self) -> "FractionGauss":
         return FractionGauss(self.re, -self.im)
 
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def __eq__(self, other):
         other = FractionGauss._try_coerce(other)
         if other is None:

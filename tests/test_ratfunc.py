@@ -161,7 +161,7 @@ def test_local_germ_membership():
 
 def test_local_germ_decompose():
     germ = LocalGerm(T * T * (1 + T), GaussRat.zero())
-    nu, u = germ.decompose()
+    nu, u = normalize_at(germ.value, germ.center)
     assert nu == 2 and u == 1 + T
     assert germ.valuation() == 2
 

@@ -54,7 +54,7 @@ def test_conjugation_involution_and_modulus():
             Fraction(rng.randrange(-9, 10), rng.randrange(1, 9)),
         )
         assert x.conj().conj() == x
-        assert x * x.conj() == GaussRat(x.abs2())
+        assert x * x.conj() == GaussRat(x.re * x.re + x.im * x.im)
 
 
 def test_division_by_zero():
@@ -179,7 +179,7 @@ def test_gauss_rat_matches_the_fraction_pair_reference():
     for x, rx in values:
         assert matches(x, rx)
         assert matches(x.conj(), rx.conj()) and matches(-x, -rx)
-        assert x.abs2() == rx.abs2()
+        assert matches(x * x.conj(), rx * rx.conj())
         text = format_gauss(x)
         assert text == format_gauss(rx)
         assert parse_gauss(text).parts == x.parts and hash(parse_gauss(text)) == hash(x)
