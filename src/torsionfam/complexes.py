@@ -33,9 +33,9 @@ acyclic.
 
 A complex is immutable, so what is derived from it alone is computed
 once and kept in a private memo on the object: the staircase, the
-torsion value, and (filled by the deformation module) the
-parameter-independent part of each accepted duality pairing.  The memo
-lives and dies with the complex.
+torsion value, and (filled by the deformation module) the boundaries'
+distinct denominators and the last accepted duality pairing with its
+determinants.  The memo lives and dies with the complex.
 """
 
 from __future__ import annotations

@@ -2,10 +2,10 @@
 
 The ring of rational functions regular at t0 is a discrete valuation
 ring; its modules decompose into a free part and a torsion part
-(a direct sum of pieces O/(t - t0)^a).  Diagonalizing a matrix over
-that ring by valuation-pivoted row/column reduction yields its
-elementary divisors; the recorded data is the sorted multiset of their
-valuations plus the free rank of the cokernel.
+(a direct sum of pieces O/(t - t0)^a).  Sparse elimination over that
+ring, pivoting on an entry of least valuation and dropping its row and
+column, yields a matrix's elementary divisors; the recorded data is the
+sorted multiset of their valuations plus the free rank of the cokernel.
 
 For a generically acyclic complex the homology of the localized
 complex is all torsion, and its dimension in degree i is the sum of
@@ -15,7 +15,9 @@ contributes its full valuation to the torsion of the degree below its
 top, and nothing else survives.  (The correction term one might expect
 from d_i vanishes under generic acyclicity.)  Tests pin this
 bookkeeping against a minor-enumeration oracle and against rank-drop
-counts of the evaluated complex.
+counts of the evaluated complex.  The staircase's D_{i+1}, a nonsingular
+minor of d_{i+1} of size rank(d_{i+1}), bounds that sum by v_t0(D_{i+1}),
+so a degree whose D_{i+1} is a unit at t0 skips its Smith form.
 
 The deformation report cross-checks the two routes to the singularity
 exponent: the valuation of the torsion function must equal the Euler
@@ -31,16 +33,18 @@ middle value governs the parity of the sign flip.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import (
     BasedChainComplex,
-    dual_complex,
+    _memoized,
+    _steps,
     is_generically_acyclic,
     torsion,
 )
-from .linalg import Matrix, _clear_below
+from .linalg import Matrix
 from .scalars import GaussRat
 
 __all__ = [
@@ -156,63 +160,75 @@ class DeformationReport:
         return self.nu % 2 == 1
 
 
-def _require_local(mat: Matrix, t0) -> None:
-    for e in mat.entries():
-        if not e.is_regular_at(t0):
-            raise ValueError("matrix not defined over the local ring")
+def _poles(*mats: Matrix) -> tuple:
+    """One entry per distinct non-constant denominator in ``mats``: the
+    entries whose regularity at a point decides that of all."""
+    return tuple({e.den: e for m in mats for e in m.entries() if e.den.degree > 0}.values())
 
 
 def snf_local(mat: Matrix, t0) -> DivisorProfile:
     """Elementary divisors of a matrix over the local ring at t0.
 
-    Pivots on the first entry of least valuation in row-major order,
-    clears the rows below it with transformations invertible over the
-    local ring (every ratio has valuation >= 0), and recurses on the
-    rest; the pivot row is never read again, so no column operations
-    are needed.  The result does not depend on the pivot; tests assert
-    that on row- and column-permuted matrices.
+    Keeps each row as ``{column: (valuation, entry)}`` over its nonzero
+    entries, so each valuation is computed once, and again only where a
+    row update writes.  Entries are reduced fractions, so only a pole
+    has a negative valuation: the first pivot search is the regularity
+    check.  Pivots on an entry of least valuation, and among those on
+    the least Markowitz count (row length - 1)(column length - 1), which
+    bounds the fill-in; clears its column in the other rows with
+    transformations invertible over the local ring (every ratio has
+    valuation >= 0), and drops the pivot's row and column: the row's
+    other entries are multiples of the pivot, so clearing them by column
+    operations would change nothing else.  The result does not depend
+    on the pivot; tests assert that on row- and column-permuted matrices.
     """
-    _require_local(mat, t0)
-    work = [list(r) for r in mat.rows]
-    nr, nc = mat.nrows, mat.ncols
-    lo = 0
+    rows = [{k: (e.valuation(t0), e) for k, e in enumerate(r) if e} for r in mat.rows]
     vals: list[int] = []
-    while lo < min(nr, nc):
-        candidates = [
-            (work[j][k].valuation(t0), j, k)
-            for j in range(lo, nr)
-            for k in range(lo, nc)
-            if not work[j][k].is_zero()
-        ]
-        if not candidates:
-            break
-        pivot_val, pj, pk = min(candidates)  # ties: first in row-major order
-        work[lo], work[pj] = work[pj], work[lo]
-        for row in work:
-            row[lo], row[pk] = row[pk], row[lo]
-        _clear_below(work, lo, lo, range(lo + 1, nc))
+    while any(rows):
+        counts = Counter(k for row in rows for k in row)
+        pivot_val, _, pj, pk = min(
+            (v, (len(row) - 1) * (counts[k] - 1), j, k)
+            for j, row in enumerate(rows)
+            for k, (v, _) in row.items()
+        )
+        if pivot_val < 0:
+            raise ValueError("matrix not defined over the local ring")
+        prow = rows.pop(pj)
+        pivot = prow.pop(pk)[1]
+        for row in rows:
+            hit = row.pop(pk, None)
+            if hit is not None and prow:
+                ratio = hit[1] / pivot
+                for k, (_, x) in prow.items():
+                    new = row[k][1] - ratio * x if k in row else -(ratio * x)
+                    if new.is_zero():
+                        del row[k]
+                    else:
+                        row[k] = (new.valuation(t0), new)
         vals.append(pivot_val)
-        lo += 1
-    return DivisorProfile(tuple(sorted(vals)), free_rank=nr - len(vals))
+    return DivisorProfile(tuple(sorted(vals)), free_rank=mat.nrows - len(vals))
 
 
 def torsion_modules(c: BasedChainComplex, t0) -> TorsionModuleSummary:
     """Local torsion dimensions of the homology, degree by degree.
 
-    Requires the complex to be defined over the local ring at t0 and
-    generically acyclic; a nonzero free rank in homology is an error
-    (it would mean the family is singular at every parameter value).
+    Requires the complex to be defined over the local ring at t0 (checked
+    first, on the boundaries' memoized distinct denominators) and
+    generically acyclic (the memoized staircase completes).  The
+    staircase's D_k is a nonsingular minor of d_k of size rank(d_k), so
+    the divisor valuations of d_k sum to at most v_t0(D_k), the sum of
+    its pivots' valuations; where that is 0 the Smith form is skipped.
     """
-    m = c.top_degree
-    profiles = [snf_local(c.boundary(k), t0) for k in range(1, m + 1)]
-    ranks_of_d = [0] + [p.rank for p in profiles] + [0]
-    for i in range(m + 1):
-        free = c.ranks[i] - ranks_of_d[i] - ranks_of_d[i + 1]
-        if free:
-            raise ValueError("family not generically acyclic at this degree")
-    dims = [0] * (m + 1)
-    for i in range(m):
-        dims[i] = profiles[i].total_valuation()  # profile of d_{i+1}
+    poles = _memoized(c, "poles", lambda: _poles(*c.boundaries))
+    if not all(e.is_regular_at(t0) for e in poles):
+        raise ValueError("matrix not defined over the local ring")
+    steps = _steps(c)
+    if steps is None:
+        raise ValueError("family not generically acyclic at this degree")
+    dims = [0] * (c.top_degree + 1)
+    for i, (mat, (_, pivots, _)) in enumerate(zip(c.boundaries, steps)):
+        if sum(p.valuation(t0) for p in pivots):  # v(D_{i+1})
+            dims[i] = snf_local(mat, t0).total_valuation()
     return TorsionModuleSummary(tuple(dims))
 
 
@@ -237,41 +253,61 @@ def check_duality_pairing(
     regular, determinant a unit).  Raises :class:`DualityError` with a
     description on any failure.
 
-    The chain-map identity and the determinants of the P_i do not
-    depend on t0; once a pairing has been accepted they are memoized on
-    the complex, keyed by the pairing.  The shape checks, the
-    regularity of the entries at t0 and the unit check of each
-    determinant at t0 run on every call.
+    The chain-map identity s conj(d_{m-i+1})^T P_i = P_{i-1} d_i, where
+    s = (-1)^(m-i) is the sign of the dual's boundary, is checked on
+    nonzero entries alone, without building the dual.  It and the
+    determinants do not depend on t0, so one memo slot on the complex
+    holds the last accepted pairing (compared with ``==``, which shared
+    entries make cheap), its determinants and each P_i's distinct
+    denominators.  The shape checks, the regularity at t0 and the unit
+    check of each determinant at t0 run on every call.
     """
     m = c.top_degree
     if len(pairing) != m + 1:
         raise DualityError(f"duality pairing needs {m + 1} matrices, got {len(pairing)}")
-    key = ("duality", tuple(pairing))
-    known = c._memo.get(key)  # determinants of the accepted pairing
-    dets = []
+    pairing = tuple(pairing)
+    known = c._memo.get("duality")
+    known = known if known is not None and known[0] == pairing else None
+    dets, poles = [], []
     for i, p in enumerate(pairing):
         want = (c.ranks[m - i], c.ranks[i])  # the dual's ranks are reversed
         if p.shape() != want:
             raise DualityError(f"duality matrix {i} has shape {p.shape()}, expected {want}")
-        if not all(e.is_regular_at(t0) for e in p.entries()):
+        poles.append(known[2][i] if known else _poles(p))
+        if not all(e.is_regular_at(t0) for e in poles[i]):
             raise DualityError(f"duality matrix {i} not defined over the local ring")
         if p.nrows != p.ncols:
             raise DualityError(f"duality matrix {i} is not square")
-        det = known[i] if known is not None else p.det()
-        if det.is_zero() or det.valuation(t0) != 0:
-            raise DualityError(
-                f"duality matrix {i} is not invertible over the local ring"
-            )
-        dets.append(det)
-    if known is not None:
+        dets.append(known[1][i] if known else p.det())
+        if dets[i].is_zero() or dets[i].valuation(t0) != 0:
+            raise DualityError(f"duality matrix {i} is not invertible over the local ring")
+    if known:
         return
-    dual = dual_complex(c)
+    d = [None] + [_nonzero_rows(b) for b in c.boundaries]
+    ps = [_nonzero_rows(p) for p in pairing]
     for i in range(1, m + 1):
-        lhs = dual.boundary(i) @ pairing[i]
-        rhs = pairing[i - 1] @ c.boundary(i)
-        if lhs != rhs:
+        lhs = _sums(
+            (a, x.conj(), b, y)
+            for dr, pr in zip(d[m - i + 1], ps[i]) for a, x in dr for b, y in pr
+        )
+        rhs = _sums(
+            (a, x, b, y) for a, pr in enumerate(ps[i - 1]) for l, x in pr for b, y in d[i][l]
+        )
+        if lhs != (rhs if (m - i) % 2 == 0 else {ab: -v for ab, v in rhs.items()}):
             raise DualityError(f"duality pairing is not a chain map in degree {i}")
-    c._memo[key] = tuple(dets)
+    c._memo["duality"] = (pairing, tuple(dets), tuple(poles))
+
+
+def _nonzero_rows(mat: Matrix) -> list:
+    return [[(k, e) for k, e in enumerate(row) if e] for row in mat.rows]
+
+
+def _sums(terms) -> dict:
+    """The sum of x * y at (a, b) over the (a, x, b, y) of ``terms``, zeros left out."""
+    acc = {}
+    for a, x, b, y in terms:
+        acc[a, b] = acc[a, b] + x * y if (a, b) in acc else x * y
+    return {ab: v for ab, v in acc.items() if not v.is_zero()}
 
 
 def analyze(
@@ -286,12 +322,14 @@ def analyze(
     which carries the finished report; a rejected pairing raises
     :class:`DualityError` first.
 
-    The acyclicity certificate (the completed staircase), the torsion
-    function and the parameter-independent part of the duality check
-    come from the complex's memo, so analyzing a family at many points
-    computes them once.  The local Smith forms, the valuations at t0,
-    the ``nu == chi`` check and the local checks of the pairing run at
-    every point.
+    The complex's memo holds what does not depend on t0: the completed
+    staircase (the acyclicity certificate, and the pivots whose
+    valuations decide which Smith forms to skip), the torsion function,
+    the boundaries' distinct denominators, and the last accepted pairing
+    with its determinants and denominators.  So analyzing a family at
+    many points computes them once.  The regularity checks, the pivot
+    valuations, the Smith forms not skipped, the ``nu == chi`` check and
+    the unit checks of the pairing run at every point.
     """
     t0 = GaussRat.coerce(t0)
     if not is_generically_acyclic(c):

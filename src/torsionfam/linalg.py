@@ -16,8 +16,8 @@ Terms are added in increasing l, the order of the dense dot product.
 All elimination is one forward-elimination kernel, :func:`_eliminate`,
 whose pivot is the first nonzero entry in scan order (exact division,
 no pivot-size heuristics, so every computation is deterministic).
-``rank``, ``pivot_columns``, ``det``, ``inverse``, the torsion staircase
-and the local Smith form all run through it or its row update.
+``rank``, ``pivot_columns``, ``det``, ``inverse`` and the torsion
+staircase all run through it.
 """
 
 from __future__ import annotations

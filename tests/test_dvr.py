@@ -3,9 +3,15 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from rebasing import matrix_rebasings
+from rebasing import matrix_rebasings, reversed_complex
 
-from torsionfam.complexes import BasedChainComplex, direct_sum, torsion, torsion_sign_at
+from torsionfam.complexes import (
+    BasedChainComplex,
+    _steps,
+    direct_sum,
+    torsion,
+    torsion_sign_at,
+)
 from torsionfam.corpus import (
     acceptance_corpus,
     circle_family,
@@ -26,7 +32,7 @@ from torsionfam.dvr import (
     torsion_modules,
 )
 from torsionfam.linalg import Matrix
-from torsionfam.ratfunc import RatFunc, cayley, conj_family
+from torsionfam.ratfunc import RatFunc, cayley, conj_family, uniformizer
 from torsionfam.scalars import GaussRat
 
 T = RatFunc.var()
@@ -374,40 +380,84 @@ def test_scaled_pairing_rejected_only_where_it_vanishes(vanishing_point_first):
                 check_duality_pairing(c, scaled, t0)
 
 
+# -- which check speaks first --------------------------------------------------
+
+
+def test_first_failing_pairing_check_names_the_lowest_degree():
+    """P_0 singular at t0 and P_1 wrongly shaped: degree 0 is reported."""
+    fam = circle_family(cayley() - 1, centers=(Fraction(0),))
+    bad = [fam.pairing[0].scale(T), Matrix.identity(2)]
+    for c in (fam.complex, BasedChainComplex(fam.complex.ranks, fam.complex.boundaries)):
+        check_duality_pairing(c, list(fam.pairing), 0)
+        with pytest.raises(DualityError, match="duality matrix 0 is not invertible"):
+            check_duality_pairing(c, bad, 0)
+
+
+def test_pole_in_a_degree_whose_staircase_minor_is_a_unit():
+    """v(D_k) = 0 skips the Smith form, not the regularity check."""
+    c = BasedChainComplex([1, 2, 1], [Matrix([[ONE, 1 / T]]), Matrix([[-1 / T], [ONE]])])
+    assert all(sum(p.valuation(0) for p in pivots) == 0 for _, pivots, _ in _steps(c))
+    for run in (torsion_modules, analyze):
+        with pytest.raises(ValueError, match="matrix not defined over the local ring"):
+            run(c, 0)
+    assert torsion_modules(c, 1).dims == (0, 0, 0)
+
+
+def test_pole_is_reported_before_non_acyclicity():
+    c = BasedChainComplex([1, 2], [Matrix([[ONE, 1 / T]])])
+    with pytest.raises(ValueError, match="matrix not defined over the local ring"):
+        torsion_modules(c, 0)
+    with pytest.raises(ValueError, match="family not generically acyclic at this degree"):
+        torsion_modules(c, 1)
+    with pytest.raises(ValueError, match="torsion undefined: complex not generically acyclic"):
+        analyze(c, 0)
+
+
+def test_dims_where_the_staircase_minor_exceeds_the_divisor_sum():
+    """A small corpus family plus the contractible piece
+    R --(1, u)--> R^2 --(-u, 1)--> R, u = t - t0, with every basis
+    reversed: the staircase then picks minors carrying u, so v(D_k)
+    exceeds the divisor sum in some degree.  The dims still equal the
+    least valuations of the maximal minors."""
+    excess = 0
+    for fam in acceptance_corpus(12, 888):
+        if fam.complex.total_rank() > 6:
+            continue
+        for x in fam.centers:
+            t0, u = GaussRat(x), uniformizer(x)
+            piece = BasedChainComplex([1, 2, 1], [Matrix([[ONE, u]]), Matrix([[-u], [ONE]])])
+            c = reversed_complex(direct_sum(fam.complex, piece))
+            tm = torsion_modules(c, t0)
+            for i, (bnd, (_, pivots, _)) in enumerate(zip(c.boundaries, _steps(c))):
+                r = len(pivots)
+                expect = 0 if r == 0 else minor_valuation_oracle(bnd, t0, r)
+                assert tm.dims[i] == expect, (fam.name, x, i)
+                excess += sum(p.valuation(t0) for p in pivots) > expect
+    assert excess > 0
+
+
 def test_family_pipeline_analyzes_the_complex_once(monkeypatch):
     """torsion, analyze at two centers and the sign-flip windows of one
-    family run the staircase once and the duality products once."""
+    family run the staircase once and the pairing's certificate (one
+    determinant per P_i) once."""
     import torsionfam.complexes as complexes_module
-    import torsionfam.dvr as dvr_module
 
     fam = next(f for f in acceptance_corpus(12, 8080) if len(f.centers) == 2)
     c, pairing = fam.complex, list(fam.pairing)
-    fresh = BasedChainComplex(c.ranks, c.boundaries)
-    calls = {"staircase": 0, "dual": 0, "mul": 0}
+    calls = {"staircase": 0, "det": 0}
     staircase = complexes_module._staircase
-    dual_complex = dvr_module.dual_complex
-    matmul = Matrix.__matmul__
+    det = Matrix.det
 
     def counting_staircase(cplx, *args):
         calls["staircase"] += 1
         return staircase(cplx, *args)
 
-    def counting_dual(cplx):
-        calls["dual"] += 1
-        return dual_complex(cplx)
-
-    def counting_mul(self, other):
-        calls["mul"] += 1
-        return matmul(self, other)
+    def counting_det(self):
+        calls["det"] += 1
+        return det(self)
 
     monkeypatch.setattr(complexes_module, "_staircase", counting_staircase)
-    monkeypatch.setattr(dvr_module, "dual_complex", counting_dual)
-    monkeypatch.setattr(Matrix, "__matmul__", counting_mul)
-    check_duality_pairing(fresh, pairing, fam.centers[0])
-    one_check = calls["mul"]
-    assert one_check > 0 and calls["dual"] == 1
-    calls.update(staircase=0, dual=0, mul=0)
-
+    monkeypatch.setattr(Matrix, "det", counting_det)
     torsion(c)
     for center in fam.centers:
         rep = analyze(c, GaussRat(center), duality=pairing)
@@ -415,9 +465,7 @@ def test_family_pipeline_analyzes_the_complex_once(monkeypatch):
         for delta in (Fraction(1, 1000), Fraction(1, 10000)):
             for t in (center + delta, center - delta):
                 torsion_sign_at(c, GaussRat(t))
-    assert calls["staircase"] == 1
-    assert calls["dual"] == 1
-    assert calls["mul"] == one_check
+    assert calls == {"staircase": 1, "det": len(pairing)}
 
 
 def test_point_types_give_equal_reports():
