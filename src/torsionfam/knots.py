@@ -7,9 +7,12 @@ the reference).  The torsion of the twisted complex is (t - 1) / D_2
 (Milnor 1962; Turaev 1986): the ``FT-cal-1`` staircase picks generator
 0 in d_1 = (t - 1, ..., t - 1), and D_2 = +- t^k Delta(t) is the Fox
 matrix's determinant without generator 0's row.  So the path takes D_2
-alone, over Z[t, 1/t] on integers; the torsion route is its oracle in
-the tests.  Delta is normalized symmetric with Delta(1) = 1, and the
-Conway form substitutes z = s - 1/s with s^2 = t, on integer lists.
+alone, over Z[t, 1/t] on integer coefficient dicts, and reads only the
+rows of generators 1, 2, ... off the relators; the torsion route is its
+oracle in the tests.  Delta is centred once on its coefficient dict,
+symmetric with Delta(1) = 1, and one :class:`LaurentInt` is built per
+knot, the value ``alexander_from_fox`` returns.  The Conway form
+substitutes z = s - 1/s with s^2 = t, on integer lists.
 
 The independent oracle takes f(t) = det(t V - V^T) for a Seifert matrix
 V from integer Bareiss determinants at t = 0, 1, ..., n, read back by
@@ -26,7 +29,6 @@ group, as ``GroupRingElem`` is Z[F]; both are ``groupring._GroupRing``.
 from __future__ import annotations
 
 import operator
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from math import comb, gcd
@@ -65,20 +67,6 @@ class LaurentInt(_GroupRing):
 
     def support(self) -> list[int]:
         return sorted(self.terms)
-
-    def shift(self, k: int) -> "LaurentInt":
-        """Multiply by the k-th power of the variable."""
-        return LaurentInt({e + k: c for e, c in self.terms.items()})
-
-    def evaluate_at_one(self) -> int:
-        return sum(self.terms.values())
-
-    def reciprocal(self) -> "LaurentInt":
-        """Substitute the inverse variable."""
-        return LaurentInt({-e: c for e, c in self.terms.items()})
-
-    def is_symmetric(self) -> bool:
-        return self == self.reciprocal()
 
     def __repr__(self):
         return _format_terms([(e, self.terms[e]) for e in self.support()], "t")
@@ -168,39 +156,46 @@ class SeifertMatrix:
         return SeifertMatrix(tuple(zip(*self.entries)))
 
 
-def _fox_columns(k: KnotPresentation) -> list[dict[int, dict[int, int]]]:
-    """Column i of the Alexander matrix: relator i's Fox derivatives under
-    x_g -> t as {g: {exponent: coefficient}}, zero terms dropped, from one
-    pass keeping the prefix's exponent sum s: x_g adds t^s to entry g, then
-    s <- s + 1; x_g^-1 sets s <- s - 1, then subtracts t^s."""
-    columns = []
-    for rel in k.wirtinger_relators:
-        fox, s = defaultdict(dict), 0
-        for g, e in rel.letters:
-            at = s if e == 1 else s - 1
-            fox[g][at] = fox[g].get(at, 0) + e
-            s += e
-        if s:
-            raise ValueError(f"relator {format_word(rel)!r} is not respected by the representation")
-        columns.append({g: {e: c for e, c in t.items() if c} for g, t in fox.items()})
-    return columns
-
-
 def alexander_from_fox(k: KnotPresentation) -> LaurentInt:
     """Alexander polynomial, symmetric with Delta(1) = 1, from D_2 over
     Z[t, 1/t] (see the module docstring).  Raises when the twisted complex
     is not generically acyclic: the relator count is not strands - 1, or
     D_2 = 0."""
-    columns, minor = _fox_columns(k), {}
-    if len(columns) == k.strands - 1:
-        minor = _laurent_minor(
-            {g: {j: c[g] for j, c in enumerate(columns) if c.get(g)} for g in range(1, k.strands)}
-        )
+    rows, minor = _d2_rows(k), {}
+    if len(k.wirtinger_relators) == k.strands - 1:
+        minor = _laurent_minor(rows)
     if not minor:
         raise ValueError(
             "degenerate presentation: torsion undefined: complex not generically acyclic"
         )
-    return _centered_unit_form(LaurentInt(minor), "degenerate presentation")
+    return LaurentInt(_centered_unit_terms(minor, "degenerate presentation"))
+
+
+def _d2_rows(k: KnotPresentation) -> dict[int, dict[int, dict[int, int]]]:
+    """The rows of D_2, generators 1 .. strands - 1 of the Alexander matrix:
+    row g maps relator j to its nonzero Fox derivative d r_j / d x_g under
+    x_g -> t, as {exponent: coefficient}.  One pass per relator keeps the
+    prefix's exponent sum s over every letter, generator 0's included:
+    x_g adds t^s to entry g, then s <- s + 1; x_g^-1 sets s <- s - 1, then
+    subtracts t^s.  A relator whose s ends nonzero raises."""
+    rows: dict[int, dict] = {g: {} for g in range(1, k.strands)}
+    for j, rel in enumerate(k.wirtinger_relators):
+        fox: dict[int, dict] = {}
+        s = 0
+        for g, e in rel.letters:
+            if g:
+                at = s if e == 1 else s - 1
+                terms = fox.get(g)
+                if terms is None:
+                    terms = fox[g] = {}
+                terms[at] = terms.get(at, 0) + e
+            s += e
+        if s:
+            raise ValueError(f"relator {format_word(rel)!r} is not respected by the representation")
+        for g, terms in fox.items():
+            if nonzero := {x: c for x, c in terms.items() if c}:
+                rows[g][j] = nonzero
+    return rows
 
 
 def _laurent_minor(rows: dict[int, dict]) -> dict[int, int]:
@@ -257,21 +252,22 @@ def _pivot(rows: dict[int, dict], cols: dict[int, set], r: int, c: int) -> None:
                 cols[j].discard(i)
 
 
-def _centered_unit_form(delta: LaurentInt, prefix: str) -> LaurentInt:
-    """delta shifted symmetric about t^0 with Delta(1) = 1, or "<prefix>: <why>" raised."""
-    if delta.is_zero():
+def _centered_unit_terms(terms: dict[int, int], prefix: str) -> dict[int, int]:
+    """Nonzero terms shifted symmetric about t^0 with Delta(1) = 1, or
+    "<prefix>: <why>" raised."""
+    if not terms:
         raise ValueError(f"{prefix}: zero polynomial")
-    support = delta.support()
-    lo, hi = support[0], support[-1]
-    if (lo + hi) % 2:
+    twice_mid = min(terms) + max(terms)
+    if twice_mid % 2:
         raise ValueError(f"{prefix}: exponent span is odd")
-    centered = delta.shift(-(lo + hi) // 2)
-    if not centered.is_symmetric():
+    # symmetric about t^mid: t^(2 mid) Delta(1/t) = Delta(t)
+    if {twice_mid - e: c for e, c in terms.items()} != terms:
         raise ValueError(f"{prefix}: Delta(t) != Delta(1/t)")
-    at_one = centered.evaluate_at_one()
+    at_one = sum(terms.values())
     if at_one not in (1, -1):
         raise ValueError(f"{prefix}: Delta(1) must be +1 or -1")
-    return centered if at_one == 1 else -centered
+    mid = twice_mid // 2
+    return {e - mid: at_one * c for e, c in terms.items()}
 
 
 def conway_normalize(delta: LaurentInt) -> ConwayPolynomial:
@@ -280,11 +276,11 @@ def conway_normalize(delta: LaurentInt) -> ConwayPolynomial:
     The input must satisfy Delta(t) = Delta(1/t) after centering and
     Delta(1) = +-1; the output is sign-determined by Conway(0) = 1.
     """
-    centered = _centered_unit_form(delta, "asymmetric input")
+    centered = _centered_unit_terms(delta.terms, "asymmetric input")
     # with t = s^2, z^2 = s^2 - 2 + s^-2 is t + 1/t - 2
-    h = centered.support()[-1]
+    h = max(centered)
     coeffs = [0] * (4 * h + 1)
-    coeffs[::2] = (centered.coeff(e) for e in range(-h, h + 1))
+    coeffs[::2] = map(centered.get, range(-h, h + 1), repeat(0))
     return _conway_in_z(coeffs, -2 * h)
 
 

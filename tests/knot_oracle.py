@@ -7,7 +7,11 @@ d_1 = (t - 1, ..., t - 1) and d_2 the Fox matrix, its ``FT-cal-1``
 torsion is (t - 1) / D_2, and D_2 = +- t^k Delta(t).  This module keeps
 the long way round, the complex over Q(i)(t) fed to
 ``complexes.torsion``, so that ``tests/test_knots.py`` can show on
-seeded corpora that both give the same Delta and the same errors.
+seeded corpora that both give the same Delta and the same errors.  The
+package reads only the rows of D_2 and centres Delta on its coefficient
+dict; the full Fox Jacobian (``_fox_columns``) and the ``LaurentInt``
+normalizer it replaced (``_centered_unit_form``) are kept here as their
+references.
 
 It also draws knots as closures of seeded braids, with the Wirtinger
 presentation read off the diagram and the Burau matrix of the braid,
@@ -18,14 +22,52 @@ Nothing in the package imports this module.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from laurent_oracle import _laurent_det
 
 from torsionfam.complexes import BasedChainComplex, torsion
-from torsionfam.groupring import Word
-from torsionfam.knots import KnotPresentation, LaurentInt, _centered_unit_form, _fox_columns
+from torsionfam.groupring import Word, format_word
+from torsionfam.knots import KnotPresentation, LaurentInt
 from torsionfam.linalg import Matrix
 from torsionfam.poly import _raw
 from torsionfam.ratfunc import RatFunc
+
+
+def _fox_columns(k: KnotPresentation) -> list[dict[int, dict[int, int]]]:
+    """Column i of the Alexander matrix: relator i's Fox derivatives under
+    x_g -> t as {g: {exponent: coefficient}}, zero terms dropped, from one
+    pass keeping the prefix's exponent sum s: x_g adds t^s to entry g, then
+    s <- s + 1; x_g^-1 sets s <- s - 1, then subtracts t^s."""
+    columns = []
+    for rel in k.wirtinger_relators:
+        fox, s = defaultdict(dict), 0
+        for g, e in rel.letters:
+            at = s if e == 1 else s - 1
+            fox[g][at] = fox[g].get(at, 0) + e
+            s += e
+        if s:
+            raise ValueError(f"relator {format_word(rel)!r} is not respected by the representation")
+        columns.append({g: {e: c for e, c in t.items() if c} for g, t in fox.items()})
+    return columns
+
+
+def _centered_unit_form(delta: LaurentInt, prefix: str) -> LaurentInt:
+    """delta shifted symmetric about t^0 with Delta(1) = 1, or "<prefix>: <why>"
+    raised: the shift, the reflection t -> 1/t and the sign as LaurentInt values."""
+    if delta.is_zero():
+        raise ValueError(f"{prefix}: zero polynomial")
+    support = delta.support()
+    lo, hi = support[0], support[-1]
+    if (lo + hi) % 2:
+        raise ValueError(f"{prefix}: exponent span is odd")
+    centered = delta * LaurentInt({-(lo + hi) // 2: 1})
+    if centered != LaurentInt({-e: c for e, c in centered.terms.items()}):
+        raise ValueError(f"{prefix}: Delta(t) != Delta(1/t)")
+    at_one = sum(centered.terms.values())
+    if at_one not in (1, -1):
+        raise ValueError(f"{prefix}: Delta(1) must be +1 or -1")
+    return centered if at_one == 1 else -centered
 
 
 def _laurent_ratfunc(terms: dict[int, int]) -> RatFunc:
@@ -52,9 +94,11 @@ def _alexander_complex(k: KnotPresentation) -> BasedChainComplex:
 
 def torsion_alexander(k: KnotPresentation) -> LaurentInt:
     """Delta from (t - 1) / torsion = +- t^k Delta(t), normalized as the
-    package normalizes it; raises what the torsion engine raises."""
+    package normalizes it; raises what the torsion engine raises, after
+    what the Fox reader raises."""
+    cplx = _alexander_complex(k)
     try:
-        tau = torsion(_alexander_complex(k)).value
+        tau = torsion(cplx).value
     except ValueError as exc:
         raise ValueError(f"degenerate presentation: {exc}") from exc
     raw = (RatFunc.var() - 1) / tau

@@ -5,6 +5,8 @@ from math import gcd
 import pytest
 from knot_oracle import (
     _alexander_complex,
+    _centered_unit_form,
+    _fox_columns,
     braid_closure,
     burau_alexander,
     random_knot_braid,
@@ -12,15 +14,16 @@ from knot_oracle import (
 )
 from laurent_oracle import _laurent_det, conway_in_z, exact_div
 
+from torsionfam import knots
 from torsionfam.corpus import random_word
-from torsionfam.groupring import RepFamily, Word, presentation_complex
+from torsionfam.groupring import RepFamily, Word, format_word, presentation_complex
 from torsionfam.knots import (
     ConwayPolynomial,
     KnotPresentation,
     LaurentInt,
     SeifertMatrix,
+    _centered_unit_terms,
     _conway_in_z,
-    _fox_columns,
     _laurent_minor,
     _int_det,
     _seifert_alexander,
@@ -54,8 +57,8 @@ def test_laurent_arithmetic():
     a = LaurentInt({1: 1, -1: -1})
     assert a * a == LaurentInt({2: 1, 0: -2, -2: 1})
     assert (a - a).is_zero()
-    assert a.reciprocal() == -a
-    assert LaurentInt({0: 3, 2: 1}).evaluate_at_one() == 4
+    assert LaurentInt({-e: c for e, c in a.terms.items()}) == -a
+    assert (a * LaurentInt({2: 1})).terms == {3: 1, 1: -1}
 
 
 def test_exact_div():
@@ -329,9 +332,9 @@ def test_alexander_values(name):
 @pytest.mark.parametrize("name", sorted(EXPECTED_CONWAY))
 def test_alexander_symmetry_and_unit(name):
     pres, _ = bundled_knots()[name]
-    delta = alexander_from_fox(pres)
-    assert delta.is_symmetric()
-    assert delta.evaluate_at_one() == 1
+    terms = alexander_from_fox(pres).terms
+    assert {-e: c for e, c in terms.items()} == terms
+    assert sum(terms.values()) == 1
 
 
 def test_degenerate_presentation_rejected():
@@ -356,8 +359,8 @@ def test_two_bridge_rejects_non_knot_parameters(p, q):
 
 def _unit_centered(delta):
     lo, hi = delta.support()[0], delta.support()[-1]
-    centered = delta.shift(-(lo + hi) // 2)
-    return centered if centered.evaluate_at_one() == 1 else -centered
+    sign = 1 if sum(delta.terms.values()) == 1 else -1
+    return LaurentInt({e - (lo + hi) // 2: sign * c for e, c in delta.terms.items()})
 
 
 def _hartley(p, q):
@@ -651,6 +654,187 @@ def test_presentation_shape_validation():
         KnotPresentation(strands=1, wirtinger_relators=(Word([(1, 1), (0, -1)]),))
 
 
+# -- only the rows of D_2: generator 0's letters and unrespected relators ----------
+
+
+def _planted(strands, relators):
+    """A presentation holding relators the shape check would refuse."""
+    pres = KnotPresentation(strands=strands, wirtinger_relators=())
+    object.__setattr__(pres, "wirtinger_relators", tuple(relators))
+    return pres
+
+
+def _conjugate(rng, gens, length):
+    """w x_a w^-1 x_b^-1 with w's letters, a and b drawn from gens."""
+    w = Word((rng.choice(gens), rng.choice((1, -1))) for _ in range(length))
+    a, b = rng.choice(gens), rng.choice(gens)
+    return w * Word.generator(a) * w.inverse() * Word.generator(b, -1)
+
+
+def _unrespected(rng, n):
+    """A word whose exponent sum is not 0, so x_g -> t does not kill it."""
+    while True:
+        w = random_word(rng, n, 6)
+        if sum(e for _, e in w.letters):
+            return w
+
+
+def _d2_cases(seed):
+    """(kind, presentation, first unrespected relator or None)."""
+    rng = random.Random(seed)
+    for _ in range(120):
+        n = rng.randint(2, 4)
+        zero_heavy = [0] * 6 + list(range(1, n))
+        rels = []
+        for b in range(1, n):
+            # x_a = w x_b w^-1 on the edges of a tree, most at x0: Delta(1) = +-1
+            letters = range(rng.randint(2, 8))
+            w = Word((rng.choice(zero_heavy), rng.choice((1, -1))) for _ in letters)
+            a = rng.choice([0, 0, *range(b)])
+            rels.append(w * Word.generator(b) * w.inverse() * Word.generator(a, -1))
+        yield "zero_heavy", KnotPresentation(strands=n, wirtinger_relators=tuple(rels)), None
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        rels = [_conjugate(rng, range(1, n), rng.randint(1, 6)) for _ in range(n - 1)]
+        yield "no_zero", KnotPresentation(strands=n, wirtinger_relators=tuple(rels)), None
+    for _ in range(40):
+        n = rng.randint(3, 5)
+        rels = [_conjugate(rng, range(n), rng.randint(1, 6)) for _ in range(n - 2)]
+        bad = _unrespected(rng, n)
+        rels.insert(rng.randint(1, len(rels)), bad)  # strands - 1 relators, a valid one first
+        yield "after_valid", _planted(n, rels), bad
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        count = rng.choice([c for c in range(n + 2) if c != n - 1 and c > 0])
+        rels = [_conjugate(rng, range(n), rng.randint(1, 6)) for _ in range(count - 1)]
+        bad = _unrespected(rng, n)
+        rels.insert(rng.randint(0, len(rels)), bad)
+        yield "wrong_count", _planted(n, rels), bad
+
+
+def test_d2_rows_give_the_torsion_route_outcome():
+    """alexander_from_fox reads only generator 1.. rows, yet gives the Delta
+    or the error of the full Jacobian's torsion route: when generator 0
+    fills most letters or none, and when an unrespected relator follows a
+    valid one or sits in a presentation with the wrong relator count."""
+    outcomes: dict[str, list] = {}
+    for kind, k, bad in _d2_cases(49):
+        got = _alexander_outcome(alexander_from_fox, k)
+        assert got == _alexander_outcome(torsion_alexander, k), (kind, k)
+        if bad is None:
+            full = _fox_columns(k)
+            assert knots._d2_rows(k) == {
+                g: {j: c[g] for j, c in enumerate(full) if c.get(g)} for g in range(1, k.strands)
+            }
+        else:
+            assert got == f"relator {format_word(bad)!r} is not respected by the representation"
+        outcomes.setdefault(kind, []).append((got, k))
+    def gens(k):
+        return [g for rel in k.wirtinger_relators for g, _ in rel.letters]
+
+    heavy = [g for _, k in outcomes["zero_heavy"] for g in gens(k)]
+    assert heavy.count(0) > len(heavy) / 2
+    assert sum(isinstance(o, LaurentInt) for o, _ in outcomes["zero_heavy"]) > 40
+    assert {
+        "degenerate presentation: exponent span is odd",
+        "degenerate presentation: Delta(t) != Delta(1/t)",
+    } <= {o for o, _ in outcomes["zero_heavy"]}
+    assert not any(0 in gens(k) for _, k in outcomes["no_zero"])
+    assert {o for o, _ in outcomes["no_zero"]} == {
+        "degenerate presentation: torsion undefined: complex not generically acyclic"
+    }
+
+
+# -- centring Delta on its coefficient dict, against the LaurentInt normalizer -----
+
+
+def _centring_cases(seed):
+    """Laurent polynomials of every shape the normalizer meets: zero, odd
+    span, asymmetric, Delta(1) = +-3, Delta(1) = -1, centred, each shifted."""
+    rng = random.Random(seed)
+    yield {}
+    for _ in range(60):
+        sym = {k: rng.randint(-4, 4) for k in range(1, rng.randint(1, 6))}
+        unit = rng.choice((1, -1, 3, -3))
+        terms = {0: unit - 2 * sum(sym.values())}
+        for k, c in sym.items():
+            terms[k] = terms[-k] = c
+        yield terms  # centred, Delta(1) = unit
+        odd = dict(terms)
+        odd[max(odd) + 1] = rng.choice((1, -1))
+        yield odd  # the span grows by one: odd
+        lopsided = dict(terms)
+        e = rng.choice(list(lopsided))
+        lopsided[e] += rng.choice((1, -1, 2))
+        lopsided[-e] = lopsided.get(-e, 0)
+        yield lopsided  # symmetric again only when e = 0
+        for k in (rng.randint(1, 5), -rng.randint(1, 5)):
+            for base in (terms, lopsided):
+                yield {x + k: c for x, c in base.items()}
+
+
+@pytest.mark.parametrize("prefix", ["degenerate presentation", "asymmetric input"])
+def test_centered_unit_terms_equal_the_laurent_normalizer(prefix):
+    seen = set()
+    for terms in _centring_cases(50):
+        delta = LaurentInt(terms)
+        given = dict(delta.terms)
+        try:
+            want = _centered_unit_form(delta, prefix).terms
+        except ValueError as exc:
+            want = str(exc)
+        try:
+            got = _centered_unit_terms(given, prefix)
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, terms
+        assert given == delta.terms  # the input is not changed
+        if isinstance(got, dict):
+            seen.add(f"Delta(1) = {sum(delta.terms.values())}")
+            seen.add("centred" if min(delta.terms) == -max(delta.terms) else "shifted")
+        else:
+            seen.add(got)
+    assert seen == {
+        f"{prefix}: zero polynomial",
+        f"{prefix}: exponent span is odd",
+        f"{prefix}: Delta(t) != Delta(1/t)",
+        f"{prefix}: Delta(1) must be +1 or -1",
+        "Delta(1) = 1",
+        "Delta(1) = -1",
+        "centred",
+        "shifted",
+    }
+
+
+def test_knot_path_builds_one_laurent_int_per_knot(monkeypatch):
+    """alexander_from_fox builds only the LaurentInt it returns, and
+    conway_normalize reads delta.terms and builds none."""
+    built = []
+
+    class Counted(LaurentInt):
+        __slots__ = ()
+
+        def __init__(self, terms=()):
+            built.append(terms)
+            super().__init__(terms)
+
+    monkeypatch.setattr(knots, "LaurentInt", Counted)
+    word = random_knot_braid(random.Random(51), 5, 40)
+    cases = [pres for pres, _ in bundled_knots().values()]
+    cases += [_two_bridge_presentation(25, 7), braid_closure(5, word)]
+    for pres in cases:
+        built.clear()
+        delta = alexander_from_fox(pres)
+        assert len(built) == 1 and isinstance(delta, Counted)
+        built.clear()
+        conway_normalize(delta)
+        assert built == []
+    # an uncentred input with Delta(1) = -1 builds none either
+    built.clear()
+    assert conway_normalize(LaurentInt({1: -1, 2: 1, 3: -1})).coefficients == (1, 0, 1)
+    assert built == []
+
+
 # -- conway_normalize: spec examples -----------------------------------------------
 
 
@@ -695,7 +879,8 @@ def test_normalize_is_delta_of_s_squared_in_z():
         for k, c in sym.items():
             terms[k] = terms[-k] = c
         delta = LaurentInt(terms)
-        nabla = conway_normalize(delta.shift(rng.randint(-3, 3)))
+        k = rng.randint(-3, 3)
+        nabla = conway_normalize(LaurentInt({e + k: c for e, c in delta.terms.items()}))
         assert not any(nabla.coefficients[1::2])
         value, power = LaurentInt({}), LaurentInt.constant(1)
         for c in nabla.coefficients:
