@@ -137,6 +137,13 @@ def _read_rational(reader: _Reader, lineno: int, tok: str, message: str = "bad r
         reader.error(lineno, message, tok)
 
 
+def _read_generators(reader: _Reader) -> list[str]:
+    lineno, names = _keyword_line(reader, "generators name ...", more=True)
+    if len(set(names)) != len(names):
+        reader.error(lineno, "duplicate generator names")
+    return names
+
+
 def _read_relator(reader: _Reader, names: list[str]) -> tuple[int, Word]:
     lineno, args = _keyword_line(reader, "relator <word>", nargs=0, more=True)
     try:
@@ -239,9 +246,7 @@ def _read_presentation(text: str, path: str):
     """:func:`load_presentation`, with each relator's line number."""
     reader = _Reader(text, path)
     _expect_header(reader, "presentation v1")
-    lineno, names = _keyword_line(reader, "generators name ...", more=True)
-    if len(set(names)) != len(names):
-        reader.error(lineno, "duplicate generator names")
+    names = _read_generators(reader)
     relators = []
     while _peek_word(reader) == "relator":
         relators.append(_read_relator(reader, names))
@@ -336,7 +341,7 @@ def load_knot(
 ) -> tuple[KnotPresentation, Optional[SeifertMatrix], list[str]]:
     reader = _Reader(text, path)
     _expect_header(reader, "knot v1")
-    _, names = _keyword_line(reader, "generators name ...", more=True)
+    names = _read_generators(reader)
     relators = []
     seifert = None
     while True:
@@ -345,6 +350,8 @@ def load_knot(
             relators.append(_read_relator(reader, names)[1])
         elif word == "seifert":
             lineno, (tok,) = _keyword_line(reader, "seifert rank n", keys=2)
+            if seifert is not None:
+                reader.error(lineno, "repeated seifert block", word)
             n = _read_int(reader, lineno, tok)
             cap = MAX_SEIFERT_RANK
             if not 0 <= n <= cap:
@@ -379,7 +386,7 @@ def dump_knot(
     lines = ["knot v1", "generators " + " ".join(names)]
     for rel in pres.wirtinger_relators:
         lines.append("relator " + _word_with_names(rel, names))
-    if seifert is not None and seifert.size:
+    if seifert is not None:
         lines.append(f"seifert rank {seifert.size}")
         for row in seifert.entries:
             lines.append(" ".join(str(e) for e in row))
@@ -420,6 +427,8 @@ def load_ledger(
                 JumpRecord(t0, ints["sigma_odd"], ints.get("sigma_even", 0), ints.get("nu"))
             )
         elif toks[0] == "signs":
+            if signs is not None:
+                reader.error(lineno, "repeated signs line", toks[0])
             signs = []
             for tok in toks[1:]:
                 if tok == "+":
@@ -433,6 +442,8 @@ def load_ledger(
             if "interval" not in fields or "args" not in fields or "lcoeffs" not in fields:
                 reader.error(lineno, "argpair needs interval, args and lcoeffs")
             idx = _read_int(reader, lineno, fields["interval"][0])
+            if idx in argpairs:
+                reader.error(lineno, "repeated argpair interval", fields["interval"][0])
             args = tuple(
                 _read_rational(reader, lineno, tok, "bad rational in args")
                 for tok in fields["args"]

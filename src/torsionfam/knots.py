@@ -31,7 +31,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from math import comb, gcd
+from math import gcd
 
 from .groupring import Word, _GroupRing, format_word
 
@@ -352,8 +352,10 @@ def _conway_in_z(coeffs: list[int], low: int) -> ConwayPolynomial:
     for d in range(top, -1, -1):
         a = out[d] = work[m + d]
         if a:
+            c = a  # a C(d, j) (-1)^j, carried along j
             for j in range(1, d + 1):
-                work[m + d - 2 * j] -= (-1) ** j * comb(d, j) * a
+                c = -c * (d - j + 1) // j
+                work[m + d - 2 * j] -= c
     if any(work[:m]):
         raise ValueError("Laurent polynomial is not a polynomial in z = s - 1/s")
     return ConwayPolynomial(tuple(out))

@@ -137,7 +137,7 @@ class Poly(_Exact):
     def is_zero(self) -> bool:
         return not self.re
 
-    def __bool__(self) -> bool:  # tested in the inner loops of _product, _sum, poly_gcd
+    def __bool__(self) -> bool:  # tested in the inner loops of _product, RatFunc._add, poly_gcd
         return bool(self.re)
 
     def leading(self) -> GaussRat:
@@ -162,13 +162,13 @@ class Poly(_Exact):
 
     # -- arithmetic ---------------------------------------------------
 
-    def _add(self, other: "Poly", sign: int) -> "Poly":
+    def _add(self, other: "Poly") -> "Poly":
         da, db = self.den, other.den
         if da == db:
-            fa, fb, den = 1, sign, da
+            fa, fb, den = 1, 1, da
         else:
             g = gcd(da, db)
-            fa, fb = db // g, sign * (da // g)
+            fa, fb = db // g, da // g
             den = da * (db // g)
         re, im = self.re, self.im
         re = list(re) if fa == 1 else [x * fa for x in re]
@@ -181,20 +181,6 @@ class Poly(_Exact):
             re[k] += fb * x
             im[k] += fb * y
         return _make(re, im, den)
-
-    def __add__(self, other):
-        other = Poly._try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._add(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = Poly._try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._add(other, -1)
 
     def __neg__(self):
         return _raw(
@@ -225,6 +211,9 @@ class Poly(_Exact):
         return _make(re, im, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def _div(self, other):  # no `/`: Python's TypeError names the operands
+        return NotImplemented
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

@@ -95,35 +95,32 @@ class RatFunc(_Exact):
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other):
-        other = RatFunc._try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return _sum(self.num, self.den, other.num, other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = RatFunc._try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return _sum(self.num, self.den, -other.num, other.den)
+    def _add(self, other: "RatFunc") -> "RatFunc":
+        """p/q + r/s for reduced operands with monic q and s."""
+        p, q, r, s = self.num, self.den, other.num, other.den
+        if q == s:
+            t = p + r
+            if not t:
+                return RatFunc.zero()
+            if q.degree > 0:
+                t, q = _cancel(t, q, poly_gcd(t, q))
+            return RatFunc._reduced(t, q)
+        # q != s, so the sum is nonzero; a shared factor divides d = gcd(q, s)
+        d = poly_gcd(q, s) if q.degree > 0 and s.degree > 0 else _P1
+        if d.degree <= 0:
+            return RatFunc._reduced(p * s + r * q, q * s)
+        q = q // d
+        t = p * (s // d) + r * q
+        t, s = _cancel(t, s, poly_gcd(t, d))
+        return RatFunc._reduced(t, q * s)
 
     def __neg__(self):
         return RatFunc._reduced(-self.num, self.den)
 
-    def __mul__(self, other):
-        other = RatFunc._try_coerce(other)
-        if other is None:
-            return NotImplemented
+    def _mul(self, other: "RatFunc") -> "RatFunc":
         return _product(self.num, self.den, other.num, other.den)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = RatFunc._try_coerce(other)
-        if other is None:
-            return NotImplemented
+    def _div(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero():
             raise ZeroDivisionError("division by the zero function")
         return _product(self.num, self.den, *_over_monic(other.den, other.num))
@@ -193,25 +190,6 @@ def _over_monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 def _cancel(a: Poly, b: Poly, g: Poly) -> tuple[Poly, Poly]:
     """a/g and b/g for a monic common divisor g."""
     return (a // g, b // g) if g.degree > 0 else (a, b)
-
-
-def _sum(p: Poly, q: Poly, r: Poly, s: Poly) -> RatFunc:
-    """p/q + r/s for reduced operands with monic q and s."""
-    if q == s:
-        t = p + r
-        if not t:
-            return RatFunc.zero()
-        if q.degree > 0:
-            t, q = _cancel(t, q, poly_gcd(t, q))
-        return RatFunc._reduced(t, q)
-    # q != s, so the sum is nonzero; a shared factor divides d = gcd(q, s)
-    d = poly_gcd(q, s) if q.degree > 0 and s.degree > 0 else _P1
-    if d.degree <= 0:
-        return RatFunc._reduced(p * s + r * q, q * s)
-    q = q // d
-    t = p * (s // d) + r * q
-    t, s = _cancel(t, s, poly_gcd(t, d))
-    return RatFunc._reduced(t, q * s)
 
 
 def _product(p: Poly, q: Poly, r: Poly, s: Poly) -> RatFunc:

@@ -16,9 +16,9 @@ Spaces are tolerated anywhere; :func:`parse_gauss` and
 format is read here, straight into integers (:func:`gauss_parts`).
 
 ``GaussRat``, ``Poly`` and ``RatFunc`` share one protocol, written once
-in ``_Exact``: ``coerce`` from ``_try_coerce``, truth from ``is_zero``,
-reflected ``-`` and ``/`` from the forward operators, and powers by
-square-and-multiply; each keeps its own kernels and exponent rules.
+in ``_Exact``: ``coerce``, truth, ``+ - * /`` on either side and powers
+by square-and-multiply.  Each keeps its kernels, equality and exponent
+rules, and ``Poly`` a ``*`` that scales by a scalar directly.
 ``_Frozen`` is the immutability guard of every value class.
 """
 
@@ -63,8 +63,8 @@ class _Frozen:
 
 class _Exact(_Frozen):
     """The value protocol of GaussRat, Poly and RatFunc.  A subclass
-    provides ``_try_coerce`` (the value or None), ``is_zero``, ``one``
-    and the forward operators."""
+    provides ``_try_coerce`` (the value or None), ``is_zero``, ``one``,
+    ``-x`` and the kernels ``_add``, ``_mul``, ``_div`` on its own type."""
 
     __slots__ = ()
 
@@ -77,6 +77,34 @@ class _Exact(_Frozen):
 
     def __bool__(self) -> bool:
         return not self.is_zero()
+
+    def __add__(self, other):
+        other = self._try_coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._add(other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._try_coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._add(-other)
+
+    def __mul__(self, other):
+        other = self._try_coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._mul(other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._try_coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._div(other)
 
     def __rsub__(self, other):
         other = self._try_coerce(other)
@@ -172,38 +200,22 @@ class GaussRat(_Exact):
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other):
-        other = GaussRat._try_coerce(other)
-        if other is None:
-            return NotImplemented
+    def _add(self, other):
         (a, b, d), (c, e, f) = self.parts, other.parts
         return gauss_from_parts(a * f + c * d, b * f + e * d, d * f)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = GaussRat._try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + -other
 
     def __neg__(self):
         a, b, d = self.parts
         return gauss_from_parts(-a, -b, d)
 
-    def __mul__(self, other):
-        other = GaussRat._try_coerce(other)
-        if other is None:
-            return NotImplemented
+    def _mul(self, other):
         (a, b, d), (c, e, f) = self.parts, other.parts
         return gauss_from_parts(a * c - b * e, a * e + b * c, d * f)
 
-    __rmul__ = __mul__
+    # bound here: the benchmark's tracer rebinds only a class's own methods
+    __mul__ = __rmul__ = _Exact.__mul__
 
-    def __truediv__(self, other):
-        other = GaussRat._try_coerce(other)
-        if other is None:
-            return NotImplemented
+    def _div(self, other):
         # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
         (a, b, d), (c, e, f) = self.parts, other.parts
         n2 = c * c + e * e

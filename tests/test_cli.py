@@ -409,6 +409,14 @@ def test_conway_degenerate_presentation_is_isolated_per_file(capsys, tmp_path):
     assert out.endswith("verdict fail\n")
 
 
+def test_conway_duplicate_generator_names_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "dup.knot"
+    bad.write_text("knot v1\ngenerators x x\nrelator x x^-1\nend\n")
+    code, out, err = invoke(capsys, "conway", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"torsionfam: error: {bad}:2: duplicate generator names\n"
+
+
 def test_conway_seifert_rank_past_the_cap_exits_2_and_the_other_files_go_on(
     capsys, tmp_path
 ):

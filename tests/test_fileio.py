@@ -20,7 +20,7 @@ from torsionfam.fileio import (
     load_presentation,
 )
 from torsionfam.groupring import MAX_WORD_LETTERS, RepFamily, parse_word
-from torsionfam.knots import bundled_knots
+from torsionfam.knots import SeifertMatrix, bundled_knots
 from torsionfam.linalg import Matrix
 from torsionfam.ratfunc import RatFunc, cayley
 
@@ -105,12 +105,19 @@ def test_knot_round_trip():
     for name, (pres, seif) in bundled_knots().items():
         text = dump_knot(pres, seif)
         pres2, seif2, names = load_knot(text)
-        assert pres2 == pres
-        if seif.size:
-            assert seif2 == seif
-        else:
-            assert seif2 is None
+        assert pres2 == pres and seif2 == seif
         assert dump_knot(pres2, seif2, names) == text
+    # a knot without a matrix stays without one
+    text = dump_knot(pres, None)
+    assert "seifert" not in text and load_knot(text)[1] is None
+
+
+def test_seifert_rank_0_round_trips():
+    pres, seifert, names = load_knot("knot v1\ngenerators x\nseifert rank 0\nend\n")
+    assert seifert == SeifertMatrix(())
+    text = dump_knot(pres, seifert, names)
+    assert text == "knot v1\ngenerators x\nseifert rank 0\nend\n"
+    assert load_knot(text)[1] == seifert
 
 
 def test_knot_errors():
@@ -382,3 +389,56 @@ def test_bad_ledger_arg_names_its_token(args, bad):
     with pytest.raises(ParseError, match="bad rational in args") as info:
         load_ledger(text, "l.eta")
     assert info.value.lineno == 4 and info.value.token == bad
+
+
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (load_knot, "knot v1\ngenerators x x\nend\n"),
+        (load_presentation, "presentation v1\ngenerators x x\nrep rank 1\nend\n"),
+    ],
+    ids=["knot", "presentation"],
+)
+def test_duplicate_generator_names_rejected_at_their_line(load, text):
+    with pytest.raises(ParseError) as info:
+        load(text, "f")
+    assert str(info.value) == "f:2: duplicate generator names"
+
+
+# each section that may appear once, given twice: the second is an error
+# at its line naming its token
+REPEATED = [
+    (
+        load_knot,
+        "knot v1\ngenerators x\nseifert rank 1\n-1\nseifert rank 1\n1\nend\n",
+        "f:5: repeated seifert block (token 'seifert')",
+    ),
+    (
+        load_ledger,
+        "eta-ledger v1\ndimclass 3\nbase 0\njump t0 0 sigma_odd 1\n"
+        "signs + -\nsigns - +\nend\n",
+        "f:6: repeated signs line (token 'signs')",
+    ),
+    (
+        load_ledger,
+        "eta-ledger v1\ndimclass 1\nbase 0\njump t0 0 sigma_odd 1\n"
+        "argpair interval 0 args 1/4 lcoeffs 2\n"
+        "argpair interval +0 args 1/3 lcoeffs 2\n"
+        "argpair interval 1 args 1/4 lcoeffs 2\nend\n",
+        "f:6: repeated argpair interval (token '+0')",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "load, text, message", REPEATED, ids=["seifert", "signs", "argpair-interval"]
+)
+def test_repeated_section_rejected_at_its_line(load, text, message):
+    with pytest.raises(ParseError) as info:
+        load(text, "f")
+    assert str(info.value) == message
+    # without the repeated line the file loads
+    lines = text.splitlines(keepends=True)
+    lineno = info.value.lineno
+    del lines[lineno - 1 : lineno + (load is load_knot)]
+    load("".join(lines), "f")

@@ -1,13 +1,15 @@
 """The value protocols shared across classes, pinned case by case.
 
-``GaussRat``, ``Poly`` and ``RatFunc`` share coercion, reflected
-subtraction and division, truth values and integer powers;
+``GaussRat``, ``Poly`` and ``RatFunc`` share coercion, ``+ - * /`` on
+either side of a narrower or wider operand, truth values and integer
+powers;
 ``GroupRingElem`` and ``LaurentInt`` are one integer group ring over
 different keys; eight value classes refuse attribute assignment.  Each
 case is checked on seeded values against its forward or expanded form,
 and every error text is checked verbatim.
 """
 
+import operator
 import random
 from fractions import Fraction
 
@@ -77,6 +79,30 @@ def test_polynomials_have_no_division_operator():
     for left in (3, Fraction(1, 2), GaussRat.i(), p):
         with pytest.raises(TypeError):
             left / p
+
+
+# operands of every narrower and wider type, zero included
+MIXED = [3, 0, Fraction(-7, 4), GaussRat(Fraction(1, 2), -3), Poly([1, GaussRat.i()]), Poly()]
+TOWER = [int, Fraction, GaussRat, Poly, RatFunc]
+
+
+@pytest.mark.parametrize("cls", EXACT, ids=lambda c: c.__name__)
+def test_mixed_operands_equal_the_coerced_form(cls):
+    """``x op y`` and ``y op x`` equal the operation on both operands
+    coerced to the wider class, and have that class."""
+    for x in samples(cls, 6):
+        for y in MIXED:
+            wide = max(cls, type(y), key=TOWER.index)
+            a, b = wide.coerce(x), wide.coerce(y)
+            for left, right, coerced in ((x, y, (a, b)), (y, x, (b, a))):
+                for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                    if op is operator.truediv and (wide is Poly or not right):
+                        with pytest.raises(TypeError if wide is Poly else ZeroDivisionError):
+                            op(left, right)
+                        continue
+                    got = op(left, right)
+                    assert type(got) is wide
+                    assert got == op(*coerced), (op, left, right)
 
 
 @pytest.mark.parametrize("cls", EXACT, ids=lambda c: c.__name__)
@@ -152,6 +178,20 @@ def test_power_error_texts():
     assert _message(ZeroDivisionError, lambda: zero**-2) == "division by zero in Q(i)"
     assert _message(ZeroDivisionError, lambda: GaussRat(1) / 0) == "division by zero in Q(i)"
     assert _message(ZeroDivisionError, lambda: 1 / zero) == "division by zero in Q(i)"
+
+
+def test_polynomial_division_error_names_the_operands_as_written():
+    p = Poly([1, 2])
+    cases = [
+        (lambda: p / 3, "'Poly' and 'int'"),
+        (lambda: p / GaussRat.i(), "'Poly' and 'GaussRat'"),
+        (lambda: p / p, "'Poly' and 'Poly'"),
+        # the reflected form coerces the left operand first
+        (lambda: Fraction(1, 2) / p, "'Poly' and 'Poly'"),
+        (lambda: GaussRat.i() / p, "'Poly' and 'Poly'"),
+    ]
+    for action, operands in cases:
+        assert _message(TypeError, action) == f"unsupported operand type(s) for /: {operands}"
 
 
 def _frozen_values():

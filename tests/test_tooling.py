@@ -43,3 +43,55 @@ def test_unused_import_finder():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+ARITHMETIC = {
+    "__add__", "__radd__", "__sub__", "__rsub__",
+    "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+}
+# the scalar path of a polynomial product builds no constant polynomial
+OWN_OPERATORS = {("Poly", "__mul__")}
+
+
+def arithmetic_operators(source: str) -> list[tuple[str, str]]:
+    """(class, name) of each binary arithmetic dunder that a class other
+    than ``_Exact`` defines.  Binding ``_Exact``'s operator is not a
+    definition, and an alias of the class's own method counts as that
+    method, which is listed already."""
+    out = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef) or cls.name == "_Exact":
+            continue
+        defined = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+        out += [(cls.name, name) for name in sorted(defined & ARITHMETIC)]
+        for node in cls.body:
+            if not isinstance(node, ast.Assign):
+                continue
+            value = node.value
+            inherited = isinstance(value, ast.Attribute) and ast.unparse(value.value) == "_Exact"
+            alias = isinstance(value, ast.Name) and value.id in defined
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id in ARITHMETIC:
+                    if not (inherited or alias):
+                        out.append((cls.name, target.id))
+    return out
+
+
+def test_arithmetic_operator_finder():
+    source = (
+        "class _Exact:\n    def __add__(self, o): pass\n    __radd__ = __add__\n"
+        "class A(_Exact):\n    __mul__ = __rmul__ = _Exact.__mul__\n"
+        "class B(_Exact):\n    def __sub__(self, o): pass\n    __rsub__ = __sub__\n"
+        "    __add__ = lambda self, o: o\n    _add = None\n"
+    )
+    assert arithmetic_operators(source) == [("B", "__sub__"), ("B", "__add__")]
+
+
+def test_arithmetic_operators_are_written_once_in_exact():
+    found, classes = [], 0
+    for name in ("scalars.py", "poly.py", "ratfunc.py"):
+        source = (PACKAGE / name).read_text()
+        classes += sum(isinstance(n, ast.ClassDef) for n in ast.walk(ast.parse(source)))
+        found += arithmetic_operators(source)
+    assert classes >= 5  # _Frozen, _Exact, GaussRat, Poly, RatFunc
+    assert sorted(found) == sorted(OWN_OPERATORS)
