@@ -4,7 +4,9 @@ A :class:`BasedChainComplex` stores ranks by homological degree
 (index 0 up to the top degree m) and the boundary matrices
 d_k : C_k -> C_{k-1} in column convention (shape ranks[k-1] x ranks[k],
 acting on coordinate columns).  d_{k} . d_{k+1} = 0 is checked exactly
-at construction, except for the dual of a complex already checked.
+at construction, except for the complexes derived from ones already
+checked (dual, conjugate, direct sum), whose shapes and d . d = 0 the
+derivation keeps.
 
 Torsion of a generically acyclic complex is computed by the matrix
 subset algorithm: walk the degrees from the bottom, choose in each
@@ -233,7 +235,7 @@ def _torsion(c: BasedChainComplex) -> TorsionValue:
 
 def conjugate_complex(c: BasedChainComplex) -> BasedChainComplex:
     """Entrywise Gaussian conjugation of all boundaries; an involution."""
-    return BasedChainComplex(c.ranks, [b.conj() for b in c.boundaries])
+    return BasedChainComplex._trusted(c.ranks, tuple(b.conj() for b in c.boundaries))
 
 
 def dual_complex(c: BasedChainComplex) -> BasedChainComplex:
@@ -261,21 +263,21 @@ def direct_sum(a: BasedChainComplex, b: BasedChainComplex) -> BasedChainComplex:
     m = max(a.top_degree, b.top_degree)
     a = _pad(a, m)
     b = _pad(b, m)
-    ranks = [ra + rb for ra, rb in zip(a.ranks, b.ranks)]
-    boundaries = [
+    ranks = tuple(ra + rb for ra, rb in zip(a.ranks, b.ranks))
+    boundaries = tuple(
         Matrix.block_diagonal(a.boundary(k), b.boundary(k)) for k in range(1, m + 1)
-    ]
-    return BasedChainComplex(ranks, boundaries)
+    )
+    return BasedChainComplex._trusted(ranks, boundaries)
 
 
 def _pad(c: BasedChainComplex, m: int) -> BasedChainComplex:
     if c.top_degree == m:
         return c
     ranks = c.ranks + (0,) * (m - c.top_degree)
-    boundaries = list(c.boundaries)
-    for k in range(c.top_degree + 1, m + 1):
-        boundaries.append(Matrix.zeros(ranks[k - 1], 0))
-    return BasedChainComplex(ranks, boundaries)
+    boundaries = c.boundaries + tuple(
+        Matrix.zeros(ranks[k - 1], 0) for k in range(c.top_degree + 1, m + 1)
+    )
+    return BasedChainComplex._trusted(ranks, boundaries)
 
 
 def torsion_sign_at(c: BasedChainComplex, t) -> int:

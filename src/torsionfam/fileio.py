@@ -61,7 +61,8 @@ class ParseError(ValueError):
 
 
 class _Reader:
-    """Comment- and blank-skipping line cursor over a text document."""
+    """Comment- and blank-skipping line cursor over a text document, and
+    the one maker of its parse errors, so that each names a line."""
 
     def __init__(self, text: str, path: str):
         self.path = path
@@ -88,6 +89,13 @@ class _Reader:
 
     def error(self, lineno: int, message: str, token: Optional[str] = None):
         raise ParseError(self.path, lineno, message, token)
+
+    def built(self, lineno: int, make, *args, **kwargs):
+        """``make(*args, **kwargs)``, its ValueError reported at ``lineno``."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            raise ParseError(self.path, lineno, str(exc)) from exc
 
 
 def _expect_header(reader: _Reader, header: str) -> None:
@@ -146,10 +154,7 @@ def _read_generators(reader: _Reader) -> list[str]:
 
 def _read_relator(reader: _Reader, names: list[str]) -> tuple[int, Word]:
     lineno, args = _keyword_line(reader, "relator <word>", nargs=0, more=True)
-    try:
-        return lineno, parse_word(" ".join(args), names)
-    except ValueError as exc:
-        raise ParseError(reader.path, lineno, str(exc)) from exc
+    return lineno, reader.built(lineno, parse_word, " ".join(args), names)
 
 
 def _read_matrix(reader: _Reader, nrows: int, ncols: int) -> Matrix:
@@ -166,9 +171,17 @@ def _read_matrix(reader: _Reader, nrows: int, ncols: int) -> Matrix:
             except (ValueError, ZeroDivisionError):
                 reader.error(lineno, "bad rational-function token", tok)
         rows.append(row)
-    if ncols == 0 or nrows == 0:
-        return Matrix.zeros(nrows, ncols)
-    return Matrix(rows, ncols)
+    return Matrix(rows, ncols) if rows else Matrix.zeros(nrows, ncols)
+
+
+def _numbered_matrix(
+    reader: _Reader, keyword: str, plural: str, k: int, nrows: int, ncols: int
+) -> Matrix:
+    """A ``keyword k`` line, with k its expected index, and the matrix under it."""
+    lineno, (tok,) = _keyword_line(reader, f"{keyword} {k}")
+    if _read_int(reader, lineno, tok) != k:
+        reader.error(lineno, f"{plural} must appear in order; expected {k}", tok)
+    return _read_matrix(reader, nrows, ncols)
 
 
 def _dump_matrix(mat: Matrix) -> list[str]:
@@ -192,27 +205,19 @@ def load_complex(
         if not 0 <= r <= MAX_RANK:
             reader.error(lineno, f"rank outside 0 to the cap of {MAX_RANK}", tok)
     m = len(ranks) - 1
-    boundaries = []
-    for k in range(1, m + 1):
-        lineno, (tok,) = _keyword_line(reader, f"boundary {k}")
-        if _read_int(reader, lineno, tok) != k:
-            reader.error(lineno, f"boundaries must appear in order; expected {k}", tok)
-        boundaries.append(_read_matrix(reader, ranks[k - 1], ranks[k]))
+    boundaries = [
+        _numbered_matrix(reader, "boundary", "boundaries", k, ranks[k - 1], ranks[k])
+        for k in range(1, m + 1)
+    ]
     pairing: Optional[list[Matrix]] = None
     if reader.peek_line() == "duality":
         reader.next_line()
-        pairing = []
-        for i in range(m + 1):
-            lineno, (tok,) = _keyword_line(reader, f"pairing {i}")
-            if _read_int(reader, lineno, tok) != i:
-                reader.error(lineno, f"pairings must appear in order; expected {i}", tok)
-            pairing.append(_read_matrix(reader, ranks[m - i], ranks[i]))
+        pairing = [
+            _numbered_matrix(reader, "pairing", "pairings", i, ranks[m - i], ranks[i])
+            for i in range(m + 1)
+        ]
     _expect_end(reader)
-    try:
-        cplx = BasedChainComplex(ranks, boundaries)
-    except ValueError as exc:
-        raise ParseError(path, reader.pos, str(exc)) from exc
-    return cplx, pairing
+    return reader.built(reader.pos, BasedChainComplex, ranks, boundaries), pairing
 
 
 def dump_complex(
@@ -238,13 +243,12 @@ def load_presentation(
     text: str, path: str = "<presentation>"
 ) -> tuple[list[str], list[Word], RepFamily]:
     """Parse generator names, relators, and a representation family."""
-    names, relators, rho = _read_presentation(text, path)
+    names, relators, rho = _read_presentation(_Reader(text, path))
     return names, [rel for _, rel in relators], rho
 
 
-def _read_presentation(text: str, path: str):
+def _read_presentation(reader: _Reader):
     """:func:`load_presentation`, with each relator's line number."""
-    reader = _Reader(text, path)
     _expect_header(reader, "presentation v1")
     names = _read_generators(reader)
     relators = []
@@ -265,15 +269,8 @@ def _read_presentation(text: str, path: str):
             reader.error(lineno, "duplicate image", name)
         images[name] = _read_matrix(reader, rank, rank)
     _expect_end(reader)
-    try:
-        rho = RepFamily(
-            rank=rank,
-            images=tuple(images[name] for name in names),
-            unitary="unitary" in flags,
-            special="su" in flags,
-        )
-    except ValueError as exc:
-        raise ParseError(path, reader.pos, str(exc)) from exc
+    ordered = tuple(images[name] for name in names)
+    rho = reader.built(reader.pos, RepFamily, rank, ordered, "unitary" in flags, "su" in flags)
     # the prefix pass of presentation_complex multiplies the letters'
     # images, whose degrees and coefficient sizes add up: refuse what it
     # could not finish
@@ -299,12 +296,13 @@ def _load_family(text: str, path: str) -> tuple[BasedChainComplex, Optional[list
     pushed through the twisted complex of its presentation, which carries
     no duality section; the header line decides which.  A relator the
     representation does not respect is reported at its line."""
-    if _Reader(text, path).peek_line() == "presentation v1":
-        names, relators, rho = _read_presentation(text, path)
+    reader = _Reader(text, path)
+    if reader.peek_line() == "presentation v1":
+        names, relators, rho = _read_presentation(reader)
         ident = Matrix.identity(rho.rank)
         for lineno, rel in relators:
             if specialize_word(rel, rho) != ident:
-                raise ParseError(path, lineno, "relator is not respected by the representation")
+                reader.error(lineno, "relator is not respected by the representation")
         return presentation_complex(len(names), [rel for _, rel in relators], rho), None
     return load_complex(text, path)
 
@@ -371,10 +369,7 @@ def load_knot(
         else:
             break
     _expect_end(reader, "expected 'relator', 'seifert' or 'end'")
-    try:
-        pres = KnotPresentation(strands=len(names), wirtinger_relators=tuple(relators))
-    except ValueError as exc:
-        raise ParseError(path, reader.pos, str(exc)) from exc
+    pres = reader.built(reader.pos, KnotPresentation, len(names), tuple(relators))
     return pres, seifert, names
 
 
@@ -408,7 +403,8 @@ def load_ledger(
     base = _read_rational(reader, lineno, tok)
     jumps: list[JumpRecord] = []
     signs: Optional[list[int]] = None
-    argpairs: dict[int, ArgPairing] = {}
+    # interval -> (line, interval token, pairing): the range is known at `end`
+    argpairs: dict[int, tuple[int, str, ArgPairing]] = {}
     while True:
         lineno, line = reader.next_line()
         if line == "end":
@@ -431,19 +427,17 @@ def load_ledger(
                 reader.error(lineno, "repeated signs line", toks[0])
             signs = []
             for tok in toks[1:]:
-                if tok == "+":
-                    signs.append(1)
-                elif tok == "-":
-                    signs.append(-1)
-                else:
+                if tok not in ("+", "-"):
                     reader.error(lineno, "signs are '+' or '-'", tok)
+                signs.append(1 if tok == "+" else -1)
         elif toks[0] == "argpair":
             fields = _keyed_fields(reader, lineno, toks[1:])
             if "interval" not in fields or "args" not in fields or "lcoeffs" not in fields:
                 reader.error(lineno, "argpair needs interval, args and lcoeffs")
-            idx = _read_int(reader, lineno, fields["interval"][0])
+            (interval,) = fields["interval"]
+            idx = _read_int(reader, lineno, interval)
             if idx in argpairs:
-                reader.error(lineno, "repeated argpair interval", fields["interval"][0])
+                reader.error(lineno, "repeated argpair interval", interval)
             args = tuple(
                 _read_rational(reader, lineno, tok, "bad rational in args")
                 for tok in fields["args"]
@@ -451,34 +445,20 @@ def load_ledger(
             ls = tuple(_read_int(reader, lineno, tok) for tok in fields["lcoeffs"])
             if len(args) != len(ls):
                 reader.error(lineno, "args and lcoeffs must have equal length")
-            try:
-                argpairs[idx] = ArgPairing(args, ls)
-            except ValueError as exc:
-                raise ParseError(path, lineno, str(exc)) from exc
+            argpairs[idx] = (lineno, interval, reader.built(lineno, ArgPairing, args, ls))
         else:
             reader.error(lineno, "expected 'jump', 'signs', 'argpair' or 'end'", toks[0])
     slope_data = None
     if argpairs:
-        want = set(range(len(jumps) + 1))
-        if set(argpairs) != want:
-            raise ParseError(
-                path, reader.pos, "argpair blocks must cover every interval exactly once"
-            )
-        slope_data = tuple(argpairs[i] for i in sorted(argpairs))
-    try:
-        profile = EtaProfile(
-            dimension_class=dimclass,
-            base_value=base,
-            jumps=tuple(jumps),
-            slope_data=slope_data,
-        )
-    except ValueError as exc:
-        raise ParseError(path, reader.pos, str(exc)) from exc
+        for idx, (lineno, interval, _) in argpairs.items():
+            if not 0 <= idx <= len(jumps):
+                reader.error(lineno, f"argpair interval outside 0 to {len(jumps)}", interval)
+        if len(argpairs) != len(jumps) + 1:
+            reader.error(reader.pos, "argpair blocks must cover every interval exactly once")
+        slope_data = tuple(argpairs[i][2] for i in range(len(jumps) + 1))
+    profile = reader.built(reader.pos, EtaProfile, dimclass, base, tuple(jumps), slope_data)
     if signs is not None and len(signs) != profile.intervals:
-        raise ParseError(
-            path, reader.pos,
-            f"need {profile.intervals} signs, got {len(signs)}",
-        )
+        reader.error(reader.pos, f"need {profile.intervals} signs, got {len(signs)}")
     return profile, signs
 
 

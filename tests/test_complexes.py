@@ -192,6 +192,23 @@ def test_dual_is_the_validated_complex_on_the_acceptance_corpus():
             assert dual_complex(d) == c
 
 
+@pytest.mark.parametrize(
+    "derive",
+    [
+        conjugate_complex,
+        lambda c: direct_sum(c, dual_complex(c)),
+        lambda c: direct_sum(BasedChainComplex([1, 1], [Matrix([[T - 1]])]), c),
+    ],
+    ids=["conjugate", "sum", "padded-sum"],
+)
+def test_derived_complex_is_the_validated_complex_on_the_acceptance_corpus(derive):
+    """Conjugates and direct sums, padding included, skip the shape and
+    d.d = 0 checks; the checked constructor agrees."""
+    for spec in acceptance_corpus(ACCEPTANCE_SIZE, 20250):
+        d = derive(spec.complex)
+        assert d == BasedChainComplex(d.ranks, list(d.boundaries))
+
+
 def test_conj_of_a_real_value_is_itself():
     real = (T - 1) / (T * T + 3)
     assert real.conj() is real

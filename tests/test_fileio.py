@@ -442,3 +442,72 @@ def test_repeated_section_rejected_at_its_line(load, text, message):
     lineno = info.value.lineno
     del lines[lineno - 1 : lineno + (load is load_knot)]
     load("".join(lines), "f")
+
+
+# each value the loaders build from a whole section, with its refusal
+# reported at the line docs/formats.md gives: a relator's word and an
+# argpair's pairing at their own line, a whole file's value at `end`
+BUILT = [
+    (
+        load_knot,
+        "knot v1\ngenerators x y\nrelator x z\nrelator x y x^-1 y^-1\nend\n",
+        "f:3: unknown generator 'z' in word",
+    ),
+    (
+        load_complex,
+        "complex v1\nranks 1 2 1\nboundary 1\n[1] [1]\nboundary 2\n[1]\n[1]\nend\n",
+        "f:8: boundary condition fails: d_1 . d_2 != 0",
+    ),
+    (
+        load_presentation,
+        "presentation v1\ngenerators x\nrelator x\nrep rank 1\nimage x\n[0]\nend\n",
+        "f:7: image of generator 0 is singular",
+    ),
+    (
+        load_knot,
+        "knot v1\ngenerators x y\nrelator x y\nend\n",
+        "f:4: relator is not conjugation-shaped (needs exponent sums one +1, one -1, rest 0)",
+    ),
+    (
+        load_ledger,
+        "eta-ledger v1\ndimclass 1\nbase 0\njump t0 0 sigma_odd 1\n"
+        "argpair interval 0 args 1/4 lcoeffs 3\nargpair interval 1 args 1/4 lcoeffs 2\nend\n",
+        "f:5: L-class degree-(m-1) part not even: hypothesis w_{m-1} = 0 / no 2-torsion violated",
+    ),
+    (
+        load_ledger,
+        "eta-ledger v1\ndimclass 3\nbase 0\njump t0 1 sigma_odd 1\njump t0 0 sigma_odd 1\nend\n",
+        "f:6: jump points must be strictly increasing",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "load, text, message",
+    BUILT,
+    ids=["word", "complex", "representation", "knot", "argpair", "profile"],
+)
+def test_built_value_refused_at_its_documented_line(load, text, message):
+    with pytest.raises(ParseError) as info:
+        load(text, "f")
+    assert str(info.value) == message
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+ONE_JUMP = "eta-ledger v1\ndimclass 1\nbase 0\njump t0 0 sigma_odd 1\n"
+
+
+@pytest.mark.parametrize(
+    "intervals, message",
+    [
+        ((0, 7, 1), "f:6: argpair interval outside 0 to 1 (token '7')"),
+        ((0, -1, 1), "f:6: argpair interval outside 0 to 1 (token '-1')"),
+        ((0,), "f:6: argpair blocks must cover every interval exactly once"),
+    ],
+    ids=["far", "negative", "missing"],
+)
+def test_argpair_interval_out_of_range_reported_at_its_line(intervals, message):
+    blocks = "".join(f"argpair interval {i} args 1/4 lcoeffs 2\n" for i in intervals)
+    with pytest.raises(ParseError) as info:
+        load_ledger(ONE_JUMP + blocks + "end\n", "f")
+    assert str(info.value) == message

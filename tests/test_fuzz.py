@@ -5,7 +5,9 @@ Every file under ``demos/data`` is corrupted a few hundred times
 or signed numbers, stray brackets and slashes) and run in process
 through ``cli.main`` with the subcommand its format feeds.  Every run
 must end in exit status 0, 1 or 2 with no exception escaping, and the
-whole fuzz must finish within a stated time bound.
+whole fuzz must finish within a stated time bound.  Each mutant is also
+passed to its loader: a parse error that names a token must name one
+that stands on the line it reports.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ import time
 from pathlib import Path
 
 from torsionfam.cli import main
+from torsionfam.fileio import ParseError, _load_family, load_knot, load_ledger
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 MUTANTS = 300
@@ -23,6 +26,7 @@ TIME_BOUND_S = 20.0
 SEED = 20251
 
 _NUMBER = re.compile(r"\d+")
+LOADERS = {".cplx": _load_family, ".pres": _load_family, ".knot": load_knot, ".eta": load_ledger}
 
 
 def _mutate_number(line, rng):
@@ -99,7 +103,13 @@ def test_mutated_inputs_end_in_a_known_exit_status(tmp_path):
     for n in range(MUTANTS):
         src = sources[n % len(sources)]
         path = tmp_path / f"m{n:03d}{src.suffix}"
-        path.write_text(mutate(src.read_text(), rng))
+        text = mutate(src.read_text(), rng)
+        path.write_text(text)
+        try:
+            LOADERS[src.suffix](text, path.name)
+        except ParseError as exc:
+            if exc.token is not None:
+                assert exc.token in text.splitlines()[exc.lineno - 1], (str(exc), text)
         for argv in _commands(path):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):

@@ -95,3 +95,40 @@ def test_arithmetic_operators_are_written_once_in_exact():
         found += arithmetic_operators(source)
     assert classes >= 5  # _Frozen, _Exact, GaussRat, Poly, RatFunc
     assert sorted(found) == sorted(OWN_OPERATORS)
+
+
+def parse_error_sites(source: str) -> list[str]:
+    """The scope of each ``ParseError(...)`` call: ``Class.method`` for a
+    method, the function's name for a module-level function, ``<body>``
+    for a statement outside any function."""
+    sites = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            scopes = [(f"{node.name}.", n) for n in node.body]
+        else:
+            scopes = [("", node)]
+        for prefix, scope in scopes:
+            name = prefix + getattr(scope, "name", "<body>")
+            sites += [
+                name for n in ast.walk(scope)
+                if isinstance(n, ast.Call) and ast.unparse(n.func) == "ParseError"
+            ]
+    return sites
+
+
+def test_parse_error_site_finder():
+    source = (
+        "class _Reader:\n    def error(self):\n        raise ParseError(1)\n"
+        "    x = ParseError(2)\n"
+        "def load():\n    def inner():\n        return ParseError(3)\n"
+        "y = ParseError(4)\n"
+    )
+    assert parse_error_sites(source) == ["_Reader.error", "_Reader.<body>", "load", "<body>"]
+
+
+def test_parse_errors_are_made_only_by_the_reader():
+    """Every parse error is made by a method of ``fileio._Reader``, so
+    each names its file and line the same way."""
+    sites = parse_error_sites((PACKAGE / "fileio.py").read_text())
+    assert sites and all(site.startswith("_Reader.") for site in sites), sites
+    assert "_Reader.<body>" not in sites
