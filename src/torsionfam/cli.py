@@ -57,7 +57,9 @@ from .fileio import (
     load_ledger,
 )
 from .groupring import GroupRingElem, Word, fox_derivative
-from .knots import alexander_from_fox, bundled_knots, conway_from_seifert, conway_normalize
+from .knots import (
+    MinorTooLarge, alexander_from_fox, bundled_knots, conway_from_seifert, conway_normalize,
+)
 from .linalg import Matrix
 from .poly import rational_real_roots
 from .ratfunc import RatFunc, cayley, conj_family
@@ -280,6 +282,8 @@ def _cmd_conway(args: argparse.Namespace, path: str) -> Report:
     report.item("input", path)
     try:
         delta = alexander_from_fox(pres)
+    except MinorTooLarge:
+        raise  # a refused input, as a parse error is: exit 2
     except ValueError as exc:
         report.note(f"{path}: {exc}")
         report.check(f"{path}:alexander", False)

@@ -14,15 +14,16 @@ degree a set of basis columns carrying the rank of the boundary, and
 multiply the staircase determinants with alternating exponents.  The
 exponent convention is frozen under the tag ``FT-cal-1``:
 
-    torsion = product over k of det(D_k) ** ((-1) ** (k+1))
+    torsion = product over k of D_k ** ((-1) ** (k+1))
 
-where D_k is the square submatrix of d_k on the rows left uncovered in
-degree k-1 and the chosen columns in degree k; det(D_k) is read off
-the elimination that picks the columns.  The calibration makes the
-valuation of the torsion at a degeneration point equal the Euler
-number of the local torsion modules (see the deformation module), with
-the circle family 0 -> R --(z-1)--> R -> 0 as the pinned example:
-its torsion is (z - 1)**(+1).
+where D_k is the minor of d_k on the rows left uncovered in degree k-1
+and the chosen columns in degree k.  It is read off the elimination
+that picks the columns (``linalg._minor``), and the staircase keeps it
+with them as one record (columns, D_k) per degree.  The calibration
+makes the valuation of the torsion at a degeneration point equal the
+Euler number of the local torsion modules (see the deformation
+module), with the circle family 0 -> R --(z-1)--> R -> 0 as the pinned
+example: its torsion is (z - 1)**(+1).
 
 Column subsets are chosen greedily, scanning the columns from the left
 and keeping each one that raises the rank, so the output is
@@ -34,10 +35,11 @@ acyclicity: it completes exactly when the complex is generically
 acyclic.
 
 A complex is immutable, so what is derived from it alone is computed
-once and kept in a private memo on the object: the staircase, the
-torsion value, and (filled by the deformation module) the boundaries'
-distinct denominators and the last accepted duality pairing with its
-determinants.  The memo lives and dies with the complex.
+once and kept in a private memo on the object: the staircase (its
+(columns, D_k) records, or None), the torsion value, and (filled by
+the deformation module) the boundaries' distinct denominators and the
+last accepted duality pairing with its determinants.  The memo lives
+and dies with the complex.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .linalg import Matrix, _eliminate
+from .linalg import Matrix, _minor
 from .ratfunc import RatFunc
 from .scalars import _Frozen, sign_of_real
 
@@ -151,20 +153,21 @@ class TorsionValue:
 
 
 def _staircase(c: BasedChainComplex):
-    """Eliminations of d_1 .. d_m on the rows left uncovered below.
+    """The record (columns, D_k) of each degree k = 1 .. m: the columns
+    of d_k picked on the rows left uncovered in degree k-1, in ascending
+    order, and D_k, the minor of d_k on those rows and columns.
 
-    None when a step lacks full row rank or C_m is not used up, which
-    happens exactly when the complex is not generically acyclic.
+    None when some D_k vanishes or C_m is not used up, which happens
+    exactly when the complex is not generically acyclic.
     """
     steps = []
     uncovered = range(c.ranks[0])  # rows of degree k-1 not chosen there
-    for k in range(1, c.top_degree + 1):
-        mat = c.boundary(k)
-        step = _eliminate([list(mat.rows[j]) for j in uncovered], range(mat.ncols))
-        if len(step[0]) != len(uncovered):
+    for k, mat in enumerate(c.boundaries, start=1):
+        picked, minor = _minor([list(mat.rows[j]) for j in uncovered], range(mat.ncols))
+        if minor.is_zero():
             return None
-        steps.append(step)
-        chosen = set(step[0])
+        steps.append((picked, minor))
+        chosen = set(picked)
         uncovered = [j for j in range(c.ranks[k]) if j not in chosen]
     return None if uncovered else steps
 
@@ -192,26 +195,6 @@ def is_generically_acyclic(c: BasedChainComplex) -> bool:
     return _steps(c) is not None
 
 
-def _subset_determinants(c: BasedChainComplex) -> list[RatFunc]:
-    """Staircase determinants D_1 .. D_m of the subset algorithm.
-
-    D_k is the product of the pivots that picked the columns, negated
-    when the number of row swaps is odd; the columns are picked in
-    ascending order, so no sort of them adds a sign.  Raises when the
-    complex is not generically acyclic.
-    """
-    steps = _steps(c)
-    if steps is None:
-        raise ValueError("torsion undefined: complex not generically acyclic")
-    dets: list[RatFunc] = []
-    for _, pivots, odd in steps:
-        det = _ONE
-        for pivot in pivots:
-            det = det * pivot
-        dets.append(-det if odd else det)
-    return dets
-
-
 def torsion(c: BasedChainComplex) -> TorsionValue:
     """Sign-determined torsion of a generically acyclic complex.
 
@@ -227,8 +210,11 @@ def torsion(c: BasedChainComplex) -> TorsionValue:
 
 
 def _torsion(c: BasedChainComplex) -> TorsionValue:
+    steps = _steps(c)
+    if steps is None:
+        raise ValueError("torsion undefined: complex not generically acyclic")
     value = _ONE
-    for k, d in enumerate(_subset_determinants(c), start=1):
+    for k, (_, d) in enumerate(steps, start=1):
         value = value * d if k % 2 == 1 else value / d
     return TorsionValue(value)
 

@@ -15,9 +15,10 @@ contributes its full valuation to the torsion of the degree below its
 top, and nothing else survives.  (The correction term one might expect
 from d_i vanishes under generic acyclicity.)  Tests pin this
 bookkeeping against a minor-enumeration oracle and against rank-drop
-counts of the evaluated complex.  The staircase's D_{i+1}, a nonsingular
-minor of d_{i+1} of size rank(d_{i+1}), bounds that sum by v_t0(D_{i+1}),
-so a degree whose D_{i+1} is a unit at t0 skips its Smith form.
+counts of the evaluated complex.  The staircase stores one record
+(columns, D_k) per degree; D_{i+1}, a nonsingular minor of d_{i+1} of
+size rank(d_{i+1}), bounds that sum by v_t0(D_{i+1}), so a degree whose
+D_{i+1} is a unit at t0 skips its Smith form.
 
 The deformation report cross-checks the two routes to the singularity
 exponent: the valuation of the torsion function must equal the Euler
@@ -215,9 +216,9 @@ def torsion_modules(c: BasedChainComplex, t0) -> TorsionModuleSummary:
     Requires the complex to be defined over the local ring at t0 (checked
     first, on the boundaries' memoized distinct denominators) and
     generically acyclic (the memoized staircase completes).  The
-    staircase's D_k is a nonsingular minor of d_k of size rank(d_k), so
-    the divisor valuations of d_k sum to at most v_t0(D_k), the sum of
-    its pivots' valuations; where that is 0 the Smith form is skipped.
+    staircase's record (columns, D_k) holds a nonsingular minor D_k of
+    d_k of size rank(d_k), so the divisor valuations of d_k sum to at
+    most v_t0(D_k); where that is 0 the Smith form is skipped.
     """
     poles = _memoized(c, "poles", lambda: _poles(*c.boundaries))
     if not all(e.is_regular_at(t0) for e in poles):
@@ -226,8 +227,8 @@ def torsion_modules(c: BasedChainComplex, t0) -> TorsionModuleSummary:
     if steps is None:
         raise ValueError("family not generically acyclic at this degree")
     dims = [0] * (c.top_degree + 1)
-    for i, (mat, (_, pivots, _)) in enumerate(zip(c.boundaries, steps)):
-        if sum(p.valuation(t0) for p in pivots):  # v(D_{i+1})
+    for i, (mat, (_, minor)) in enumerate(zip(c.boundaries, steps)):
+        if minor.valuation(t0):
             dims[i] = snf_local(mat, t0).total_valuation()
     return TorsionModuleSummary(tuple(dims))
 
@@ -323,11 +324,11 @@ def analyze(
     :class:`DualityError` first.
 
     The complex's memo holds what does not depend on t0: the completed
-    staircase (the acyclicity certificate, and the pivots whose
+    staircase (the acyclicity certificate, and the minors D_k whose
     valuations decide which Smith forms to skip), the torsion function,
     the boundaries' distinct denominators, and the last accepted pairing
     with its determinants and denominators.  So analyzing a family at
-    many points computes them once.  The regularity checks, the pivot
+    many points computes them once.  The regularity checks, the minors'
     valuations, the Smith forms not skipped, the ``nu == chi`` check and
     the unit checks of the pairing run at every point.
     """

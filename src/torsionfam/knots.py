@@ -38,6 +38,7 @@ from .groupring import Word, _GroupRing, format_word
 __all__ = [
     "LaurentInt",
     "KnotPresentation",
+    "MinorTooLarge",
     "ConwayPolynomial",
     "SeifertMatrix",
     "alexander_from_fox",
@@ -45,6 +46,18 @@ __all__ = [
     "conway_from_seifert",
     "bundled_knots",
 ]
+
+
+# largest (d + 1)(d + n^3)(d + n) that the Fox path interpolates, for a
+# degree bound d on an n x n block: d + 1 determinants of about n^3 steps
+# and a Newton pass of about d^2, on integers that grow with d and n; a
+# block just under the cap took 2 to 6.3 s (docs/formats.md)
+MAX_MINOR_WORK = 1_500_000_000
+
+
+class MinorTooLarge(ValueError):
+    """A knot whose Alexander minor is past ``MAX_MINOR_WORK``: an input
+    refused, not a degenerate presentation."""
 
 
 class LaurentInt(_GroupRing):
@@ -57,13 +70,6 @@ class LaurentInt(_GroupRing):
     # bound here, not inherited: the benchmark's tracer rebinds a method
     # only in the class whose namespace holds it
     __mul__ = _GroupRing.__mul__
-
-    @classmethod
-    def constant(cls, c: int) -> "LaurentInt":
-        return cls({0: c})
-
-    def coeff(self, e: int) -> int:
-        return self.terms.get(e, 0)
 
     def support(self) -> list[int]:
         return sorted(self.terms)
@@ -129,9 +135,6 @@ class ConwayPolynomial:
             raise ValueError("Conway normalization failed: constant term is not 1")
         object.__setattr__(self, "coefficients", tuple(coeffs))
 
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def __repr__(self):
         return _format_terms([(k, c) for k, c in enumerate(self.coefficients) if c], "z")
 
@@ -160,7 +163,7 @@ def alexander_from_fox(k: KnotPresentation) -> LaurentInt:
     """Alexander polynomial, symmetric with Delta(1) = 1, from D_2 over
     Z[t, 1/t] (see the module docstring).  Raises when the twisted complex
     is not generically acyclic: the relator count is not strands - 1, or
-    D_2 = 0."""
+    D_2 = 0; raises :class:`MinorTooLarge` when D_2 is past the cap."""
     rows, minor = _d2_rows(k), {}
     if len(k.wirtinger_relators) == k.strands - 1:
         minor = _laurent_minor(rows)
@@ -206,7 +209,8 @@ def _laurent_minor(rows: dict[int, dict]) -> dict[int, int]:
     holding one, if any (Markowitz order within the column; on a braid
     closure, Burau's reduction: each crossing's new arc goes on its own
     relator).  The pivots multiply to a unit; the block left, its rows
-    shifted into Z[t], goes to the interpolation."""
+    shifted into Z[t], goes to the interpolation, unless its degree bound
+    and size put it past ``MAX_MINOR_WORK``."""
     cols: dict[int, set] = {}
     for i, row in rows.items():
         for j in row:
@@ -222,6 +226,12 @@ def _laurent_minor(rows: dict[int, dict]) -> dict[int, int]:
         return block[0][0] if block else {0: 1}
     lows = [min(min(a) for a in row if a) for row in block]
     degree = sum(max(max(a) for a in row if a) for row in block) - sum(lows)
+    n = len(block)
+    if (degree + 1) * (degree + n**3) * (degree + n) > MAX_MINOR_WORK:
+        raise MinorTooLarge(
+            f"Alexander minor of degree up to {degree} on a {n}x{n} block "
+            f"is past the cap of {MAX_MINOR_WORK} (knots.MAX_MINOR_WORK)"
+        )
     block = [[[(e - lo, c) for e, c in a.items()] for a in row] for row, lo in zip(block, lows)]
 
     def at(t):

@@ -17,12 +17,15 @@ All elimination is one forward-elimination kernel, :func:`_eliminate`,
 whose pivot is the first nonzero entry in scan order (exact division,
 no pivot-size heuristics, so every computation is deterministic).
 ``rank``, ``pivot_columns``, ``det``, ``inverse`` and the torsion
-staircase all run through it.
+staircase all run through it, and only :func:`_minor` reads a
+determinant off it: the picked columns with the signed product of
+their pivots, which ``det`` returns and the staircase keeps as D_k.
 """
 
 from __future__ import annotations
 
 import operator
+from math import prod
 
 from .ratfunc import RatFunc
 from .scalars import _Frozen
@@ -74,11 +77,8 @@ class Matrix(_Frozen):
 
     @classmethod
     def block_diagonal(cls, a: "Matrix", b: "Matrix") -> "Matrix":
-        rows = []
-        for r in a.rows:
-            rows.append(list(r) + [_ZERO] * b.ncols)
-        for r in b.rows:
-            rows.append([_ZERO] * a.ncols + list(r))
+        rows = [list(r) + [_ZERO] * b.ncols for r in a.rows]
+        rows += [[_ZERO] * a.ncols + list(r) for r in b.rows]
         return cls(rows, a.ncols + b.ncols)
 
     # -- access -------------------------------------------------------
@@ -148,10 +148,8 @@ class Matrix(_Frozen):
         return Matrix([[fn(e) for e in row] for row in self.rows], self.ncols)
 
     def transpose(self) -> "Matrix":
-        if self.nrows == 0 or self.ncols == 0:
-            return Matrix([[] for _ in range(self.ncols)] if self.nrows == 0 else [],
-                          self.nrows)
-        return Matrix(list(zip(*self.rows)), self.nrows)
+        # zip of no rows gives no columns, so those are built by hand
+        return Matrix(list(zip(*self.rows)) if self.rows else [()] * self.ncols, self.nrows)
 
     def conj(self) -> "Matrix":
         return self.map(lambda e: e.conj())
@@ -179,13 +177,7 @@ class Matrix(_Frozen):
         """Determinant of a square matrix; the 0x0 one is ``_ONE``."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        picked, pivots, odd = _eliminate([list(r) for r in self.rows], range(self.ncols))
-        if len(picked) < self.nrows:
-            return _ZERO
-        det = _ONE
-        for pivot in pivots:
-            det = det * pivot
-        return -det if odd else det
+        return _minor([list(r) for r in self.rows], range(self.ncols))[1]
 
     def inverse(self) -> "Matrix":
         """Inverse of a nonsingular square matrix.
@@ -250,6 +242,19 @@ def _eliminate(work, order):
         picked.append(col)
         pivots.append(work[rank][col])
     return picked, pivots, odd
+
+
+def _minor(work, order):
+    """The columns that :func:`_eliminate` picks from ``work`` over
+    ``order``, and the minor of all of ``work``'s rows on them in scan
+    order: the product of their pivots, negated when the number of row
+    swaps is odd, or ``_ZERO`` when the rows are dependent (fewer
+    columns than rows are picked)."""
+    picked, pivots, odd = _eliminate(work, order)
+    if len(picked) < len(work):
+        return picked, _ZERO
+    det = prod(pivots, start=_ONE)
+    return picked, -det if odd else det
 
 
 def _clear_below(work, top, col, cols) -> None:

@@ -140,22 +140,12 @@ class Poly(_Exact):
     def __bool__(self) -> bool:  # tested in the inner loops of _product, RatFunc._add, poly_gcd
         return bool(self.re)
 
-    def leading(self) -> GaussRat:
-        if not self.re:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return gauss_from_parts(self.re[-1], self.im[-1], self.den)
-
     def lead_inverse(self) -> GaussRat:
-        """1 / leading() = den * conj(L) / N(L), with L = re[-1] + im[-1]*i."""
+        """1 / (L / den) = den * conj(L) / N(L), with L = re[-1] + im[-1]*i."""
         if not self.re:
             raise ValueError("zero polynomial has no leading coefficient")
         lr, li = self.re[-1], self.im[-1]
         return gauss_from_parts(self.den * lr, -self.den * li, lr * lr + li * li)
-
-    def coeff(self, k: int) -> GaussRat:
-        if 0 <= k < len(self.re):
-            return gauss_from_parts(self.re[k], self.im[k], self.den)
-        return GaussRat.zero()
 
     def _is_monic(self) -> bool:
         return bool(self.re) and self.re[-1] == self.den and not self.im[-1]

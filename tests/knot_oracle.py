@@ -179,7 +179,7 @@ def burau_alexander(strands: int, word) -> LaurentInt:
     Jacobian of the Artin action), sigma_i^-1 by its inverse
     [[0, 1], [1/t, 1 - 1/t]].
     """
-    one, zero = LaurentInt.constant(1), LaurentInt({})
+    one, zero = LaurentInt({0: 1}), LaurentInt({})
     psi = [[one if j == k else zero for k in range(strands)] for j in range(strands)]
     for i, e in word:
         if e == 1:

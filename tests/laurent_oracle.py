@@ -20,16 +20,16 @@ def conway_in_z(work: LaurentInt) -> ConwayPolynomial:
     """Rewrite a Laurent polynomial in s in z = s - 1/s, top term first."""
     coeffs: dict[int, int] = {}
     z = LaurentInt({1: 1, -1: -1})
-    zpowers = [LaurentInt.constant(1)]
+    zpowers = [LaurentInt({0: 1})]
     while not work.is_zero():
         d = work.support()[-1]
         if d < 0:
             raise ValueError("Laurent polynomial is not a polynomial in z = s - 1/s")
-        a = work.coeff(d)
+        a = work.terms.get(d, 0)
         coeffs[d] = a
         while len(zpowers) <= d:
             zpowers.append(zpowers[-1] * z)
-        work = work - zpowers[d] * LaurentInt.constant(a)
+        work = work - zpowers[d] * LaurentInt({0: a})
     top = max(coeffs, default=0)
     return ConwayPolynomial(tuple(coeffs.get(d, 0) for d in range(top + 1)))
 
@@ -75,7 +75,7 @@ def _laurent_det(rows: list[list[LaurentInt]]) -> LaurentInt:
     """
     a = [list(row) for row in rows]
     n = len(a)
-    prev, sign = LaurentInt.constant(1), 1
+    prev, sign = LaurentInt({0: 1}), 1
     for k in range(n):
         piv = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
         if piv is None:

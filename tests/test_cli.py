@@ -1,5 +1,6 @@
 import argparse
 import math
+import random
 import re
 import time
 from pathlib import Path
@@ -116,6 +117,37 @@ def test_conway_oracle(capsys):
         assert f"conway = {conway}" in out, name
         if name != "unknot":
             assert "oracle-agreement" in out
+
+
+def _planted_knot(letters: int, seed: int) -> str:
+    """Three meridians and the relators w x w^-1 y^-1, w' y w'^-1 z^-1,
+    with w and w' of ``letters`` random positive letters each."""
+    rng = random.Random(seed)
+    relators = []
+    for a, b in (("x", "y"), ("y", "z")):
+        w = [rng.choice("xyz") for _ in range(letters)]
+        inverse = " ".join(f"{g}^-1" for g in reversed(w))
+        relators.append(f"relator {' '.join(w)} {a} {inverse} {b}^-1")
+    return "knot v1\ngenerators x y z\n" + "\n".join(relators) + "\nend\n"
+
+
+def test_knot_past_the_minor_cap_exits_2_at_once(capsys, tmp_path):
+    """An 11 KB file whose Alexander minor (degree up to 1600 on a 2x2
+    block) would take about 7 s to interpolate is refused before it:
+    exit 2 with the file named, and in a run of several the other files
+    go on."""
+    path = tmp_path / "long.knot"
+    path.write_text(_planted_knot(800, 25))
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "conway", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == (
+        f"torsionfam: error: {path}: Alexander minor of degree up to 1600 on a 2x2 block "
+        "is past the cap of 1500000000 (knots.MAX_MINOR_WORK)\n"
+    )
+    code, out, _ = invoke(capsys, "conway", str(path), str(DATA / "trefoil.knot"))
+    assert code == 2 and "conway = 1 + z^2" in out and f"note: error: {path}:" in out
 
 
 def test_presentation_files_accepted(capsys):

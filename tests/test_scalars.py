@@ -210,7 +210,7 @@ def test_equal_values_built_by_different_routes_have_equal_parts():
         GaussRat(Fraction(2, 4), Fraction(1, 2)),
         parse_gauss("1/2+1/2i"),
         parse_gauss("2/4 + 3/6i"),
-        Poly([Fraction(1, 6), half]).coeff(1),  # stored as (3, 3) over 6
+        Poly([Fraction(1, 6), half]).coeffs[1],  # stored as (3, 3) over 6
         Poly([Fraction(1, 2), Fraction(1, 2)]).evaluate(GaussRat.i()),
         RatFunc(Poly([1, 1]), Poly([2])).evaluate(GaussRat.i()),
         GaussRat(1, 1) * Fraction(1, 2),

@@ -132,3 +132,39 @@ def test_parse_errors_are_made_only_by_the_reader():
     sites = parse_error_sites((PACKAGE / "fileio.py").read_text())
     assert sites and all(site.startswith("_Reader.") for site in sites), sites
     assert "_Reader.<body>" not in sites
+
+
+def references(source: str, name: str) -> list[int]:
+    """The lines that read ``name``: as a bare name, as an attribute, or
+    in an import, under an alias or not.  A string holding it is no
+    reference."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == name:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == name:
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(alias.name.split(".")[-1] == name for alias in node.names):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_reference_finder():
+    source = (
+        "from .linalg import Matrix, _eliminate as elim\n"
+        "import torsionfam.linalg as la\n"
+        "def f(w):\n    return la._eliminate(w, []), _eliminate\n"
+        "x = '_eliminate'\n"
+    )
+    assert references(source, "_eliminate") == [1, 4, 4]
+
+
+def test_elimination_format_stays_in_linalg():
+    """Only ``linalg`` reads ``_eliminate``'s (columns, pivots, odd
+    swaps): every other module takes a determinant from ``_minor``."""
+    repo = PACKAGE.parent.parent
+    paths = sorted(p for d in ("src", "tests", "bench", "demos") for p in (repo / d).rglob("*.py"))
+    found = {str(p.relative_to(repo)): references(p.read_text(), "_eliminate") for p in paths}
+    assert found.pop("src/torsionfam/linalg.py")
+    assert len(found) > 40 and not any(found.values()), {k: v for k, v in found.items() if v}
