@@ -41,11 +41,11 @@ MAX_RANK = 1000
 # weight, 8 * degree + log2 height of its image) load_presentation
 # accepts: a torsion run at the cap took at most 2.3 s (docs/formats.md)
 MAX_RELATOR_WEIGHT = 800
-# largest Seifert rank load_knot accepts: the oracle grows like n^5, and
-# takes about 2 s on a dense 48x48 matrix (docs/formats.md)
+# largest Seifert rank load_knot accepts: the oracle's one determinant
+# takes about 3 s on a dense 48x48 matrix of 1-digit entries (docs/formats.md)
 MAX_SEIFERT_RANK = 48
 # most digits of a Seifert entry: at the cap, a dense 48x48 matrix takes
-# about 4 s, and the time grows with the digits (docs/formats.md)
+# about 31 s, and the time grows with the digits (docs/formats.md)
 MAX_SEIFERT_ENTRY_DIGITS = 6
 
 

@@ -15,12 +15,13 @@ knot, the value ``alexander_from_fox`` returns.  The Conway form
 substitutes z = s - 1/s with s^2 = t, on integer lists.
 
 The independent oracle takes f(t) = det(t V - V^T) for a Seifert matrix
-V from integer Bareiss determinants at t = 0, 1, ..., n, read back by
-Newton interpolation over Z (as the Fox path reads the block its unit
-pivots leave).  Then det(s V - V^T / s) = s^-n f(s^2) is rewritten in z;
-for a genuine knot Seifert matrix the constant term is 1, which pins
-the sign.  Both paths agree exactly on the bundled knots: the torsion
-function of a knot determines its Conway polynomial.
+V from one integer Bareiss determinant at t = 2^b, whose balanced
+base-2^b digits are f's coefficients once 2^(b - 1) passes Hadamard's
+bound on them (Kronecker substitution; the Fox path reads the block its
+unit pivots leave the same way).  Then det(s V - V^T / s) = s^-n f(s^2)
+is rewritten in z; for a genuine knot Seifert matrix the constant term
+is 1, which pins the sign.  Both paths agree exactly on the bundled
+knots: the torsion function of a knot determines its Conway polynomial.
 
 :class:`LaurentInt` is Z[t, 1/t], the group ring of the infinite cyclic
 group, as ``GroupRingElem`` is Z[F]; both are ``groupring._GroupRing``.
@@ -30,8 +31,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from math import gcd
+from itertools import repeat
+from math import gcd, isqrt, prod
 
 from .groupring import Word, _GroupRing, format_word
 
@@ -48,10 +49,10 @@ __all__ = [
 ]
 
 
-# largest (d + 1)(d + n^3)(d + n) that the Fox path interpolates, for a
-# degree bound d on an n x n block: d + 1 determinants of about n^3 steps
-# and a Newton pass of about d^2, on integers that grow with d and n; a
-# block just under the cap took 2 to 6.3 s (docs/formats.md)
+# largest (d + 1)(d + n^3)(d + n) that the Fox path reads, for a degree
+# bound d on an n x n block: the cost of d + 1 determinants and a Newton
+# pass, which one Kronecker determinant replaced, so the cap is now
+# conservative: a block just under it takes 3 ms to 3.8 s (docs/formats.md)
 MAX_MINOR_WORK = 1_500_000_000
 
 
@@ -209,7 +210,7 @@ def _laurent_minor(rows: dict[int, dict]) -> dict[int, int]:
     holding one, if any (Markowitz order within the column; on a braid
     closure, Burau's reduction: each crossing's new arc goes on its own
     relator).  The pivots multiply to a unit; the block left, its rows
-    shifted into Z[t], goes to the interpolation, unless its degree bound
+    shifted into Z[t], goes to ``_kronecker_det``, unless its degree bound
     and size put it past ``MAX_MINOR_WORK``."""
     cols: dict[int, set] = {}
     for i, row in rows.items():
@@ -233,12 +234,12 @@ def _laurent_minor(rows: dict[int, dict]) -> dict[int, int]:
             f"is past the cap of {MAX_MINOR_WORK} (knots.MAX_MINOR_WORK)"
         )
     block = [[[(e - lo, c) for e, c in a.items()] for a in row] for row, lo in zip(block, lows)]
-
-    def at(t):
-        powers = list(accumulate(repeat(t, degree), operator.mul, initial=1))
-        return [[sum(c * powers[e] for e, c in a) for a in row] for row in block]
-
-    return {e: c for e, c in enumerate(_interpolated_det(at, degree)) if c}
+    f = _kronecker_det(
+        lambda b: [[sum(c << (b * e) for e, c in a) for a in row] for row in block],
+        [[sum(abs(c) for _, c in a) for a in row] for row in block],
+        degree,
+    )
+    return {e: c for e, c in enumerate(f) if c}
 
 
 def _pivot(rows: dict[int, dict], cols: dict[int, set], r: int, c: int) -> None:
@@ -308,26 +309,30 @@ def conway_from_seifert(v: SeifertMatrix) -> ConwayPolynomial:
 
 def _seifert_alexander(v) -> list[int]:
     """Ascending coefficients of f(t) = det(t V - V^T), n + 1 of them."""
-    return _interpolated_det(
-        lambda t: [[t * a - b for a, b in zip(row, col)] for row, col in zip(v, zip(*v))], len(v)
+    pairs = [list(zip(row, col)) for row, col in zip(v, zip(*v))]
+    return _kronecker_det(
+        lambda b: [[(a << b) - c for a, c in row] for row in pairs],
+        [[abs(a) + abs(c) for a, c in row] for row in pairs],
+        len(v),
     )
 
 
-def _interpolated_det(matrix_at, n: int) -> list[int]:
-    """The n + 1 ascending coefficients of f(t) = det matrix_at(t) in Z[t],
-    of degree at most n, from its values at t = 0, 1, ..., n: the k-th
-    forward difference of an integer polynomial is k! times an integer,
-    so Newton's form has integer coefficients; a Horner pass expands it."""
-    diffs = [_int_det(matrix_at(t)) for t in range(n + 1)]
-    # diffs[k] becomes the k-th forward difference at 0, over k!
-    for k in range(1, n + 1):
-        for i in range(n, k - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) // k
-    coeffs = [diffs[n]]
-    for k in range(n - 1, -1, -1):
-        # coeffs <- coeffs * (t - k) + diffs[k]
-        coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
-        coeffs[0] += diffs[k]
+def _kronecker_det(matrix_at, norms, degree: int) -> list[int]:
+    """The degree + 1 ascending coefficients of f(t) = det A(t) in Z[t], of
+    degree at most ``degree``, from one determinant at t = 2^b: matrix_at(b)
+    is A(2^b), and f(2^b) holds the coefficients as balanced base-2^b
+    digits, which separate when 2^(b - 1) > max |c_k| (Kronecker
+    substitution).  A coefficient is at most max |f| on |t| = 1, which
+    Hadamard's inequality bounds by prod_i sqrt(sum_j norms[i][j]^2),
+    norms[i][j] the l1 norm of entry (i, j)."""
+    bound = isqrt(prod(sum(x * x for x in row) for row in norms)) + 1
+    b = bound.bit_length() + 1
+    value, half, mask = _int_det(matrix_at(b)), 1 << (b - 1), (1 << b) - 1
+    coeffs = []
+    for _ in range(degree + 1):
+        c = ((value + half) & mask) - half
+        coeffs.append(c)
+        value = (value - c) >> b
     return coeffs
 
 

@@ -11,7 +11,8 @@ seeded corpora that both give the same Delta and the same errors.  The
 package reads only the rows of D_2 and centres Delta on its coefficient
 dict; the full Fox Jacobian (``_fox_columns``) and the ``LaurentInt``
 normalizer it replaced (``_centered_unit_form``) are kept here as their
-references.
+references.  The n + 1 point interpolation that ``knots._kronecker_det``
+replaced is kept as its oracle (``interpolated_kernel``).
 
 It also draws knots as closures of seeded braids, with the Wirtinger
 presentation read off the diagram and the Burau matrix of the braid,
@@ -28,7 +29,7 @@ from laurent_oracle import _laurent_det
 
 from torsionfam.complexes import BasedChainComplex, torsion
 from torsionfam.groupring import Word, format_word
-from torsionfam.knots import KnotPresentation, LaurentInt
+from torsionfam.knots import KnotPresentation, LaurentInt, _int_det
 from torsionfam.linalg import Matrix
 from torsionfam.poly import _raw
 from torsionfam.ratfunc import RatFunc
@@ -111,6 +112,49 @@ def torsion_alexander(k: KnotPresentation) -> LaurentInt:
         raise ValueError("degenerate presentation: non-integral Alexander data")
     return _centered_unit_form(
         LaurentInt(enumerate(num.re, -den.degree)), "degenerate presentation"
+    )
+
+
+# -- the interpolation kernel ----------------------------------------------------------
+
+
+def _interpolated_det(matrix_at, n: int) -> list[int]:
+    """The n + 1 ascending coefficients of f(t) = det matrix_at(t) in Z[t],
+    of degree at most n, from its values at t = 0, 1, ..., n: the k-th
+    forward difference of an integer polynomial is k! times an integer,
+    so Newton's form has integer coefficients; a Horner pass expands it."""
+    diffs = [_int_det(matrix_at(t)) for t in range(n + 1)]
+    # diffs[k] becomes the k-th forward difference at 0, over k!
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) // k
+    coeffs = [diffs[n]]
+    for k in range(n - 1, -1, -1):
+        # coeffs <- coeffs * (t - k) + diffs[k]
+        coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += diffs[k]
+    return coeffs
+
+
+def interpolated_kernel(matrix_at, norms, degree: int) -> list[int]:
+    """``knots._kronecker_det`` by the route it replaced: the entries that
+    matrix_at(b) encodes at t = 2^b, each of degree at most ``degree``, are
+    read back as coefficient lists at a b past every entry's l1 norm, then
+    the determinant is interpolated from t = 0, 1, ..., degree."""
+    b = max((x for row in norms for x in row), default=0).bit_length() + 2
+    half, entries = 1 << (b - 1), []
+    for row in matrix_at(b):
+        entries.append([])
+        for x in row:
+            coeffs = []
+            for _ in range(degree + 1):
+                coeffs.append((x + half) % (1 << b) - half)
+                x = (x - coeffs[-1]) >> b
+            assert x == 0, "entry past the degree bound"
+            entries[-1].append(coeffs)
+    return _interpolated_det(
+        lambda t: [[sum(c * t**e for e, c in enumerate(a)) for a in row] for row in entries],
+        degree,
     )
 
 

@@ -3,7 +3,7 @@
 ``knots.conway_from_seifert`` used to take det(s V - V^T / s) by
 Bareiss elimination over Z[s, 1/s] on ``LaurentInt`` entries, with an
 exact Laurent division at every step.  The package now evaluates
-det(t V - V^T) at integers and interpolates; this module keeps the
+det(t V - V^T) at t = 2^b and reads its digits; this module keeps the
 old elimination so that ``tests/test_knots.py`` can compare the two on
 seeded corpora.  It also keeps the rewrite in z = s - 1/s by
 ``LaurentInt`` products, the reference for ``knots._conway_in_z``,

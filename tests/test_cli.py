@@ -133,9 +133,9 @@ def _planted_knot(letters: int, seed: int) -> str:
 
 def test_knot_past_the_minor_cap_exits_2_at_once(capsys, tmp_path):
     """An 11 KB file whose Alexander minor (degree up to 1600 on a 2x2
-    block) would take about 7 s to interpolate is refused before it:
-    exit 2 with the file named, and in a run of several the other files
-    go on."""
+    block) is past ``knots.MAX_MINOR_WORK`` is refused before any
+    evaluation: exit 2 with the file named, and in a run of several the
+    other files go on."""
     path = tmp_path / "long.knot"
     path.write_text(_planted_knot(800, 25))
     start = time.perf_counter()
@@ -474,7 +474,7 @@ def test_conway_seifert_rank_past_the_cap_exits_2_and_the_other_files_go_on(
 def test_conway_seifert_entry_past_the_cap_exits_2_and_the_other_files_go_on(
     capsys, tmp_path
 ):
-    # 16x16 of 1000-digit entries: the oracle would run for about 20 s
+    # 16x16 of 1000-digit entries: the oracle would run for minutes
     digits = "7" * 1000
     rows = "".join(" ".join([digits] * 16) + "\n" for _ in range(16))
     big = tmp_path / "big.knot"

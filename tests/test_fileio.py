@@ -290,7 +290,7 @@ def test_seifert_entry_past_the_cap_rejected_at_its_token():
 
 def test_seifert_entry_cap_bounds_the_oracle_at_the_rank_cap():
     """A dense matrix at both caps loads; the oracle's time on it is
-    documented in docs/formats.md (a few seconds)."""
+    documented in docs/formats.md (about 31 s)."""
     n, e = MAX_SEIFERT_RANK, "9" * MAX_SEIFERT_ENTRY_DIGITS
     rows = "".join(" ".join([e] * n) + "\n" for _ in range(n))
     _, seifert, _ = load_knot(f"knot v1\ngenerators x\nseifert rank {n}\n{rows}end\n")

@@ -9,6 +9,7 @@ from knot_oracle import (
     _fox_columns,
     braid_closure,
     burau_alexander,
+    interpolated_kernel,
     random_knot_braid,
     torsion_alexander,
 )
@@ -624,14 +625,72 @@ def test_minor_cap_admits_960_crossing_closures(monkeypatch):
     class Evaluated(Exception):
         pass
 
-    def spy(matrix_at, degree):
+    def spy(matrix_at, norms, degree):
         seen.append((len(matrix_at(0)), degree))
         raise Evaluated
 
-    monkeypatch.setattr(knots, "_interpolated_det", spy)
+    monkeypatch.setattr(knots, "_kronecker_det", spy)
     with pytest.raises(Evaluated):
         alexander_from_fox(braid_closure(5, random_knot_braid(random.Random(18), 5, 960)))
     assert seen == [(4, 1030)]
+
+
+@pytest.mark.parametrize("seed", [61, 62])
+def test_kronecker_det_equals_the_interpolation_oracle(monkeypatch, seed):
+    """One determinant at t = 2^b against n + 1 of them and a Newton pass,
+    on the blocks that the Seifert oracle and the knot minor hand over:
+    each call is recorded with its result, the real kernel still run."""
+    calls, kernel = [], knots._kronecker_det
+
+    def record(matrix_at, norms, degree):
+        calls.append((matrix_at, norms, degree, kernel(matrix_at, norms, degree)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(knots, "_kronecker_det", record)
+    for v in _seifert_cases(seed, range(11)):
+        _seifert_alexander(v)
+    seifert = len(calls)
+    assert seifert == 12 * 11 + 4 * 9
+    rng = random.Random(seed)
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        entries = [
+            [_sample_minor_entry(rng) if rng.random() < 0.7 else {} for _ in range(n)]
+            for _ in range(n)
+        ]
+        _laurent_minor({i: {j: a for j, a in enumerate(row) if a} for i, row in enumerate(entries)})
+    blocks = [len(norms) for _, norms, _, _ in calls[seifert:]]
+    assert len(blocks) > 100 and max(blocks) >= 4
+    for crossings in (160, 240):
+        word = random_knot_braid(random.Random(crossings), 5, crossings)
+        alexander_from_fox(braid_closure(5, word))
+    assert calls[-1][2] > 150
+    for matrix_at, norms, degree, coeffs in calls:
+        assert coeffs == interpolated_kernel(matrix_at, norms, degree), (norms, degree)
+
+
+def test_kronecker_det_edge_cases():
+    """Blocks at the edges of the digit read-back, against hand values and
+    the interpolation oracle."""
+    sylvester = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+    cases = [
+        # the 0x0 block has determinant 1
+        (lambda b: [], [], 0, [1]),
+        # a zero row
+        (lambda b: [[1 << b, 1], [0, 0]], [[1, 1], [0, 0]], 1, [0, 0]),
+        # singular but with no zero row: [[t, t^2], [1, t]]
+        (lambda b: [[1 << b, 1 << 2 * b], [1, 1 << b]], [[1, 1], [1, 1]], 2, [0, 0, 0]),
+        # det [[0, t^2], [t, 1]] = -t^3: a negative top coefficient
+        (lambda b: [[0, 1 << 2 * b], [1 << b, 1]], [[0, 1], [1, 1]], 3, [0, 0, 0, -1]),
+        # det [[t - 2, 3], [5t, 1 - t]] = -t^2 - 12t - 2: every digit negative
+        (lambda b: [[(1 << b) - 2, 3], [5 << b, 1 - (1 << b)]], [[3, 3], [5, 2]], 2, [-2, -12, -1]),
+        # |det| = 16 meets Hadamard's bound: a b one bit short reads -16
+        (lambda b: sylvester, [[1] * 4] * 4, 0, [16]),
+        (lambda b: sylvester, [[1] * 4] * 4, 2, [16, 0, 0]),
+    ]
+    for matrix_at, norms, degree, want in cases:
+        got = knots._kronecker_det(matrix_at, norms, degree)
+        assert got == interpolated_kernel(matrix_at, norms, degree) == want, (norms, degree)
 
 
 def test_connected_sum_alexander_is_the_product():
