@@ -91,11 +91,13 @@ class _Reader:
         raise ParseError(self.path, lineno, message, token)
 
     def built(self, lineno: int, make, *args, **kwargs):
-        """``make(*args, **kwargs)``, its ValueError reported at ``lineno``."""
+        """``make(*args, **kwargs)``, its ValueError and ``.token`` reported at ``lineno``."""
         try:
             return make(*args, **kwargs)
         except ValueError as exc:
-            raise ParseError(self.path, lineno, str(exc)) from exc
+            error = ParseError(self.path, lineno, str(exc))
+            error.token = getattr(exc, "token", None)
+            raise error from exc
 
 
 def _expect_header(reader: _Reader, header: str) -> None:

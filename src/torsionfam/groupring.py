@@ -341,23 +341,27 @@ def parse_word(text: str, names: list[str]) -> Word:
     """
     letters: list[tuple[int, int]] = []
     for tok in text.split():
-        if "^" in tok:
-            name, _, exp_text = tok.partition("^")
-            try:
-                exp = parse_integer(exp_text)
-            except ValueError:
-                raise ValueError(f"bad exponent in word token {tok!r}") from None
-        else:
-            name, exp = tok, 1
+        name, caret, exp_text = tok.partition("^")
+        try:
+            exp = parse_integer(exp_text) if caret else 1
+        except ValueError:
+            raise _refusal(f"bad exponent in word token {tok!r}", tok) from None
         if name not in names:
-            raise ValueError(f"unknown generator {name!r} in word")
+            raise _refusal(f"unknown generator {name!r} in word", name)
         if exp == 0:
             continue
         if len(letters) + abs(exp) > MAX_WORD_LETTERS:
-            raise ValueError(
-                f"word token {tok!r} expands past the cap of {MAX_WORD_LETTERS} letters"
+            raise _refusal(
+                f"word token {tok!r} expands past the cap of {MAX_WORD_LETTERS} letters", tok
             )
         g = names.index(name)
         step = 1 if exp > 0 else -1
         letters.extend((g, step) for _ in range(abs(exp)))
     return Word(letters)
+
+
+def _refusal(message: str, token: str) -> ValueError:
+    """``ValueError(message)`` that keeps the token it quotes as ``.token``."""
+    exc = ValueError(message)
+    exc.token = token
+    return exc

@@ -17,11 +17,12 @@ substitutes z = s - 1/s with s^2 = t, on integer lists.
 The independent oracle takes f(t) = det(t V - V^T) for a Seifert matrix
 V from one integer Bareiss determinant at t = 2^b, whose balanced
 base-2^b digits are f's coefficients once 2^(b - 1) passes Hadamard's
-bound on them (Kronecker substitution; the Fox path reads the block its
-unit pivots leave the same way).  Then det(s V - V^T / s) = s^-n f(s^2)
-is rewritten in z; for a genuine knot Seifert matrix the constant term
-is 1, which pins the sign.  Both paths agree exactly on the bundled
-knots: the torsion function of a knot determines its Conway polynomial.
+bound on them (Kronecker substitution, ``linalg._kronecker_det``; the
+Fox path reads the block its unit pivots leave the same way).  Then
+det(s V - V^T / s) = s^-n f(s^2) is rewritten in z; for a genuine knot
+Seifert matrix the constant term is 1, which pins the sign.  Both paths
+agree exactly on the bundled knots: the torsion function of a knot
+determines its Conway polynomial.
 
 :class:`LaurentInt` is Z[t, 1/t], the group ring of the infinite cyclic
 group, as ``GroupRingElem`` is Z[F]; both are ``groupring._GroupRing``.
@@ -32,9 +33,10 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import repeat
-from math import gcd, isqrt, prod
+from math import gcd
 
 from .groupring import Word, _GroupRing, format_word
+from .linalg import _kronecker_det
 
 __all__ = [
     "LaurentInt",
@@ -315,45 +317,6 @@ def _seifert_alexander(v) -> list[int]:
         [[abs(a) + abs(c) for a, c in row] for row in pairs],
         len(v),
     )
-
-
-def _kronecker_det(matrix_at, norms, degree: int) -> list[int]:
-    """The degree + 1 ascending coefficients of f(t) = det A(t) in Z[t], of
-    degree at most ``degree``, from one determinant at t = 2^b: matrix_at(b)
-    is A(2^b), and f(2^b) holds the coefficients as balanced base-2^b
-    digits, which separate when 2^(b - 1) > max |c_k| (Kronecker
-    substitution).  A coefficient is at most max |f| on |t| = 1, which
-    Hadamard's inequality bounds by prod_i sqrt(sum_j norms[i][j]^2),
-    norms[i][j] the l1 norm of entry (i, j)."""
-    bound = isqrt(prod(sum(x * x for x in row) for row in norms)) + 1
-    b = bound.bit_length() + 1
-    value, half, mask = _int_det(matrix_at(b)), 1 << (b - 1), (1 << b) - 1
-    coeffs = []
-    for _ in range(degree + 1):
-        c = ((value + half) & mask) - half
-        coeffs.append(c)
-        value = (value - c) >> b
-    return coeffs
-
-
-def _int_det(rows: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant of a square integer matrix: each
-    step replaces the entries below and right of the pivot by the 2x2
-    minors ``a_ij a_kk - a_ik a_kj`` over the previous pivot (exact by
-    Sylvester's identity).  The pivot is the first nonzero entry of its
-    column, a row swap flips the sign, and the last pivot is the result."""
-    a, prev, sign = list(rows), 1, 1
-    while a:
-        piv = next((i for i, row in enumerate(a) if row[0]), None)
-        if piv is None:
-            return 0
-        if piv:
-            a[0], a[piv] = a[piv], a[0]
-            sign = -sign
-        pivot, *tail = a[0]
-        a = [[(x * pivot - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in a[1:]]
-        prev = pivot
-    return sign * prev
 
 
 def _conway_in_z(coeffs: list[int], low: int) -> ConwayPolynomial:

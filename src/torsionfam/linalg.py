@@ -13,19 +13,19 @@ nonzero entries of that row of B, so its cost is the number of nonzero
 pairs.  An entry that no pair reaches is ``_ZERO``.
 Terms are added in increasing l, the order of the dense dot product.
 
-All elimination is one forward-elimination kernel, :func:`_eliminate`,
-whose pivot is the first nonzero entry in scan order (exact division,
-no pivot-size heuristics, so every computation is deterministic).
-``rank``, ``pivot_columns``, ``det``, ``inverse`` and the torsion
-staircase all run through it, and only :func:`_minor` reads a
-determinant off it: the picked columns with the signed product of
-their pivots, which ``det`` returns and the staircase keeps as D_k.
+Two kernels take every determinant, each pivoting on the first nonzero
+entry in scan order (exact division, so every result is deterministic).
+Over Q(i)(t), ``rank``, ``pivot_columns``, ``det``, ``inverse`` and the
+torsion staircase run through :func:`_eliminate`, and only :func:`_minor`
+reads a determinant off it: the picked columns with the signed product
+of their pivots, which ``det`` returns and the staircase keeps as D_k.
+Over Z[t], :func:`_kronecker_det` is one Bareiss determinant at t = 2^b.
 """
 
 from __future__ import annotations
 
 import operator
-from math import prod
+from math import isqrt, prod
 
 from .ratfunc import RatFunc
 from .scalars import _Frozen
@@ -255,6 +255,36 @@ def _minor(work, order):
         return picked, _ZERO
     det = prod(pivots, start=_ONE)
     return picked, -det if odd else det
+
+
+def _kronecker_det(matrix_at, norms, degree: int) -> list[int]:
+    """The degree + 1 ascending coefficients of f(t) = det A(t) in Z[t], of
+    degree at most ``degree``, as the balanced base-2^b digits of f(2^b):
+    Bareiss on a copy of matrix_at(b) = A(2^b), 2x2 minors over the previous
+    pivot (exact by Sylvester's identity), the pivot the first nonzero entry
+    of its column and a sign flip per row swap.  The digits separate when
+    2^(b - 1) > max |c_k| (Kronecker substitution); max |c_k| <= max |f| on
+    |t| = 1 <= prod_i sqrt(sum_j norms[i][j]^2) (Hadamard), norms the l1 norms."""
+    bound = isqrt(prod(sum(x * x for x in row) for row in norms)) + 1
+    b = bound.bit_length() + 1
+    a, prev, sign = list(matrix_at(b)), 1, 1
+    while a:
+        piv = next((i for i, row in enumerate(a) if row[0]), None)
+        if piv is None:
+            return [0] * (degree + 1)
+        if piv:
+            a[0], a[piv] = a[piv], a[0]
+            sign = -sign
+        pivot, *tail = a[0]
+        a = [[(x * pivot - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in a[1:]]
+        prev = pivot
+    value, half, mask = sign * prev, 1 << (b - 1), (1 << b) - 1
+    coeffs = []
+    for _ in range(degree + 1):
+        c = ((value + half) & mask) - half
+        coeffs.append(c)
+        value = (value - c) >> b
+    return coeffs
 
 
 def _clear_below(work, top, col, cols) -> None:

@@ -11,8 +11,10 @@ seeded corpora that both give the same Delta and the same errors.  The
 package reads only the rows of D_2 and centres Delta on its coefficient
 dict; the full Fox Jacobian (``_fox_columns``) and the ``LaurentInt``
 normalizer it replaced (``_centered_unit_form``) are kept here as their
-references.  The n + 1 point interpolation that ``knots._kronecker_det``
-replaced is kept as its oracle (``interpolated_kernel``).
+references.  The n + 1 point interpolation that ``linalg._kronecker_det``
+replaced is kept as its oracle (``interpolated_kernel``), each point's
+determinant taken by Gaussian elimination over ``Fraction``, not by the
+kernel's Bareiss step.
 
 It also draws knots as closures of seeded braids, with the Wirtinger
 presentation read off the diagram and the Burau matrix of the braid,
@@ -24,12 +26,13 @@ Nothing in the package imports this module.
 from __future__ import annotations
 
 from collections import defaultdict
+from fractions import Fraction
 
 from laurent_oracle import _laurent_det
 
 from torsionfam.complexes import BasedChainComplex, torsion
 from torsionfam.groupring import Word, format_word
-from torsionfam.knots import KnotPresentation, LaurentInt, _int_det
+from torsionfam.knots import KnotPresentation, LaurentInt
 from torsionfam.linalg import Matrix
 from torsionfam.poly import _raw
 from torsionfam.ratfunc import RatFunc
@@ -118,12 +121,33 @@ def torsion_alexander(k: KnotPresentation) -> LaurentInt:
 # -- the interpolation kernel ----------------------------------------------------------
 
 
+def _fraction_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Gaussian elimination over
+    Fraction: the first nonzero entry of each column is the pivot, a row
+    swap flips the sign, and the determinant is the signed pivot product."""
+    a, det = [[Fraction(x) for x in row] for row in rows], Fraction(1)
+    for k in range(len(a)):
+        piv = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for row in a[k + 1:]:
+            ratio = row[k] / a[k][k]
+            for j in range(k, len(a)):
+                row[j] -= ratio * a[k][j]
+    assert det.denominator == 1
+    return int(det)
+
+
 def _interpolated_det(matrix_at, n: int) -> list[int]:
     """The n + 1 ascending coefficients of f(t) = det matrix_at(t) in Z[t],
     of degree at most n, from its values at t = 0, 1, ..., n: the k-th
     forward difference of an integer polynomial is k! times an integer,
     so Newton's form has integer coefficients; a Horner pass expands it."""
-    diffs = [_int_det(matrix_at(t)) for t in range(n + 1)]
+    diffs = [_fraction_det(matrix_at(t)) for t in range(n + 1)]
     # diffs[k] becomes the k-th forward difference at 0, over k!
     for k in range(1, n + 1):
         for i in range(n, k - 1, -1):
@@ -137,7 +161,7 @@ def _interpolated_det(matrix_at, n: int) -> list[int]:
 
 
 def interpolated_kernel(matrix_at, norms, degree: int) -> list[int]:
-    """``knots._kronecker_det`` by the route it replaced: the entries that
+    """``linalg._kronecker_det`` by the route it replaced: the entries that
     matrix_at(b) encodes at t = 2^b, each of degree at most ``degree``, are
     read back as coefficient lists at a b past every entry's l1 norm, then
     the determinant is interpolated from t = 0, 1, ..., degree."""

@@ -185,8 +185,9 @@ def test_size_caps_fail_fast():
     with pytest.raises(ParseError, match=f"cap of {MAX_RANK}"):
         load_complex("complex v1\nranks 0 100000000\nboundary 1\nend\n")
     knot = "knot v1\ngenerators x y\nrelator x^99999999999 y\nend\n"
-    with pytest.raises(ParseError, match=f"cap of {MAX_WORD_LETTERS} letters"):
+    with pytest.raises(ParseError, match=f"cap of {MAX_WORD_LETTERS} letters") as info:
         load_knot(knot)
+    assert info.value.token == "x^99999999999"
     with pytest.raises(ParseError, match="cap of"):
         load_presentation(knot.replace("knot v1", "presentation v1"))
     with pytest.raises(ValueError, match="cap of"):
@@ -330,6 +331,7 @@ def test_word_exponent_refuses_other_digit_forms(bad):
         with pytest.raises(ParseError, match=f"bad exponent in word token 'x\\^{bad}'") as info:
             load(text, "f")
         assert info.value.lineno == 3
+        assert info.value.token == f"x^{bad}"
 
 
 def test_signed_and_zero_padded_integers_still_accepted():
@@ -452,45 +454,52 @@ BUILT = [
         load_knot,
         "knot v1\ngenerators x y\nrelator x z\nrelator x y x^-1 y^-1\nend\n",
         "f:3: unknown generator 'z' in word",
+        "z",
     ),
     (
         load_complex,
         "complex v1\nranks 1 2 1\nboundary 1\n[1] [1]\nboundary 2\n[1]\n[1]\nend\n",
         "f:8: boundary condition fails: d_1 . d_2 != 0",
+        None,
     ),
     (
         load_presentation,
         "presentation v1\ngenerators x\nrelator x\nrep rank 1\nimage x\n[0]\nend\n",
         "f:7: image of generator 0 is singular",
+        None,
     ),
     (
         load_knot,
         "knot v1\ngenerators x y\nrelator x y\nend\n",
         "f:4: relator is not conjugation-shaped (needs exponent sums one +1, one -1, rest 0)",
+        None,
     ),
     (
         load_ledger,
         "eta-ledger v1\ndimclass 1\nbase 0\njump t0 0 sigma_odd 1\n"
         "argpair interval 0 args 1/4 lcoeffs 3\nargpair interval 1 args 1/4 lcoeffs 2\nend\n",
         "f:5: L-class degree-(m-1) part not even: hypothesis w_{m-1} = 0 / no 2-torsion violated",
+        None,
     ),
     (
         load_ledger,
         "eta-ledger v1\ndimclass 3\nbase 0\njump t0 1 sigma_odd 1\njump t0 0 sigma_odd 1\nend\n",
         "f:6: jump points must be strictly increasing",
+        None,
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "load, text, message",
+    "load, text, message, token",
     BUILT,
     ids=["word", "complex", "representation", "knot", "argpair", "profile"],
 )
-def test_built_value_refused_at_its_documented_line(load, text, message):
+def test_built_value_refused_at_its_documented_line(load, text, message, token):
     with pytest.raises(ParseError) as info:
         load(text, "f")
     assert str(info.value) == message
+    assert info.value.token == token
     assert isinstance(info.value.__cause__, ValueError)
 
 

@@ -26,7 +26,6 @@ from torsionfam.knots import (
     _centered_unit_terms,
     _conway_in_z,
     _laurent_minor,
-    _int_det,
     _seifert_alexander,
     _two_bridge_presentation,
     alexander_from_fox,
@@ -264,16 +263,6 @@ def test_interpolated_det_equals_sympy():
         f = _seifert_alexander(v)
         ours = sum((a * t**i for i, a in enumerate(f)), sympy.Integer(0))
         assert sympy.expand(ring.to_sympy(m.det()) - ours) == 0, v
-
-
-def test_integer_det_row_swaps_and_singular_columns():
-    assert _int_det([]) == 1
-    assert _int_det([[0, 2], [3, 0]]) == -6
-    assert _int_det([[0, 0, 2], [0, 3, 0], [3, 0, 0]]) == -18
-    assert _int_det([[0, 2], [0, 3]]) == 0
-    rows = [[0, 1], [1, 0]]
-    _int_det(rows)
-    assert rows == [[0, 1], [1, 0]]  # the caller's rows are not reordered
 
 
 def test_singular_form_is_rejected_as_before():
@@ -667,30 +656,6 @@ def test_kronecker_det_equals_the_interpolation_oracle(monkeypatch, seed):
     assert calls[-1][2] > 150
     for matrix_at, norms, degree, coeffs in calls:
         assert coeffs == interpolated_kernel(matrix_at, norms, degree), (norms, degree)
-
-
-def test_kronecker_det_edge_cases():
-    """Blocks at the edges of the digit read-back, against hand values and
-    the interpolation oracle."""
-    sylvester = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
-    cases = [
-        # the 0x0 block has determinant 1
-        (lambda b: [], [], 0, [1]),
-        # a zero row
-        (lambda b: [[1 << b, 1], [0, 0]], [[1, 1], [0, 0]], 1, [0, 0]),
-        # singular but with no zero row: [[t, t^2], [1, t]]
-        (lambda b: [[1 << b, 1 << 2 * b], [1, 1 << b]], [[1, 1], [1, 1]], 2, [0, 0, 0]),
-        # det [[0, t^2], [t, 1]] = -t^3: a negative top coefficient
-        (lambda b: [[0, 1 << 2 * b], [1 << b, 1]], [[0, 1], [1, 1]], 3, [0, 0, 0, -1]),
-        # det [[t - 2, 3], [5t, 1 - t]] = -t^2 - 12t - 2: every digit negative
-        (lambda b: [[(1 << b) - 2, 3], [5 << b, 1 - (1 << b)]], [[3, 3], [5, 2]], 2, [-2, -12, -1]),
-        # |det| = 16 meets Hadamard's bound: a b one bit short reads -16
-        (lambda b: sylvester, [[1] * 4] * 4, 0, [16]),
-        (lambda b: sylvester, [[1] * 4] * 4, 2, [16, 0, 0]),
-    ]
-    for matrix_at, norms, degree, want in cases:
-        got = knots._kronecker_det(matrix_at, norms, degree)
-        assert got == interpolated_kernel(matrix_at, norms, degree) == want, (norms, degree)
 
 
 def test_connected_sum_alexander_is_the_product():

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from knot_oracle import interpolated_kernel
 
 from torsionfam.complexes import dual_complex
 from torsionfam.corpus import acceptance_corpus, random_ratfunc
-from torsionfam.linalg import Matrix
+from torsionfam.linalg import Matrix, _kronecker_det
 from torsionfam.ratfunc import RatFunc
 from torsionfam.scalars import GaussRat
 
@@ -79,6 +80,47 @@ def test_det_against_permutation_expansion():
                 term = term * m[i, perm[i]]
             expect = expect + term
         assert m.det() == expect
+
+
+def test_kronecker_det_row_swaps_and_singular_columns():
+    """Degree-0 blocks, whose one digit is the integer determinant."""
+
+    def det(rows):
+        return _kronecker_det(lambda b: rows, [[abs(x) for x in row] for row in rows], 0)
+
+    assert det([]) == [1]
+    assert det([[0, 2], [3, 0]]) == [-6]  # one swap
+    assert det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == [1]  # two swaps
+    assert det([[0, 0, 2], [0, 3, 0], [3, 0, 0]]) == [-18]
+    assert det([[0, 2], [0, 3]]) == [0]  # a zero column
+    assert det([[1, 2, 0], [2, 4, 0], [0, 5, 7]]) == [0]  # one left after a step
+    rows = [[0, 1], [1, 0]]
+    assert det(rows) == [-1]
+    assert rows == [[0, 1], [1, 0]]  # the caller's rows are not reordered
+
+
+def test_kronecker_det_edge_cases():
+    """Blocks at the edges of the digit read-back, against hand values and
+    the interpolation oracle."""
+    sylvester = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+    cases = [
+        # the 0x0 block has determinant 1
+        (lambda b: [], [], 0, [1]),
+        # a zero row
+        (lambda b: [[1 << b, 1], [0, 0]], [[1, 1], [0, 0]], 1, [0, 0]),
+        # singular but with no zero row: [[t, t^2], [1, t]]
+        (lambda b: [[1 << b, 1 << 2 * b], [1, 1 << b]], [[1, 1], [1, 1]], 2, [0, 0, 0]),
+        # det [[0, t^2], [t, 1]] = -t^3: a negative top coefficient
+        (lambda b: [[0, 1 << 2 * b], [1 << b, 1]], [[0, 1], [1, 1]], 3, [0, 0, 0, -1]),
+        # det [[t - 2, 3], [5t, 1 - t]] = -t^2 - 12t - 2: every digit negative
+        (lambda b: [[(1 << b) - 2, 3], [5 << b, 1 - (1 << b)]], [[3, 3], [5, 2]], 2, [-2, -12, -1]),
+        # |det| = 16 meets Hadamard's bound: a b one bit short reads -16
+        (lambda b: sylvester, [[1] * 4] * 4, 0, [16]),
+        (lambda b: sylvester, [[1] * 4] * 4, 2, [16, 0, 0]),
+    ]
+    for matrix_at, norms, degree, want in cases:
+        got = _kronecker_det(matrix_at, norms, degree)
+        assert got == interpolated_kernel(matrix_at, norms, degree) == want, (norms, degree)
 
 
 def test_inverse():

@@ -169,40 +169,3 @@ def test_elimination_format_stays_in_linalg():
     found = {str(p.relative_to(repo)): references(p.read_text(), "_eliminate") for p in paths}
     assert found.pop("src/torsionfam/linalg.py")
     assert len(found) > 40 and not any(found.values()), {k: v for k, v in found.items() if v}
-
-
-def referencing_functions(source: str, name: str) -> list[str]:
-    """The innermost ``def`` around each reference to ``name``, in source
-    order, or "<module>" outside every def; a lambda belongs to its def."""
-    found = []
-
-    def visit(node: ast.AST, where: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if _reads(child, name):
-                found.append(where)
-            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, child.name if is_def else where)
-
-    visit(ast.parse(source), "<module>")
-    return found
-
-
-def test_referencing_function_finder():
-    source = (
-        "from .knots import _int_det as det\n"
-        "import torsionfam.knots as k\n"
-        "def f(m):\n    return k._int_det(m)\n"
-        "def g(m):\n    def h():\n        return _int_det(m)\n    return lambda: _int_det(m)\n"
-        "class C:\n    def m(self):\n        return self._int_det\n"
-        "x = '_int_det'\n"
-    )
-    assert referencing_functions(source, "_int_det") == ["<module>", "f", "h", "g", "m"]
-
-
-def test_only_the_kronecker_kernel_takes_an_integer_determinant():
-    """Within the package only ``knots._kronecker_det`` reads ``_int_det``:
-    the Seifert oracle and the knot minor take their determinant over
-    Z[t] from that one kernel, at one point."""
-    found = {p.name: referencing_functions(p.read_text(), "_int_det") for p in PACKAGE.glob("*.py")}
-    assert found.pop("knots.py") == ["_kronecker_det"]
-    assert len(found) > 10 and not any(found.values()), {k: v for k, v in found.items() if v}
