@@ -15,10 +15,10 @@ contributes its full valuation to the torsion of the degree below its
 top, and nothing else survives.  (The correction term one might expect
 from d_i vanishes under generic acyclicity.)  Tests pin this
 bookkeeping against a minor-enumeration oracle and against rank-drop
-counts of the evaluated complex.  The staircase stores one record
-(columns, D_k) per degree; D_{i+1}, a nonsingular minor of d_{i+1} of
-size rank(d_{i+1}), bounds that sum by v_t0(D_{i+1}), so a degree whose
-D_{i+1} is a unit at t0 skips its Smith form.
+counts of the evaluated complex.  The staircase's record (columns, D_k)
+has D_k a nonsingular minor of d_k of size r = rank(d_k), so the sum
+lies between r - rank(d_k at t0), the number of divisors vanishing at
+t0, and v = v_t0(D_k); the Smith form runs only where 0 < r - rank < v.
 
 The deformation report cross-checks the two routes to the singularity
 exponent: the valuation of the torsion function must equal the Euler
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional
 
 from .complexes import (
@@ -215,10 +216,10 @@ def torsion_modules(c: BasedChainComplex, t0) -> TorsionModuleSummary:
 
     Requires the complex to be defined over the local ring at t0 (checked
     first, on the boundaries' memoized distinct denominators) and
-    generically acyclic (the memoized staircase completes).  The
-    staircase's record (columns, D_k) holds a nonsingular minor D_k of
-    d_k of size rank(d_k), so the divisor valuations of d_k sum to at
-    most v_t0(D_k); where that is 0 the Smith form is skipped.
+    generically acyclic (the memoized staircase completes).  The divisor
+    valuations of d_k sum to at most v = v_t0(D_k) and at least r - rank(d_k
+    at t0) (Gohberg, Lancaster and Rodman, 1982), r = len(columns); so
+    ``snf_local`` runs only where 0 < r - rank(d_k at t0) < v.
     """
     poles = _memoized(c, "poles", lambda: _poles(*c.boundaries))
     if not all(e.is_regular_at(t0) for e in poles):
@@ -227,10 +228,44 @@ def torsion_modules(c: BasedChainComplex, t0) -> TorsionModuleSummary:
     if steps is None:
         raise ValueError("family not generically acyclic at this degree")
     dims = [0] * (c.top_degree + 1)
-    for i, (mat, (_, minor)) in enumerate(zip(c.boundaries, steps)):
-        if minor.valuation(t0):
-            dims[i] = snf_local(mat, t0).total_valuation()
+    for i, (mat, (picked, minor)) in enumerate(zip(c.boundaries, steps)):
+        if v := minor.valuation(t0):
+            lo = len(picked) - _residue_rank(mat, t0)
+            dims[i] = lo if lo in (0, v) else snf_local(mat, t0).total_valuation()
     return TorsionModuleSummary(tuple(dims))
+
+
+def _residue_rank(mat: Matrix, t0) -> int:
+    """Rank over Q(i) of ``mat`` at t0, where every entry is regular.
+
+    Values N conj(D) d / (n |D|^2) from the Horner parts N/n, D/d of num
+    and den; each row scaled into Z[i] by its denominators' lcm.  Sparse
+    fraction-free Bareiss: a pivot p on a shortest row x sends each other
+    row y to (p y - y_k x) / (previous pivot), exact (Sylvester): no gcd.
+    """
+    rows = []
+    for row in mat.rows:
+        vals = {}
+        for k, e in enumerate(row):
+            nr, ni, n = e.num.value_parts(t0)
+            if nr or ni:
+                dr, di, d = e.den.value_parts(t0)
+                vals[k] = (nr * dr + ni * di) * d, (ni * dr - nr * di) * d, n * (dr * dr + di * di)
+        m = lcm(*(q for _, _, q in vals.values()))
+        rows.append({k: (a * (m // q), b * (m // q)) for k, (a, b, q) in vals.items()})
+    rank, (qr, qi), norm = 0, (1, 0), 1
+    while rows := [y for y in rows if y]:
+        x = rows.pop(min(range(len(rows)), key=lambda j: len(rows[j])))
+        (pk, (pr, pi)), rank = x.popitem(), rank + 1
+        for y in rows:
+            yr, yi = y.pop(pk, (0, 0))
+            for k in x.keys() | y.keys():
+                (ar, ai), (br, bi) = y.pop(k, (0, 0)), x.get(k, (0, 0))
+                ar, ai = pr * ar - pi * ai - yr * br + yi * bi, pr * ai + pi * ar - yr * bi - yi * br
+                if ar or ai:
+                    y[k] = (ar * qr + ai * qi) // norm, (ai * qr - ar * qi) // norm
+        (qr, qi), norm = (pr, pi), pr * pr + pi * pi
+    return rank
 
 
 def euler_number(dims: TorsionModuleSummary) -> int:
@@ -324,13 +359,13 @@ def analyze(
     :class:`DualityError` first.
 
     The complex's memo holds what does not depend on t0: the completed
-    staircase (the acyclicity certificate, and the minors D_k whose
-    valuations decide which Smith forms to skip), the torsion function,
+    staircase (the acyclicity certificate, and the records (columns, D_k)
+    that bound each degree's dimension), the torsion function,
     the boundaries' distinct denominators, and the last accepted pairing
     with its determinants and denominators.  So analyzing a family at
     many points computes them once.  The regularity checks, the minors'
-    valuations, the Smith forms not skipped, the ``nu == chi`` check and
-    the unit checks of the pairing run at every point.
+    valuations, the ranks at t0, the Smith forms those leave open, the
+    ``nu == chi`` check and the pairing's unit checks run at every point.
     """
     t0 = GaussRat.coerce(t0)
     if not is_generically_acyclic(c):

@@ -1,6 +1,8 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 from rebasing import matrix_rebasings, reversed_complex
@@ -16,7 +18,9 @@ from torsionfam.corpus import (
     acceptance_corpus,
     circle_family,
     elementary_complex,
+    random_acyclic_complex,
     random_local_matrix,
+    random_ratfunc,
     torus3_family,
 )
 from torsionfam.dvr import (
@@ -24,6 +28,7 @@ from torsionfam.dvr import (
     DivisorProfile,
     DualityError,
     TorsionModuleSummary,
+    _residue_rank,
     analyze,
     check_duality_pairing,
     euler_number,
@@ -32,6 +37,7 @@ from torsionfam.dvr import (
     torsion_modules,
 )
 from torsionfam.linalg import Matrix
+from torsionfam.poly import rational_real_roots
 from torsionfam.ratfunc import RatFunc, cayley, conj_family, uniformizer
 from torsionfam.scalars import GaussRat
 
@@ -413,26 +419,31 @@ def test_pole_is_reported_before_non_acyclicity():
         analyze(c, 0)
 
 
-def test_dims_where_the_staircase_minor_exceeds_the_divisor_sum():
-    """A small corpus family plus the contractible piece
+def _planted_excess_complexes():
+    """Each small corpus family plus the contractible piece
     R --(1, u)--> R^2 --(-u, 1)--> R, u = t - t0, with every basis
-    reversed: the staircase then picks minors carrying u, so v(D_k)
-    exceeds the divisor sum in some degree.  The dims still equal the
-    least valuations of the maximal minors."""
-    excess = 0
+    reversed, at its center t0: the staircase then picks minors carrying
+    u, so v(D_k) exceeds the divisor sum in some degree."""
     for fam in acceptance_corpus(12, 888):
         if fam.complex.total_rank() > 6:
             continue
         for x in fam.centers:
-            t0, u = GaussRat(x), uniformizer(x)
+            u = uniformizer(x)
             piece = BasedChainComplex([1, 2, 1], [Matrix([[ONE, u]]), Matrix([[-u], [ONE]])])
-            c = reversed_complex(direct_sum(fam.complex, piece))
-            tm = torsion_modules(c, t0)
-            for i, (bnd, (picked, minor)) in enumerate(zip(c.boundaries, _steps(c))):
-                r = len(picked)
-                expect = 0 if r == 0 else minor_valuation_oracle(bnd, t0, r)
-                assert tm.dims[i] == expect, (fam.name, x, i)
-                excess += minor.valuation(t0) > expect
+            yield reversed_complex(direct_sum(fam.complex, piece)), GaussRat(x)
+
+
+def test_dims_where_the_staircase_minor_exceeds_the_divisor_sum():
+    """The dims of the planted-excess complexes still equal the least
+    valuations of the maximal minors."""
+    excess = 0
+    for c, t0 in _planted_excess_complexes():
+        tm = torsion_modules(c, t0)
+        for i, (bnd, (picked, minor)) in enumerate(zip(c.boundaries, _steps(c))):
+            r = len(picked)
+            expect = 0 if r == 0 else minor_valuation_oracle(bnd, t0, r)
+            assert tm.dims[i] == expect, (t0, i)
+            excess += minor.valuation(t0) > expect
     assert excess > 0
 
 
@@ -490,3 +501,169 @@ def test_point_types_give_equal_reports():
         for forms in ((0, Fraction(0), GaussRat(0)), (half, GaussRat(half))):
             profiles = {snf_local(m, t0) for t0 in forms for m in mats}
             assert len(profiles) == 1
+
+
+# -- residue rank and the two bounds ---------------------------------------------
+
+
+def _random_draws():
+    """30 random_acyclic_complex draws, each at every real rational root of
+    its staircase minors: the points where some v_t0(D_k) > 0."""
+    rng = random.Random(2828)
+    for _ in range(30):
+        c = random_acyclic_complex(rng)
+        roots = {x for _, minor in _steps(c) for x in rational_real_roots(minor.num)[0]}
+        for x in sorted(roots):
+            yield c, GaussRat(x)
+
+
+def _corpus(count, seed):
+    for fam in acceptance_corpus(count, seed):
+        for x in fam.centers:
+            yield fam.complex, GaussRat(x)
+
+
+@pytest.mark.parametrize(
+    "cases,branches",
+    [
+        (lambda: _corpus(12, 888), {"unit": 41, "pinned 0": 0, "pinned v": 23, "snf": 9}),
+        (lambda: _corpus(24, 20250), {"unit": 79, "pinned 0": 0, "pinned v": 50, "snf": 15}),
+        (_random_draws, {"unit": 74, "pinned 0": 0, "pinned v": 58, "snf": 18}),
+        (_planted_excess_complexes, {"unit": 9, "pinned 0": 16, "pinned v": 0, "snf": 10}),
+    ],
+    ids=["corpus-12-888", "corpus-24-20250", "random-draws", "planted-excess"],
+)
+def test_rank_at_t0_certifies_the_dims_where_the_bounds_meet(monkeypatch, cases, branches):
+    """dims[i] equals the Smith form's divisor sum and the maximal-minor
+    oracle in every degree.  With r = len(columns), v = v_t0(D_k) and
+    lo = r - rank(d_k at t0), a degree with 0 < v is pinned when lo is 0
+    or v and calls snf_local zero times; only 0 < lo < v calls it."""
+    import torsionfam.dvr as dvr_module
+
+    seen = []
+
+    def counting_snf_local(mat, t0):
+        seen.append(mat)
+        return snf_local(mat, t0)
+
+    monkeypatch.setattr(dvr_module, "snf_local", counting_snf_local)
+    counts = dict.fromkeys(branches, 0)
+    for c, t0 in cases():
+        seen.clear()
+        dims = torsion_modules(c, t0).dims
+        for i, (bnd, (picked, minor)) in enumerate(zip(c.boundaries, _steps(c))):
+            r, v = len(picked), minor.valuation(t0)
+            total = snf_local(bnd, t0).total_valuation()
+            assert dims[i] == total == (minor_valuation_oracle(bnd, t0, r) if r else 0)
+            lo = r - bnd.map(lambda e: e.evaluate(t0)).rank()
+            assert lo <= total <= v
+            branch = "unit" if not v else "pinned 0" if not lo else "pinned v" if lo == v else "snf"
+            counts[branch] += 1
+            assert sum(m is bnd for m in seen) == (branch == "snf"), (branch, i)
+    assert counts == branches
+
+
+_RESIDUE_POINTS = [
+    GaussRat(0),
+    GaussRat(Fraction(1, 2)),
+    GaussRat(-3),
+    GaussRat(0, 1),
+    GaussRat(Fraction(-2, 3), Fraction(1, 5)),
+]
+
+
+def _regular_entry(rng, t0):
+    """Zero one time in four; otherwise a Gaussian-rational function with a
+    non-constant denominator regular at t0, vanishing there one time in three."""
+    if not rng.randrange(4):
+        return ZERO
+    zero_at = t0 if not rng.randrange(3) else None
+    while True:
+        f = random_ratfunc(rng, zero_at)
+        if f.den.degree > 0 and f.is_regular_at(t0):
+            return f
+
+
+def _residue_cases(rng, t0, count):
+    """Seeded matrices up to 5x5, empty shapes included, with zero rows,
+    repeated rows and rows that are dependent only at t0."""
+    for _ in range(count):
+        nrows, ncols = rng.randrange(6), rng.randrange(6)
+        rows = [[_regular_entry(rng, t0) for _ in range(ncols)] for _ in range(nrows)]
+        for j in range(1, nrows):
+            kind = rng.randrange(4)
+            if kind == 0:
+                rows[j] = [ZERO] * ncols
+            elif kind == 1:
+                rows[j] = list(rows[rng.randrange(j)])
+            elif kind == 2:
+                g = _regular_entry(rng, t0)
+                a, b = rng.sample(range(j), 2) if j > 1 else (0, 0)
+                rows[j] = [x + (T - t0) * g * y for x, y in zip(rows[a], rows[b])]
+        yield Matrix(rows, ncols)
+
+
+@pytest.mark.parametrize("t0", _RESIDUE_POINTS, ids=str)
+def test_residue_rank_equals_the_rank_of_the_evaluated_matrix(t0):
+    rng = random.Random(2800 + _RESIDUE_POINTS.index(t0))
+    ranks = []
+    for mat in _residue_cases(rng, t0, 150):
+        want = mat.map(lambda e: e.evaluate(t0)).rank()
+        assert _residue_rank(mat, t0) == want, (mat.rows, t0)
+        ranks.append((want, mat.rank()))
+    assert any(at < generic for at, generic in ranks)
+    assert {0, 1, 2, 3} <= {at for at, _ in ranks}
+
+
+def test_residue_rank_of_empty_and_zero_matrices():
+    for shape in ((0, 0), (0, 4), (3, 0)):
+        assert _residue_rank(Matrix([[ZERO] * shape[1]] * shape[0], shape[1]), 1) == 0
+    assert _residue_rank(Matrix.zeros(3, 2), GaussRat(0, 1)) == 0
+    assert _residue_rank(Matrix([[T, ONE], [T, ONE]]), 0) == 1
+    assert _residue_rank(Matrix([[T, ONE], [ONE, T]]), 1) == 1
+
+
+def test_residue_rank_is_exact_where_a_word_size_prime_divides_a_minor():
+    """Rank 2 over Q(i), rank 1 modulo each prime below: a rank over a
+    prime field would undercount it."""
+    primes = [2**31 - 1, 2**32 - 5, 10**9 + 7, 998244353, 2**61 - 1, 2**62 - 57, 2**63 - 25,
+              2**64 - 59]
+    m = prod(primes)
+    i = RatFunc.coerce(GaussRat(0, 1))
+    rows = [[ONE, i], [ONE, i + m * (1 + i)]]
+    for den in (ONE, T * T + 1, 1 / (3 * T - 1)):
+        mat = Matrix([[e / den for e in row] for row in rows])
+        for t0 in (GaussRat(Fraction(1, 2)), GaussRat(2, 3)):
+            assert _residue_rank(mat, t0) == 2
+
+
+def test_residue_rank_equals_sympy_over_gaussian_rationals():
+    pytest.importorskip("sympy")
+    from sympy import QQ, QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    def gauss(x):
+        return QQ_I(QQ(x.re.numerator, x.re.denominator), QQ(x.im.numerator, x.im.denominator))
+
+    rng = random.Random(2810)
+    for t0 in _RESIDUE_POINTS:
+        for mat in _residue_cases(rng, t0, 40):
+            values = [[gauss(e.evaluate(t0)) for e in row] for row in mat.rows]
+            assert _residue_rank(mat, t0) == DomainMatrix(values, mat.shape(), QQ_I).rank()
+
+
+def test_residue_rank_of_a_dense_40x40_matrix_of_6_digit_entries_is_quick():
+    """Rank 39, the last row a combination of three others.  Fraction-free
+    updates keep every entry a minor, so this takes a fraction of a second;
+    a division-free cascade would double the digits at every step."""
+    rng = random.Random(2840)
+    rows = [
+        [RatFunc.coerce(GaussRat(rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6)))
+         for _ in range(40)]
+        for _ in range(39)
+    ]
+    rows.append([2 * a - 3 * b + GaussRat(0, 5) * c for a, b, c in zip(*rows[:3])])
+    mat = Matrix(rows)
+    start = time.perf_counter()
+    assert _residue_rank(mat, GaussRat(Fraction(1, 3))) == 39
+    assert time.perf_counter() - start < 1.0

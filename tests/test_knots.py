@@ -232,7 +232,7 @@ def _as_laurent(f):
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
-def test_interpolated_det_equals_laurent_bareiss(seed):
+def test_seifert_alexander_equals_laurent_bareiss(seed):
     cases = 0
     for v in _seifert_cases(seed, range(11)):
         f = _seifert_alexander(v)
@@ -242,12 +242,12 @@ def test_interpolated_det_equals_laurent_bareiss(seed):
     assert cases == 12 * 11 + 4 * 9
 
 
-def test_interpolated_det_equals_cofactor_det():
+def test_seifert_alexander_equals_cofactor_det():
     for v in _seifert_cases(14, range(7)):
         assert _as_laurent(_seifert_alexander(v)) == _cofactor_det(_seifert_form(v)), v
 
 
-def test_interpolated_det_equals_sympy():
+def test_seifert_alexander_equals_sympy():
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
 

@@ -169,3 +169,24 @@ def test_elimination_format_stays_in_linalg():
     found = {str(p.relative_to(repo)): references(p.read_text(), "_eliminate") for p in paths}
     assert found.pop("src/torsionfam/linalg.py")
     assert len(found) > 40 and not any(found.values()), {k: v for k, v in found.items() if v}
+
+
+def test_every_bench_record_claims_a_declared_workload_and_metric():
+    """Each ``BENCH_<n>.json`` claims nothing (``claimed`` is null) or names
+    a workload and an end-to-end metric that ``BENCHMARK.json`` declares,
+    so a record cannot claim a gain on a figure the benchmark never reports."""
+    import json
+
+    repo = PACKAGE.parent.parent
+    spec = json.loads((repo / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in spec["workloads"]}
+    metrics = {m["name"] for m in spec["end_to_end"]}
+    records = sorted(repo.glob("BENCH_*.json"))
+    assert len(records) >= 19
+    for path in records:
+        claimed = json.loads(path.read_text())["claimed"]
+        if claimed is None:
+            continue
+        assert claimed["workload"] in workloads, path.name
+        assert claimed["metric"] in metrics, path.name
+        assert claimed.get("with", claimed["metric"]) in metrics, path.name
