@@ -110,9 +110,9 @@ class BasedChainComplex(_Frozen):
 
     @staticmethod
     def _as_matrix(b) -> Matrix:
-        if isinstance(b, Matrix):
-            return b.map(RatFunc.coerce)
-        raise TypeError("boundaries must be Matrix instances")
+        if isinstance(b, Matrix) and {type(e) for row in b.rows for e in row} <= {RatFunc}:
+            return b
+        raise TypeError("boundaries must be Matrix instances with RatFunc entries")
 
     @property
     def top_degree(self) -> int:

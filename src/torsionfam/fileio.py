@@ -68,6 +68,8 @@ class _Reader:
         self.path = path
         self.lines = text.splitlines()
         self.pos = 0
+        # matrix token -> its immutable entry, parsed at its first line in this text
+        self.entries = {}
 
     def next_line(self) -> tuple[int, str]:
         while self.pos < len(self.lines):
@@ -161,18 +163,19 @@ def _read_relator(reader: _Reader, names: list[str]) -> tuple[int, Word]:
 
 def _read_matrix(reader: _Reader, nrows: int, ncols: int) -> Matrix:
     rows = []
+    memo = reader.entries
     for _ in range(nrows if ncols > 0 else 0):
         lineno, line = reader.next_line()
         toks = line.split()
         if len(toks) != ncols:
             reader.error(lineno, f"expected {ncols} entries, found {len(toks)}")
-        row = []
         for tok in toks:
-            try:
-                row.append(parse_ratfunc(tok))
-            except (ValueError, ZeroDivisionError):
-                reader.error(lineno, "bad rational-function token", tok)
-        rows.append(row)
+            if tok not in memo:
+                try:
+                    memo[tok] = parse_ratfunc(tok)
+                except (ValueError, ZeroDivisionError):
+                    reader.error(lineno, "bad rational-function token", tok)
+        rows.append([memo[tok] for tok in toks])
     return Matrix(rows, ncols) if rows else Matrix.zeros(nrows, ncols)
 
 

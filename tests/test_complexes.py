@@ -56,6 +56,14 @@ def test_boundary_condition_checked():
         BasedChainComplex([1, 2], [Matrix([[ONE]])])
 
 
+def test_boundaries_are_kept_as_given_and_hold_only_ratfuncs():
+    d = Matrix([[T - 1, ZERO]])
+    assert BasedChainComplex([1, 2], [d]).boundary(1) is d
+    for bad in (Matrix([[1, ZERO]]), Matrix([[GaussRat(1), ZERO]]), Matrix([[ONE, 0]]), [[T, T]]):
+        with pytest.raises(TypeError, match="boundaries must be Matrix instances"):
+            BasedChainComplex([1, 2], [bad])
+
+
 # -- acyclicity: spec examples ---------------------------------------------------
 
 

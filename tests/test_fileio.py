@@ -1,8 +1,11 @@
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from torsionfam.corpus import acceptance_corpus, circle_family, torus3_family
+from torsionfam import fileio
+from torsionfam.corpus import acceptance_corpus, circle_family, combine, torus3_family
 from torsionfam.eta import ArgPairing, EtaProfile, JumpRecord
 from torsionfam.fileio import (
     MAX_RANK,
@@ -22,9 +25,10 @@ from torsionfam.fileio import (
 from torsionfam.groupring import MAX_WORD_LETTERS, RepFamily, parse_word
 from torsionfam.knots import SeifertMatrix, bundled_knots
 from torsionfam.linalg import Matrix
-from torsionfam.ratfunc import RatFunc, cayley
+from torsionfam.ratfunc import RatFunc, cayley, parse_ratfunc
 
 ZERO = RatFunc.zero()
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 def test_complex_round_trip_with_duality():
@@ -520,3 +524,126 @@ def test_argpair_interval_out_of_range_reported_at_its_line(intervals, message):
     with pytest.raises(ParseError) as info:
         load_ledger(ONE_JUMP + blocks + "end\n", "f")
     assert str(info.value) == message
+
+
+# -- one parse per distinct matrix token --------------------------------------
+
+# the words that open a non-row line of a .cplx or .pres file
+HEADS = {"complex", "ranks", "boundary", "duality", "pairing", "end"}
+HEADS |= {"presentation", "generators", "relator", "rep", "image"}
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The tokens ``fileio`` hands to ``parse_ratfunc``, in call order."""
+    calls = []
+
+    def spy(tok):
+        calls.append(tok)
+        return parse_ratfunc(tok)
+
+    monkeypatch.setattr(fileio, "parse_ratfunc", spy)
+    return calls
+
+
+def _matrix_blocks(text: str) -> list[tuple[tuple[str, str], list[list[str]]]]:
+    """Each matrix's opening words (``("boundary", "1")``, ``("image", "x")``)
+    with the token rows under it, in file order."""
+    blocks = []
+    for line in text.splitlines():
+        toks = line.split("#", 1)[0].split()
+        if toks and toks[0] in HEADS:
+            blocks.append((tuple(toks[:2]), []))
+        elif toks:
+            blocks[-1][1].append(toks)
+    return [(head, rows) for head, rows in blocks if head[0] in ("boundary", "pairing", "image")]
+
+
+def _entry_tokens(text: str) -> list[str]:
+    """The distinct matrix tokens of ``text``, in order of first occurrence."""
+    rows = (row for _, block in _matrix_blocks(text) for row in block)
+    return list(dict.fromkeys(tok for row in rows for tok in row))
+
+
+def _loaded_matrices(text: str) -> dict[tuple[str, str], Matrix]:
+    """The matrix the loader builds for each block, keyed by its opening words."""
+    if "presentation v1" in text:
+        names, _, rho = load_presentation(text)
+        return {("image", name): rho.image(g) for g, name in enumerate(names)}
+    cplx, pairing = load_complex(text)
+    out = {("boundary", str(k)): cplx.boundary(k) for k in range(1, cplx.top_degree + 1)}
+    out.update({("pairing", str(i)): mat for i, mat in enumerate(pairing or ())})
+    return out
+
+
+def _zero_heavy_sum() -> str:
+    """The direct sum of eight top-degree-3 corpus families, with its pairing."""
+    fams = [f for f in acceptance_corpus(24, 20250) if f.complex.top_degree == 3]
+    total = combine("sum", fams[:8])
+    return dump_complex(total.complex, list(total.pairing))
+
+
+@pytest.mark.parametrize("name", ["sum.cplx", "torus3.cplx", "torus2.pres", "zero-heavy sum"])
+def test_each_load_parses_its_distinct_entry_tokens_once(parsed, name):
+    text = _zero_heavy_sum() if name == "zero-heavy sum" else (DATA / name).read_text()
+    _loaded_matrices(text)
+    assert parsed == _entry_tokens(text)
+    if name == "zero-heavy sum":
+        toks = [tok for _, rows in _matrix_blocks(text) for row in rows for tok in row]
+        assert toks.count("[0]") > 0.9 * len(toks) and len(toks) > 20 * len(parsed)
+
+
+def test_no_parse_outlives_its_load(parsed):
+    text = (DATA / "sum.cplx").read_text()
+    assert load_complex(text) == load_complex(text)
+    assert parsed == _entry_tokens(text) * 2
+
+
+def _oracle_texts():
+    files = sorted(DATA.glob("*.cplx")) + sorted(DATA.glob("*.pres"))
+    texts = [(path.name, path.read_text()) for path in files]
+    corpus = acceptance_corpus(55, 20250)
+    return texts + [(fam.name, dump_complex(fam.complex, list(fam.pairing))) for fam in corpus]
+
+
+def test_every_loaded_entry_is_a_fresh_parse_of_its_token():
+    """Entries equal a parse of their own token, and equal tokens load as
+    one shared object, on the demo files and on 55 corpus dumps."""
+    texts = _oracle_texts()
+    assert len(texts) == 55 + 4
+    for name, text in texts:
+        matrices = _loaded_matrices(text)
+        shared = {}
+        for head, rows in _matrix_blocks(text):
+            mat = matrices.pop(head)
+            assert len(rows) == (mat.nrows if mat.ncols else 0), (name, head)
+            for toks, row in zip(rows, mat.rows):
+                assert len(toks) == len(row), (name, head)
+                for tok, entry in zip(toks, row):
+                    assert type(entry) is RatFunc and entry == parse_ratfunc(tok), (name, tok)
+                    assert shared.setdefault(tok, entry) is entry, (name, tok)
+        assert not matrices, name
+
+
+@pytest.mark.parametrize("bad", ["[1,x]", "[1]/[0]"], ids=["grammar", "zero-denominator"])
+def test_bad_token_on_two_lines_is_reported_at_the_first(parsed, bad):
+    text = f"complex v1\nranks 2 2\nboundary 1\n[1] {bad}\n{bad} [1]\nend\n"
+    with pytest.raises(ParseError) as info:
+        load_complex(text, "f.cplx")
+    assert info.value.lineno == 4 and info.value.token == bad
+    assert str(info.value) == f"f.cplx:4: bad rational-function token (token {bad!r})"
+    assert parsed == ["[1]", bad]
+
+
+def test_all_zero_complex_at_the_rank_cap_loads_with_one_parse(parsed):
+    """A 3.9 MB file of MAX_RANK x MAX_RANK zero tokens; it loads in about
+    0.15 s on a 2-vCPU Xeon, and took 5 to 6 s when every token was parsed."""
+    row = " ".join(["[0]"] * MAX_RANK)
+    text = f"complex v1\nranks {MAX_RANK} {MAX_RANK}\nboundary 1\n"
+    text += "\n".join([row] * MAX_RANK) + "\nend\n"
+    start = time.perf_counter()
+    cplx, pairing = load_complex(text)
+    elapsed = time.perf_counter() - start
+    assert parsed == ["[0]"] and pairing is None
+    assert cplx.ranks == (MAX_RANK, MAX_RANK) and cplx.boundary(1).is_zero()
+    assert elapsed < 2.0, f"{elapsed:.2f} s"

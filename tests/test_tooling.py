@@ -171,6 +171,49 @@ def test_elimination_format_stays_in_linalg():
     assert len(found) > 40 and not any(found.values()), {k: v for k, v in found.items() if v}
 
 
+def call_sites(source: str, name: str) -> list[tuple[str, str]]:
+    """Each call of ``name``, as a bare name or an attribute: the function
+    it is made in (``<module>`` outside any) and its whole statement."""
+    tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _reads(node.func, name):
+            stmt = node
+            while not isinstance(stmt, ast.stmt):
+                stmt = parent[stmt]
+            scope = stmt
+            while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                scope = parent[scope]
+            sites.append((node.lineno, getattr(scope, "name", "<module>"), ast.unparse(stmt)))
+    return [site[1:] for site in sorted(sites)]
+
+
+def test_call_site_finder():
+    source = (
+        "from .ratfunc import parse_ratfunc\n"
+        "def f(memo, tok):\n    if tok not in memo:\n        memo[tok] = parse_ratfunc(tok)\n"
+        "    return [rf.parse_ratfunc(t) for t in tok], parse_ratfunc\n"
+        "x = parse_ratfunc('[1]')\n"
+    )
+    assert call_sites(source, "parse_ratfunc") == [
+        ("f", "memo[tok] = parse_ratfunc(tok)"),
+        ("f", "return ([rf.parse_ratfunc(t) for t in tok], parse_ratfunc)"),
+        ("<module>", "x = parse_ratfunc('[1]')"),
+    ]
+
+
+def test_matrix_tokens_are_parsed_only_on_a_memo_miss():
+    """``fileio`` calls ``parse_ratfunc`` at one site, which stores the entry
+    in the document's memo, and reads the name nowhere else but its import:
+    no matrix reader can parse a token past the memo."""
+    source = (PACKAGE / "fileio.py").read_text()
+    assert call_sites(source, "parse_ratfunc") == [
+        ("_read_matrix", "memo[tok] = parse_ratfunc(tok)")
+    ]
+    assert len(references(source, "parse_ratfunc")) == 2
+
+
 def test_every_bench_record_claims_a_declared_workload_and_metric():
     """Each ``BENCH_<n>.json`` claims nothing (``claimed`` is null) or names
     a workload and an end-to-end metric that ``BENCHMARK.json`` declares,
