@@ -20,9 +20,9 @@ from torsionfam import (
     snf_local,
     torsion,
     torsion_modules,
-    torus3_family,
 )
 from torsionfam.complexes import torsion_sign_at
+from torsionfam.corpus import torus3_family
 
 t = RatFunc.var()
 

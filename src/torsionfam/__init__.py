@@ -85,7 +85,6 @@ from .knots import (
     conway_from_seifert,
     conway_normalize,
 )
-from .corpus import FamilySpec, acceptance_corpus, circle_family, torus3_family
 
 __all__ = [
     "__version__",
@@ -148,8 +147,4 @@ __all__ = [
     "conway_normalize",
     "conway_from_seifert",
     "bundled_knots",
-    "FamilySpec",
-    "acceptance_corpus",
-    "circle_family",
-    "torus3_family",
 ]

@@ -44,12 +44,9 @@ and dies with the complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
-
 from .linalg import Matrix, _minor
 from .ratfunc import RatFunc
-from .scalars import _Frozen, sign_of_real
+from .scalars import _Frozen, _Record, _set, sign_of_real
 
 __all__ = [
     "CONVENTION_TAG",
@@ -136,20 +133,20 @@ class BasedChainComplex(_Frozen):
         return f"BasedChainComplex(ranks={self.ranks})"
 
 
-@dataclass(frozen=True)
-class TorsionValue:
+class TorsionValue(_Record):
     """Torsion scalar, with the tag of the one sign convention that fixes it.
 
     ``convention_tag`` is a class constant: every torsion value is
     computed under ``FT-cal-1``, so no caller sets it.
     """
 
-    value: RatFunc
-    convention_tag: ClassVar[str] = CONVENTION_TAG
+    __slots__ = ("value",)
+    convention_tag = CONVENTION_TAG
 
-    def __post_init__(self):
-        if self.value.is_zero():
+    def __init__(self, value: RatFunc):
+        if value.is_zero():
             raise ValueError("torsion value cannot be zero")
+        _set(self, "value", value)
 
 
 def _staircase(c: BasedChainComplex):

@@ -28,16 +28,14 @@ The seeded samples of every invariant sweep come from here too:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .complexes import BasedChainComplex, direct_sum, dual_complex
 from .groupring import Word
 from .linalg import Matrix
 from .poly import Poly
 from .ratfunc import RatFunc, cayley, conj_family, uniformizer
-from .scalars import GaussRat
+from .scalars import GaussRat, _Record, _set
 
 __all__ = [
     "ACCEPTANCE_SIZE",
@@ -63,21 +61,17 @@ _ZERO = RatFunc.zero()
 _ONE = RatFunc.one()
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Record):
     """A family complex, its duality certificate, and planted centers."""
 
-    name: str
-    complex: BasedChainComplex
-    pairing: Optional[tuple[Matrix, ...]]
-    centers: tuple[Fraction, ...]
+    __slots__ = ("name", "complex", "pairing", "centers")
 
-    def __post_init__(self):
-        if self.pairing is not None:
-            object.__setattr__(self, "pairing", tuple(self.pairing))
-        object.__setattr__(
-            self, "centers", tuple(Fraction(c) for c in self.centers)
-        )
+    def __init__(self, name: str, complex: BasedChainComplex, pairing, centers):
+        pairing = None if pairing is None else tuple(pairing)
+        _set(self, "name", name)
+        _set(self, "complex", complex)
+        _set(self, "pairing", pairing)
+        _set(self, "centers", tuple(Fraction(c) for c in centers))
 
 
 def elementary_complex(m: int, k: int, mat: Matrix) -> BasedChainComplex:

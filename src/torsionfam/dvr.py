@@ -35,7 +35,6 @@ middle value governs the parity of the sign flip.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import lcm
 from typing import Optional
 
@@ -47,7 +46,7 @@ from .complexes import (
     torsion,
 )
 from .linalg import Matrix
-from .scalars import GaussRat
+from .scalars import GaussRat, _Record, _set
 
 __all__ = [
     "DivisorProfile",
@@ -82,22 +81,21 @@ class CalibrationError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class DivisorProfile:
+class DivisorProfile(_Record):
     """Elementary divisor valuations (ascending) and cokernel free rank."""
 
-    valuations: tuple[int, ...]
-    free_rank: int
+    __slots__ = ("valuations", "free_rank")
 
-    def __post_init__(self):
-        vals = tuple(int(v) for v in self.valuations)
+    def __init__(self, valuations: tuple[int, ...], free_rank: int):
+        vals = tuple(int(v) for v in valuations)
         if any(v < 0 for v in vals):
             raise ValueError("divisor valuations are non-negative")
         if list(vals) != sorted(vals):
             raise ValueError("divisor valuations must be sorted ascending")
-        if self.free_rank < 0:
+        if free_rank < 0:
             raise ValueError("free rank is non-negative")
-        object.__setattr__(self, "valuations", vals)
+        _set(self, "valuations", vals)
+        _set(self, "free_rank", free_rank)
 
     @property
     def rank(self) -> int:
@@ -108,17 +106,16 @@ class DivisorProfile:
         return sum(self.valuations)
 
 
-@dataclass(frozen=True)
-class TorsionModuleSummary:
+class TorsionModuleSummary(_Record):
     """dim over the scalar field of the torsion of homology, by degree."""
 
-    dims: tuple[int, ...]
+    __slots__ = ("dims",)
 
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+    def __init__(self, dims: tuple[int, ...]):
+        dims = tuple(int(d) for d in dims)
         if any(d < 0 for d in dims):
             raise ValueError("torsion dimensions are non-negative")
-        object.__setattr__(self, "dims", dims)
+        _set(self, "dims", dims)
 
     @property
     def top_degree(self) -> int:
@@ -132,8 +129,7 @@ class TorsionModuleSummary:
         return self.dims[(m - 1) // 2]
 
 
-@dataclass(frozen=True)
-class DeformationReport:
+class DeformationReport(_Record):
     """Per-degeneration-point summary of a family complex.
 
     Holds what the analysis found: the point, the torsion's exponent
@@ -143,10 +139,13 @@ class DeformationReport:
     the torsion changes sign across t0 (nu odd).
     """
 
-    t0: GaussRat
-    nu: int
-    dims: TorsionModuleSummary
-    duality_ok: Optional[bool] = None
+    __slots__ = ("t0", "nu", "dims", "duality_ok")
+
+    def __init__(self, t0: GaussRat, nu: int, dims: TorsionModuleSummary, duality_ok=None):
+        _set(self, "t0", t0)
+        _set(self, "nu", nu)
+        _set(self, "dims", dims)
+        _set(self, "duality_ok", duality_ok)
 
     @property
     def chi(self) -> int:

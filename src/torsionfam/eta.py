@@ -28,9 +28,10 @@ case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
+
+from .scalars import _Record, _set
 
 __all__ = [
     "JumpRecord",
@@ -54,8 +55,7 @@ ODD_L_COEFF_ERROR = (
 )
 
 
-@dataclass(frozen=True)
-class JumpRecord:
+class JumpRecord(_Record):
     """One degeneration point of a family: location and signature data.
 
     ``nu`` and ``sigma_odd`` must agree mod 2 when both come from the
@@ -64,13 +64,13 @@ class JumpRecord:
     :func:`profile_from_reports` are checked hard.
     """
 
-    t0: Fraction
-    sigma_odd: int
-    sigma_even: int = 0
-    nu: Optional[int] = None
+    __slots__ = ("t0", "sigma_odd", "sigma_even", "nu")
 
-    def __post_init__(self):
-        object.__setattr__(self, "t0", Fraction(self.t0))
+    def __init__(self, t0: Fraction, sigma_odd: int, sigma_even: int = 0, nu=None):
+        _set(self, "t0", Fraction(t0))
+        _set(self, "sigma_odd", sigma_odd)
+        _set(self, "sigma_even", sigma_even)
+        _set(self, "nu", nu)
 
     def consistency_warning(self) -> Optional[str]:
         if self.nu is not None and (self.nu - self.sigma_odd) % 2 != 0:
@@ -81,8 +81,7 @@ class JumpRecord:
         return None
 
 
-@dataclass(frozen=True)
-class ArgPairing:
+class ArgPairing(_Record):
     """Phase classes of a flat family paired against the L-vector.
 
     ``arg_coeffs`` are the values of the argument class on a basis of
@@ -93,14 +92,13 @@ class ArgPairing:
     same basis, so their common length is the first Betti number b1.
     """
 
-    arg_coeffs: tuple[Fraction, ...]
-    l_coeffs: tuple[int, ...]
+    __slots__ = ("arg_coeffs", "l_coeffs")
 
-    def __post_init__(self):
-        args = tuple(Fraction(a) for a in self.arg_coeffs)
-        ls = tuple(int(c) for c in self.l_coeffs)
-        object.__setattr__(self, "arg_coeffs", args)
-        object.__setattr__(self, "l_coeffs", ls)
+    def __init__(self, arg_coeffs: tuple[Fraction, ...], l_coeffs: tuple[int, ...]):
+        args = tuple(Fraction(a) for a in arg_coeffs)
+        ls = tuple(int(c) for c in l_coeffs)
+        _set(self, "arg_coeffs", args)
+        _set(self, "l_coeffs", ls)
         if not args:
             raise ValueError("pairing needs at least one coefficient (b1 >= 1)")
         if len(args) != len(ls):
@@ -137,8 +135,7 @@ def hat_eta(eta, p: ArgPairing) -> Fraction:
     return (Fraction(eta) + 2 * arg_pairing_value(p)) % 4
 
 
-@dataclass(frozen=True)
-class EtaProfile:
+class EtaProfile(_Record):
     """Piecewise eta data of a family over a parameter interval.
 
     ``base_value`` is eta on the leftmost interval; ``jumps`` are
@@ -147,26 +144,23 @@ class EtaProfile:
     dimension class is 1 and the family is not special-unitary.
     """
 
-    dimension_class: int
-    base_value: Fraction
-    jumps: tuple[JumpRecord, ...]
-    slope_data: Optional[tuple[ArgPairing, ...]] = None
+    __slots__ = ("dimension_class", "base_value", "jumps", "slope_data")
 
-    def __post_init__(self):
-        if self.dimension_class not in (1, 3):
+    def __init__(self, dimension_class: int, base_value: Fraction, jumps, slope_data=None):
+        if dimension_class not in (1, 3):
             raise ValueError("dimension class is 1 or 3 (top degree mod 4)")
-        object.__setattr__(self, "base_value", Fraction(self.base_value))
-        jumps = tuple(self.jumps)
-        object.__setattr__(self, "jumps", jumps)
-        for a, b in zip(jumps, jumps[1:]):
+        slope = None if slope_data is None else tuple(slope_data)
+        _set(self, "dimension_class", dimension_class)
+        _set(self, "base_value", Fraction(base_value))
+        _set(self, "jumps", tuple(jumps))
+        _set(self, "slope_data", slope)
+        for a, b in zip(self.jumps, self.jumps[1:]):
             if not a.t0 < b.t0:
                 raise ValueError("jump points must be strictly increasing")
-        if self.slope_data is not None:
-            slope = tuple(self.slope_data)
-            object.__setattr__(self, "slope_data", slope)
-            if self.dimension_class != 1:
+        if slope is not None:
+            if dimension_class != 1:
                 raise ValueError("slope data only applies to dimension class 1")
-            if len(slope) != len(jumps) + 1:
+            if len(slope) != len(self.jumps) + 1:
                 raise ValueError("need one argument pairing per interval")
 
     @property
@@ -202,13 +196,15 @@ class EtaProfile:
         ]
 
 
-@dataclass(frozen=True)
-class RayVerdict:
+class RayVerdict(_Record):
     """Outcome of a ray-invariance check."""
 
-    passed: bool
-    failing_interval: Optional[int]
-    phases: tuple[Fraction, ...]
+    __slots__ = ("passed", "failing_interval", "phases")
+
+    def __init__(self, passed: bool, failing_interval: Optional[int], phases: tuple):
+        _set(self, "passed", passed)
+        _set(self, "failing_interval", failing_interval)
+        _set(self, "phases", phases)
 
     def __bool__(self):
         return self.passed

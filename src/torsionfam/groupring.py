@@ -29,12 +29,11 @@ d_1 . d_2 = phi(r) - 1 = 0 for every relator r.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 
 from .complexes import BasedChainComplex
 from .linalg import Matrix
 from .ratfunc import RatFunc
-from .scalars import _Frozen, parse_integer
+from .scalars import _Frozen, _Record, _set, parse_integer
 
 __all__ = [
     "Word",
@@ -199,8 +198,7 @@ def fox_derivative(w: Word, g: int) -> GroupRingElem:
     return acc
 
 
-@dataclass(frozen=True)
-class RepFamily:
+class RepFamily(_Record):
     """Family of invertible matrices assigned to the free generators.
 
     ``images[g]`` is the square RatFunc matrix of generator g; every
@@ -210,31 +208,30 @@ class RepFamily:
     ``inverses[g]`` is the inverse of ``images[g]``, computed once.
     """
 
-    rank: int
-    images: tuple
-    unitary: bool = False
-    special: bool = False
-    inverses: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("rank", "images", "unitary", "special", "inverses")
 
-    def __post_init__(self):
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
-        if self.rank < 1:
+    def __init__(self, rank: int, images, unitary: bool = False, special: bool = False):
+        images = tuple(images)
+        if rank < 1:
             raise ValueError("representation rank must be positive")
-        ident = Matrix.identity(self.rank)
+        ident = Matrix.identity(rank)
         for g, mat in enumerate(images):
-            if not isinstance(mat, Matrix) or mat.shape() != (self.rank, self.rank):
+            if not isinstance(mat, Matrix) or mat.shape() != (rank, rank):
                 raise ValueError(f"image of generator {g} has wrong shape")
             det = mat.det()
             if det.is_zero():
                 raise ValueError(f"image of generator {g} is singular")
-            if self.unitary:
+            if unitary:
                 if mat @ mat.transpose().conj() != ident:
                     raise ValueError(f"image of generator {g} is not unitary")
-            if self.special:
+            if special:
                 if det != 1:
                     raise ValueError(f"image of generator {g} has determinant != 1")
-        object.__setattr__(self, "inverses", tuple(mat.inverse() for mat in images))
+        _set(self, "rank", rank)
+        _set(self, "images", images)
+        _set(self, "unitary", unitary)
+        _set(self, "special", special)
+        _set(self, "inverses", tuple(mat.inverse() for mat in images))
 
     @property
     def ngens(self) -> int:

@@ -31,12 +31,12 @@ group, as ``GroupRingElem`` is Z[F]; both are ``groupring._GroupRing``.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
 
 from .groupring import Word, _GroupRing, format_word
 from .linalg import _kronecker_det
+from .scalars import _Record, _set
 
 __all__ = [
     "LaurentInt",
@@ -93,21 +93,20 @@ def _format_terms(terms, var: str) -> str:
     return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
-@dataclass(frozen=True)
-class KnotPresentation:
+class KnotPresentation(_Record):
     """Presentation of a knot group by meridian generators.  Relators are
     conjugation-shaped: after abelianizing, each is a difference of two
     meridians (or trivial), as the Wirtinger form x_k = w x_j w^-1 is."""
 
-    strands: int
-    wirtinger_relators: tuple[Word, ...]
+    __slots__ = ("strands", "wirtinger_relators")
 
-    def __post_init__(self):
-        object.__setattr__(self, "wirtinger_relators", tuple(self.wirtinger_relators))
-        if self.strands < 1:
+    def __init__(self, strands: int, wirtinger_relators: tuple[Word, ...]):
+        _set(self, "strands", strands)
+        _set(self, "wirtinger_relators", tuple(wirtinger_relators))
+        if strands < 1:
             raise ValueError("presentation needs at least one generator")
         for rel in self.wirtinger_relators:
-            if rel.max_generator() >= self.strands:
+            if rel.max_generator() >= strands:
                 raise ValueError("relator uses an undeclared generator")
             sums: dict[int, int] = {}
             for g, e in rel.letters:
@@ -120,39 +119,37 @@ class KnotPresentation:
                 )
 
 
-@dataclass(frozen=True)
-class ConwayPolynomial:
+class ConwayPolynomial(_Record):
     """Sign-determined Conway polynomial; coefficients ascending in z.
 
     The constant term is 1 (the normalization that fixes the sign);
     knots only produce even powers of z.
     """
 
-    coefficients: tuple[int, ...]
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        coeffs = [int(c) for c in self.coefficients]
+    def __init__(self, coefficients: tuple[int, ...]):
+        coeffs = [int(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         if not coeffs or coeffs[0] != 1:
             raise ValueError("Conway normalization failed: constant term is not 1")
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+        _set(self, "coefficients", tuple(coeffs))
 
     def __repr__(self):
         return _format_terms([(k, c) for k, c in enumerate(self.coefficients) if c], "z")
 
 
-@dataclass(frozen=True)
-class SeifertMatrix:
+class SeifertMatrix(_Record):
     """Square integer Seifert matrix of a knot."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(e) for e in row) for row in self.entries)
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        rows = tuple(tuple(int(e) for e in row) for row in entries)
         if any(len(r) != len(rows) for r in rows):
             raise ValueError("Seifert matrix must be square")
-        object.__setattr__(self, "entries", rows)
+        _set(self, "entries", rows)
 
     @property
     def size(self) -> int:

@@ -22,11 +22,10 @@ identically, hence has unit modulus at every real parameter value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import Poly, format_poly, parse_poly, poly_gcd
-from .scalars import GaussRat, _Exact
+from .scalars import GaussRat, _Exact, _Record, _set
 
 __all__ = [
     "RatFunc",
@@ -255,20 +254,18 @@ def cayley(speed=1) -> RatFunc:
     return RatFunc(num, den)
 
 
-@dataclass(frozen=True)
-class LocalGerm:
+class LocalGerm(_Record):
     """A rational function together with a center where it is regular.
 
     Membership in the local ring at ``center`` is validated: the
     reduced denominator must not vanish there.
     """
 
-    value: RatFunc
-    center: GaussRat
+    __slots__ = ("value", "center")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", RatFunc.coerce(self.value))
-        object.__setattr__(self, "center", GaussRat.coerce(self.center))
+    def __init__(self, value: RatFunc, center: GaussRat):
+        _set(self, "value", RatFunc.coerce(value))
+        _set(self, "center", GaussRat.coerce(center))
         if not self.value.is_regular_at(self.center):
             raise ValueError(
                 f"not a germ at t = {self.center!r}: denominator vanishes"

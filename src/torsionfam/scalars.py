@@ -19,7 +19,8 @@ format is read here, straight into integers (:func:`gauss_parts`).
 in ``_Exact``: ``coerce``, truth, ``+ - * /`` on either side and powers
 by square-and-multiply.  Each keeps its kernels, equality and exponent
 rules, and ``Poly`` a ``*`` that scales by a scalar directly.
-``_Frozen`` is the immutability guard of every value class.
+``_Frozen`` is the immutability guard of every value class, and
+``_Record`` the base of the plain records built on it.
 """
 
 from __future__ import annotations
@@ -53,12 +54,46 @@ _set = object.__setattr__
 
 
 class _Frozen:
-    """Immutable: fields are set once, through ``object.__setattr__``."""
+    """Immutable: fields are set once, through ``object.__setattr__``;
+    a copy or an unpickled value gets the slots that are set."""
 
     __slots__ = ()
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        slots = [n for cls in type(self).__mro__ for n in cls.__dict__.get("__slots__", ())]
+        state = {n: getattr(self, n) for n in slots if hasattr(self, n)}
+        return object.__new__, (type(self),), state
+
+    def __setstate__(self, state: dict):
+        for name, value in state.items():
+            _set(self, name, value)
+
+
+class _Record(_Frozen):
+    """An immutable record, compared, hashed and printed by the values of
+    its ``__slots__``, which its ``__init__`` sets once each."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 class _Exact(_Frozen):

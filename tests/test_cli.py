@@ -86,6 +86,32 @@ def test_analyze_duality_off(capsys):
     assert "duality" not in out.replace("convention", "")
 
 
+def test_analyze_duality_from_a_file(capsys, tmp_path):
+    """``--duality FILE`` reads the pairing from another complex file."""
+    torus3 = str(DATA / "torus3.cplx")
+    argv = ("analyze", torus3, "--t0", "0", "--format", "structured", "--duality")
+    _, on, _ = invoke(capsys, *argv, "on")
+    assert (0, on, "") == invoke(capsys, *argv, torus3)
+    assert f"check {torus3}:0:duality pass" in on
+    bare = tmp_path / "bare.cplx"
+    text = (DATA / "circle.cplx").read_text()
+    bare.write_text(text[: text.index("duality\n")] + "end\n")
+    code, out, err = invoke(capsys, "analyze", str(DATA / "circle.cplx"), "--duality", str(bare))
+    assert code == 2 and out == ""
+    assert f"{bare} contains no duality section" in err
+
+
+def test_eta_check_notes_a_jump_whose_nu_and_sigma_odd_disagree(capsys, tmp_path):
+    ledger = tmp_path / "odd.eta"
+    ledger.write_text(
+        "eta-ledger v1\ndimclass 3\nbase 0\njump t0 0 sigma_odd 1 nu 2\nsigns + -\nend\n"
+    )
+    code, out, _ = invoke(capsys, "eta-check", str(ledger), "--format", "structured")
+    assert code == 0
+    assert f"note {ledger}: jump at t0 = 0: nu = 2 and sigma_odd = 1 disagree mod 2\n" in out
+    assert out.endswith("verdict pass\n")
+
+
 def test_eta_check_pass_and_fail(capsys):
     code, out, _ = invoke(capsys, "eta-check", str(DATA / "ledger_pass.eta"))
     assert code == 0 and "verdict: pass" in out

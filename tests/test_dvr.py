@@ -295,9 +295,7 @@ def test_calibration_violation_is_hard_error(monkeypatch):
 def test_report_derives_chi_parity_and_flip():
     """A report holds four values; chi, the middle parity and the sign
     flip are read off nu and dims."""
-    from dataclasses import fields
-
-    assert [f.name for f in fields(DeformationReport)] == ["t0", "nu", "dims", "duality_ok"]
+    assert DeformationReport.__slots__ == ("t0", "nu", "dims", "duality_ok")
     rep = DeformationReport(t0=GaussRat.zero(), nu=1, dims=TorsionModuleSummary((1, 0)))
     assert (rep.chi, rep.middle_dim_parity, rep.sign_flip) == (1, 1, True)
     rep = DeformationReport(GaussRat.zero(), -2, TorsionModuleSummary((0, 1, 0, 2)))
@@ -320,6 +318,15 @@ def test_duality_pairing_validation():
         check_duality_pairing(fam.complex, bad2, GaussRat.zero())
     with pytest.raises(ValueError, match="needs 2 matrices"):
         check_duality_pairing(fam.complex, [good[0]], GaussRat.zero())
+
+
+def test_duality_matrix_of_unequal_ranks_is_not_square():
+    """Ranks that are not palindromic give pairing matrices of the
+    expected shape that cannot be invertible."""
+    c = BasedChainComplex([1, 2], [Matrix([[T, ONE]])])
+    pairing = [Matrix([[ONE], [ONE]]), Matrix([[ONE, ONE]])]
+    with pytest.raises(DualityError, match="^duality matrix 0 is not square$"):
+        check_duality_pairing(c, pairing, GaussRat.zero())
 
 
 def test_analyze_additive_over_direct_sums():

@@ -4,25 +4,34 @@
 either side of a narrower or wider operand, truth values and integer
 powers;
 ``GroupRingElem`` and ``LaurentInt`` are one integer group ring over
-different keys; eight value classes refuse attribute assignment.  Each
-case is checked on seeded values against its forward or expanded form,
-and every error text is checked verbatim.
+different keys; eight value classes and fourteen records refuse
+attribute assignment and survive copying and pickling, and the records
+compare, hash and print by their fields.  Each case is checked on
+seeded values against its forward or expanded form, and every error
+text is checked verbatim.
 """
 
+import copy
+import importlib
 import operator
+import pickle
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
-from torsionfam.complexes import BasedChainComplex
-from torsionfam.corpus import random_ratfunc, random_word
-from torsionfam.groupring import GroupRingElem, Word
-from torsionfam.knots import LaurentInt
+import torsionfam
+from torsionfam.complexes import BasedChainComplex, TorsionValue
+from torsionfam.corpus import FamilySpec, random_ratfunc, random_word
+from torsionfam.dvr import DeformationReport, DivisorProfile, TorsionModuleSummary
+from torsionfam.eta import ArgPairing, EtaProfile, JumpRecord, RayVerdict
+from torsionfam.groupring import GroupRingElem, RepFamily, Word
+from torsionfam.knots import ConwayPolynomial, KnotPresentation, LaurentInt, SeifertMatrix
 from torsionfam.linalg import Matrix
 from torsionfam.poly import Poly
-from torsionfam.ratfunc import RatFunc
-from torsionfam.scalars import GaussRat
+from torsionfam.ratfunc import LocalGerm, RatFunc, cayley
+from torsionfam.scalars import GaussRat, _Frozen, _Record
 
 SEED = 1515
 
@@ -208,18 +217,159 @@ def _frozen_values():
     ]
 
 
-@pytest.mark.parametrize("value", _frozen_values(), ids=lambda v: type(v).__name__)
+# -- the records ----------------------------------------------------------------
+
+
+def _records():
+    """One value of each record, and the text its ``repr`` gives: the form
+    a dataclass prints, which ``RepFamily`` extends by ``inverses``."""
+    ratfunc = RatFunc.var() - 1
+    dims = TorsionModuleSummary((1, 0))
+    circle = BasedChainComplex([1, 1], [Matrix([[ratfunc]])])
+    return [
+        (DivisorProfile((0, 1), 2), "DivisorProfile(valuations=(0, 1), free_rank=2)"),
+        (dims, "TorsionModuleSummary(dims=(1, 0))"),
+        (
+            DeformationReport(GaussRat(1), 1, dims, True),
+            "DeformationReport(t0=1, nu=1, dims=TorsionModuleSummary(dims=(1, 0)), "
+            "duality_ok=True)",
+        ),
+        (TorsionValue(ratfunc), "TorsionValue(value=[-1,1])"),
+        (
+            JumpRecord(Fraction(1, 2), 1, nu=1),
+            "JumpRecord(t0=Fraction(1, 2), sigma_odd=1, sigma_even=0, nu=1)",
+        ),
+        (
+            ArgPairing((Fraction(1, 3),), (2,)),
+            "ArgPairing(arg_coeffs=(Fraction(1, 3),), l_coeffs=(2,))",
+        ),
+        (
+            EtaProfile(3, Fraction(1, 2), (JumpRecord(0, 1),)),
+            "EtaProfile(dimension_class=3, base_value=Fraction(1, 2), jumps=(JumpRecord("
+            "t0=Fraction(0, 1), sigma_odd=1, sigma_even=0, nu=None),), slope_data=None)",
+        ),
+        (
+            RayVerdict(False, 1, (Fraction(0), Fraction(1))),
+            "RayVerdict(passed=False, failing_interval=1, "
+            "phases=(Fraction(0, 1), Fraction(1, 1)))",
+        ),
+        (
+            RepFamily(1, (Matrix([[cayley()]]),), unitary=True),
+            "RepFamily(rank=1, images=(Matrix(1x1),), unitary=True, special=False, "
+            "inverses=(Matrix(1x1),))",
+        ),
+        (
+            KnotPresentation(2, (Word([(0, 1), (1, -1)]),)),
+            "KnotPresentation(strands=2, wirtinger_relators=(Word('x0 x1^-1'),))",
+        ),
+        (ConwayPolynomial((1, 0, 1)), "1 + z^2"),  # its own repr
+        (SeifertMatrix(((-1, 1), (0, -1))), "SeifertMatrix(entries=((-1, 1), (0, -1)))"),
+        (LocalGerm(ratfunc, 0), "LocalGerm(value=[-1,1], center=0)"),
+        (
+            FamilySpec("circle", circle, None, (0,)),
+            "FamilySpec(name='circle', complex=BasedChainComplex(ranks=(1, 1)), "
+            "pairing=None, centers=(Fraction(0, 1),))",
+        ),
+    ]
+
+
+RECORDS = [record for record, _ in _records()]
+
+
+def _name(value):
+    return type(value).__name__
+
+
+def _fields(record) -> tuple:
+    return tuple(getattr(record, name) for name in record.__slots__)
+
+
+@pytest.mark.parametrize("value", _frozen_values() + RECORDS, ids=_name)
 def test_value_classes_are_immutable(value):
-    name = type(value).__name__
-    existing = next(c.__slots__[0] for c in type(value).__mro__ if c.__dict__.get("__slots__"))
-    before = getattr(value, existing)
-    for attr in (existing, "anything"):
-        assert _message(AttributeError, lambda: setattr(value, attr, 0)) == f"{name} is immutable"
-    assert getattr(value, existing) is before
+    message = f"{_name(value)} is immutable"
+    slots = [n for c in type(value).__mro__ for n in c.__dict__.get("__slots__", ())]
+    before = {n: getattr(value, n) for n in slots if hasattr(value, n)}
+    for attr in (*before, "anything"):
+        assert _message(AttributeError, lambda: setattr(value, attr, 0)) == message
+        assert _message(AttributeError, lambda: delattr(value, attr)) == message
+    assert all(getattr(value, n) is v for n, v in before.items())
 
 
 def test_eight_frozen_classes():
     assert len({type(v) for v in _frozen_values()}) == 8
+
+
+def test_fourteen_records():
+    assert len({type(r) for r in RECORDS}) == 14
+    assert all(isinstance(r, _Record) for r in RECORDS)
+    assert not any(isinstance(v, _Record) for v in _frozen_values())
+
+
+def _package_classes(base):
+    """Every public subclass of ``base`` defined in the package."""
+    for module in pkgutil.iter_modules(torsionfam.__path__):
+        importlib.import_module(f"torsionfam.{module.name}")
+    found, todo = set(), [base]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("torsionfam.") and not sub.__name__.startswith("_"):
+                found.add(sub)
+    return found
+
+
+def test_the_samples_cover_every_frozen_class():
+    assert _package_classes(_Frozen) == {type(v) for v in _frozen_values() + RECORDS}
+
+
+@pytest.mark.parametrize("index", range(len(RECORDS)), ids=[_name(r) for r in RECORDS])
+def test_record_equality_and_hash_follow_the_fields(index):
+    record, twin = RECORDS[index], _records()[index][0]
+    assert record is not twin and record == twin and not record != twin
+    try:
+        expected = hash(_fields(record))
+    except TypeError:  # a field that does not hash: so does the record not
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(twin) == expected
+    rebuild, args, state = record.__reduce__()
+    for field in record.__slots__:
+        changed = rebuild(*args)
+        changed.__setstate__({**state, field: object()})
+        assert changed != record and record != changed
+
+
+def test_records_of_different_types_never_compare_equal():
+    same_fields = [ConwayPolynomial((1,)), TorsionModuleSummary((1,))]
+    assert _fields(same_fields[0]) == _fields(same_fields[1])
+    for a in RECORDS + same_fields:
+        for b in RECORDS + same_fields:
+            if type(a) is not type(b):
+                assert a != b and not a == b
+
+
+@pytest.mark.parametrize("record,text", _records(), ids=[_name(r) for r in RECORDS])
+def test_record_repr_is_the_dataclass_form(record, text):
+    assert repr(record) == text
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+    "pickle-0": lambda v: pickle.loads(pickle.dumps(v, protocol=0)),
+}
+
+
+@pytest.mark.parametrize("how", COPIES)
+@pytest.mark.parametrize("value", _frozen_values() + RECORDS, ids=_name)
+def test_copies_keep_type_equality_and_immutability(value, how):
+    got = COPIES[how](value)
+    assert type(got) is type(value) and got == value
+    assert _message(AttributeError, lambda: setattr(got, "anything", 0)) == (
+        f"{_name(value)} is immutable"
+    )
 
 
 # -- the integer group rings ---------------------------------------------------

@@ -45,6 +45,35 @@ def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
+def imported_modules(source: str) -> list[str]:
+    """The top-level name of each module that an import statement loads,
+    at any depth of the source; relative imports are left out."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module.split(".")[0])
+    return found
+
+
+def test_imported_module_finder():
+    source = (
+        "import os.path, re as regex\nfrom dataclasses import dataclass\n"
+        "from . import scalars\nfrom .linalg import Matrix\n"
+        "def f():\n    import dataclasses\n"
+    )
+    assert imported_modules(source) == ["os", "re", "dataclasses", "dataclasses"]
+
+
+def test_the_package_imports_no_dataclasses():
+    """Records are ``scalars._Record`` subclasses: no module of the package
+    imports ``dataclasses``, at module level or inside a function."""
+    found = {p.name: imported_modules(p.read_text()) for p in sorted(PACKAGE.rglob("*.py"))}
+    assert len(found) > 10
+    assert [name for name, modules in found.items() if "dataclasses" in modules] == []
+
+
 ARITHMETIC = {
     "__add__", "__radd__", "__sub__", "__rsub__",
     "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
