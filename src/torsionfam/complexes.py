@@ -39,14 +39,14 @@ once and kept in a private memo on the object: the staircase (its
 (columns, D_k) records, or None), the torsion value, and (filled by
 the deformation module) the boundaries' distinct denominators and the
 last accepted duality pairing with its determinants.  The memo lives
-and dies with the complex.
+and dies with the complex; equality and hashing leave it out.
 """
 
 from __future__ import annotations
 
 from .linalg import Matrix, _minor
 from .ratfunc import RatFunc
-from .scalars import _Frozen, _Record, _set, sign_of_real
+from .scalars import _Record, _set, sign_of_real
 
 __all__ = [
     "CONVENTION_TAG",
@@ -65,7 +65,7 @@ CONVENTION_TAG = "FT-cal-1"
 _ONE = RatFunc.one()
 
 
-class BasedChainComplex(_Frozen):
+class BasedChainComplex(_Record):
     """Finite free based chain complex with RatFunc boundary matrices."""
 
     __slots__ = ("ranks", "boundaries", "_memo")
@@ -123,11 +123,6 @@ class BasedChainComplex(_Frozen):
 
     def total_rank(self) -> int:
         return sum(self.ranks)
-
-    def __eq__(self, other):
-        if not isinstance(other, BasedChainComplex):
-            return NotImplemented
-        return self.ranks == other.ranks and self.boundaries == other.boundaries
 
     def __repr__(self):
         return f"BasedChainComplex(ranks={self.ranks})"

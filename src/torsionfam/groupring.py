@@ -33,7 +33,7 @@ import operator
 from .complexes import BasedChainComplex
 from .linalg import Matrix
 from .ratfunc import RatFunc
-from .scalars import _Frozen, _Record, _set, parse_integer
+from .scalars import _Record, _set, parse_integer
 
 __all__ = [
     "Word",
@@ -51,7 +51,7 @@ __all__ = [
 MAX_WORD_LETTERS = 10_000
 
 
-class Word(_Frozen):
+class Word(_Record):
     """Freely reduced word in a free group.  Immutable."""
 
     __slots__ = ("letters",)
@@ -92,19 +92,11 @@ class Word(_Frozen):
         """Largest generator index used, or -1 for the identity."""
         return max((g for g, _ in self.letters), default=-1)
 
-    def __eq__(self, other):
-        if not isinstance(other, Word):
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
-
     def __repr__(self):
         return f"Word({format_word(self)!r})"
 
 
-class _GroupRing(_Frozen):
+class _GroupRing(_Record):
     """Finite Z-linear combination of group elements, ``terms`` mapping
     each to its coefficient; no zero terms stored.  A subclass names
     ``_key``, which checks or normalizes a group element, and
@@ -139,12 +131,7 @@ class _GroupRing(_Frozen):
             (mul(ka, kb), ca * cb) for ka, ca in self.terms.items() for kb, cb in terms
         )
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
+    def __hash__(self):  # the one record whose field, a dict, does not hash
         return hash(frozenset(self.terms.items()))
 
 

@@ -28,7 +28,7 @@ import operator
 from math import isqrt, prod
 
 from .ratfunc import RatFunc
-from .scalars import _Frozen
+from .scalars import _Record
 
 __all__ = ["Matrix"]
 
@@ -36,10 +36,10 @@ _ZERO = RatFunc.zero()
 _ONE = RatFunc.one()
 
 
-class Matrix(_Frozen):
+class Matrix(_Record):
     """Immutable rows-of-tuples matrix with explicit shape."""
 
-    __slots__ = ("nrows", "ncols", "rows", "_hash")
+    __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, rows, ncols=None):
         rows = tuple(tuple(r) for r in rows)
@@ -198,18 +198,6 @@ class Matrix(_Frozen):
             [[e / p for e in row[n:]] for row, p in zip(reversed(work), reversed(pivots))],
             n,
         )
-
-    # -- comparison ----------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.shape() == other.shape() and self.rows == other.rows
-
-    def __hash__(self):
-        if not hasattr(self, "_hash"):  # immutable, so hashed once
-            object.__setattr__(self, "_hash", hash((self.nrows, self.ncols, self.rows)))
-        return self._hash
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"

@@ -6,8 +6,8 @@ and ``im`` hold the real and imaginary parts of a0, ..., an, and
 ``den`` holds d.  The form is canonical: a_n != 0, and d shares no
 factor with every part of every a_k (gcd(d, re, im) = 1).  The zero
 polynomial is the empty vector over 1.  Two equal polynomials
-therefore have equal fields, and equality and hashing compare them.
-The parameter is called ``t`` throughout.
+therefore have equal fields, and equality compares them; a constant
+hashes as the scalar it equals.  The parameter is called ``t`` throughout.
 
 Every kernel works on plain Python integers (Knuth, TAOCP vol. 2,
 4.6.1): a product is an integer convolution, a sum works over the lcm
@@ -355,8 +355,8 @@ class Poly(_Exact):
             return NotImplemented
         return self.re == other.re and self.im == other.im and self.den == other.den
 
-    def __hash__(self):
-        return hash((self.re, self.im, self.den))
+    def __hash__(self):  # a constant hashes as the scalar it equals
+        return hash((self.re, self.im, self.den)) if self.degree > 0 else hash(self.evaluate(0))
 
     def __repr__(self):
         return format_poly(self)

@@ -168,8 +168,8 @@ class RatFunc(_Exact):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
-    def __hash__(self):
-        return hash((self.num, self.den))
+    def __hash__(self):  # over 1, as the polynomial it equals
+        return hash(self.num) if self.den.degree == 0 else hash((self.num, self.den))
 
     def __repr__(self):
         return format_ratfunc(self)

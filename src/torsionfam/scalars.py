@@ -4,7 +4,7 @@ Every computation in this package happens over Q(i).  A scalar holds
 one canonical triple of integers, ``parts`` = (re, im, den), for the
 value (re + im*i)/den, with den > 0 and gcd(re, im, den) = 1 (Knuth,
 TAOCP vol. 2, 4.5.1); zero is (0, 0, 1).  The form is unique, so
-equality and hashing compare the triples.  Polynomials
+equality compares the triples.  Polynomials
 (:mod:`torsionfam.poly`) keep their coefficients in the same
 convention, Gaussian integers over one denominator.
 
@@ -19,8 +19,8 @@ format is read here, straight into integers (:func:`gauss_parts`).
 in ``_Exact``: ``coerce``, truth, ``+ - * /`` on either side and powers
 by square-and-multiply.  Each keeps its kernels, equality and exponent
 rules, and ``Poly`` a ``*`` that scales by a scalar directly.
-``_Frozen`` is the immutability guard of every value class, and
-``_Record`` the base of the plain records built on it.
+``_Frozen`` is the immutability guard of every value class: an
+``_Exact`` number, or a ``_Record`` compared by its public slots.
 """
 
 from __future__ import annotations
@@ -53,6 +53,11 @@ _GAUSS = re.compile(
 _set = object.__setattr__
 
 
+def _slots(cls) -> list:
+    """The slot names of ``cls`` and of its bases, in MRO order."""
+    return [n for c in cls.__mro__ for n in c.__dict__.get("__slots__", ())]
+
+
 class _Frozen:
     """Immutable: fields are set once, through ``object.__setattr__``;
     a copy or an unpickled value gets the slots that are set."""
@@ -65,8 +70,7 @@ class _Frozen:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        slots = [n for cls in type(self).__mro__ for n in cls.__dict__.get("__slots__", ())]
-        state = {n: getattr(self, n) for n in slots if hasattr(self, n)}
+        state = {n: getattr(self, n) for n in _slots(type(self)) if hasattr(self, n)}
         return object.__new__, (type(self),), state
 
     def __setstate__(self, state: dict):
@@ -75,13 +79,19 @@ class _Frozen:
 
 
 class _Record(_Frozen):
-    """An immutable record, compared, hashed and printed by the values of
-    its ``__slots__``, which its ``__init__`` sets once each."""
+    """An immutable record, compared, hashed and printed by its public
+    slots, those of its class and of its bases, which its ``__init__``
+    sets once each.  A slot whose name starts with ``_`` holds data
+    derived from the others, such as a memo, and is left out."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(n for n in _slots(cls) if not n.startswith("_"))
+
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -92,7 +102,7 @@ class _Record(_Frozen):
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
 
@@ -278,8 +288,9 @@ class GaussRat(_Exact):
             return NotImplemented
         return self.parts == other.parts
 
-    def __hash__(self):
-        return hash(self.parts)
+    def __hash__(self):  # a real value hashes as the int or Fraction it equals
+        re, im, den = self.parts
+        return hash(self.parts) if im else hash(Fraction(re, den))
 
     def __repr__(self):
         return format_gauss(self)

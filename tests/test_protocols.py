@@ -4,11 +4,12 @@
 either side of a narrower or wider operand, truth values and integer
 powers;
 ``GroupRingElem`` and ``LaurentInt`` are one integer group ring over
-different keys; eight value classes and fourteen records refuse
-attribute assignment and survive copying and pickling, and the records
-compare, hash and print by their fields.  Each case is checked on
-seeded values against its forward or expanded form, and every error
-text is checked verbatim.
+different keys; three exact classes and nineteen records refuse
+attribute assignment and survive copying and pickling, the records
+compare, hash and print by their public fields, and equal values hash
+alike across the exact tower.  Each case is checked on seeded values
+against its forward or expanded form, and every error text is checked
+verbatim.
 """
 
 import copy
@@ -22,16 +23,16 @@ from fractions import Fraction
 import pytest
 
 import torsionfam
-from torsionfam.complexes import BasedChainComplex, TorsionValue
+from torsionfam.complexes import BasedChainComplex, TorsionValue, torsion
 from torsionfam.corpus import FamilySpec, random_ratfunc, random_word
-from torsionfam.dvr import DeformationReport, DivisorProfile, TorsionModuleSummary
+from torsionfam.dvr import DeformationReport, DivisorProfile, TorsionModuleSummary, analyze
 from torsionfam.eta import ArgPairing, EtaProfile, JumpRecord, RayVerdict
-from torsionfam.groupring import GroupRingElem, RepFamily, Word
+from torsionfam.groupring import GroupRingElem, RepFamily, Word, _GroupRing
 from torsionfam.knots import ConwayPolynomial, KnotPresentation, LaurentInt, SeifertMatrix
 from torsionfam.linalg import Matrix
 from torsionfam.poly import Poly
 from torsionfam.ratfunc import LocalGerm, RatFunc, cayley
-from torsionfam.scalars import GaussRat, _Frozen, _Record
+from torsionfam.scalars import GaussRat, _Exact, _Frozen, _Record
 
 SEED = 1515
 
@@ -154,6 +155,40 @@ def test_truth_value_is_nonzero(cls):
         assert bool(x) is (not x.is_zero())
 
 
+def _tower_sample(rng):
+    """Seeded scalars, real and not, each with its equals up the tower
+    (a cancelled fraction among them); then seeded polynomials, each
+    with its fraction over 1, and rational functions."""
+    values = []
+    for _ in range(30):
+        den = rng.choice([1, 1, 2, 3])
+        real = Fraction(rng.randrange(-6, 7), den)
+        scalar = GaussRat(real, rng.choice([0, 0, Fraction(rng.randrange(-3, 4), den)]))
+        shift = Poly([rng.randrange(1, 4), 1])
+        values += [scalar, Poly.coerce(scalar), RatFunc.coerce(scalar)]
+        values.append(RatFunc(Poly.coerce(scalar) * shift, shift))
+        if not scalar.parts[1]:
+            values += [real] + ([real.numerator] if den == 1 else [])
+    for _ in range(10):
+        poly = _poly(rng)
+        values += [poly, RatFunc(poly), random_ratfunc(rng)]
+    return values
+
+
+def test_equal_values_hash_alike_across_the_tower():
+    assert GaussRat(1) in {1} and Poly([2]) in {2} and RatFunc.var() in {Poly.var()}
+    values = _tower_sample(random.Random(f"{SEED}-hash"))
+    crossed = 0
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+                assert b in {a} and {a: b}[b] is b
+                crossed += type(a) is not type(b)
+    assert crossed > 300
+    assert len({type(v) for v in values}) == len(TOWER)
+
+
 # -- error texts ---------------------------------------------------------------
 
 
@@ -203,18 +238,8 @@ def test_polynomial_division_error_names_the_operands_as_written():
         assert _message(TypeError, action) == f"unsupported operand type(s) for /: {operands}"
 
 
-def _frozen_values():
-    ratfunc = RatFunc.var() - 1
-    return [
-        GaussRat(1, 2),
-        Poly([1, 2]),
-        ratfunc,
-        Matrix([[ratfunc]]),
-        Word.generator(0),
-        BasedChainComplex([1, 1], [Matrix([[ratfunc]])]),
-        GroupRingElem.one(),
-        LaurentInt({0: 3}),
-    ]
+def _exact_values():
+    return [GaussRat(1, 2), Poly([1, 2]), RatFunc.var() - 1]
 
 
 # -- the records ----------------------------------------------------------------
@@ -222,11 +247,17 @@ def _frozen_values():
 
 def _records():
     """One value of each record, and the text its ``repr`` gives: the form
-    a dataclass prints, which ``RepFamily`` extends by ``inverses``."""
+    a dataclass prints, which ``RepFamily`` extends by ``inverses``, or
+    the record's own."""
     ratfunc = RatFunc.var() - 1
     dims = TorsionModuleSummary((1, 0))
     circle = BasedChainComplex([1, 1], [Matrix([[ratfunc]])])
     return [
+        (Matrix([[ratfunc]]), "Matrix(1x1)"),
+        (Word.generator(0), "Word('x0')"),
+        (circle, "BasedChainComplex(ranks=(1, 1))"),
+        (GroupRingElem.of_word(Word.generator(1), -2), "GroupRingElem(-2*x1)"),
+        (LaurentInt({0: 3, 2: -1}), "3 - t^2"),
         (DivisorProfile((0, 1), 2), "DivisorProfile(valuations=(0, 1), free_rank=2)"),
         (dims, "TorsionModuleSummary(dims=(1, 0))"),
         (
@@ -280,29 +311,33 @@ def _name(value):
     return type(value).__name__
 
 
+def _slot_names(value) -> list:
+    return [n for c in type(value).__mro__ for n in c.__dict__.get("__slots__", ())]
+
+
 def _fields(record) -> tuple:
-    return tuple(getattr(record, name) for name in record.__slots__)
+    """The values of a record's public slots, its bases' included."""
+    return tuple(getattr(record, n) for n in _slot_names(record) if not n.startswith("_"))
 
 
-@pytest.mark.parametrize("value", _frozen_values() + RECORDS, ids=_name)
+@pytest.mark.parametrize("value", _exact_values() + RECORDS, ids=_name)
 def test_value_classes_are_immutable(value):
     message = f"{_name(value)} is immutable"
-    slots = [n for c in type(value).__mro__ for n in c.__dict__.get("__slots__", ())]
-    before = {n: getattr(value, n) for n in slots if hasattr(value, n)}
+    before = {n: getattr(value, n) for n in _slot_names(value) if hasattr(value, n)}
     for attr in (*before, "anything"):
         assert _message(AttributeError, lambda: setattr(value, attr, 0)) == message
         assert _message(AttributeError, lambda: delattr(value, attr)) == message
     assert all(getattr(value, n) is v for n, v in before.items())
 
 
-def test_eight_frozen_classes():
-    assert len({type(v) for v in _frozen_values()}) == 8
+def test_three_exact_classes():
+    assert len({type(v) for v in _exact_values()}) == 3
+    assert all(isinstance(v, _Exact) for v in _exact_values())
 
 
-def test_fourteen_records():
-    assert len({type(r) for r in RECORDS}) == 14
+def test_nineteen_records():
+    assert len({type(r) for r in RECORDS}) == 19
     assert all(isinstance(r, _Record) for r in RECORDS)
-    assert not any(isinstance(v, _Record) for v in _frozen_values())
 
 
 def _package_classes(base):
@@ -319,25 +354,44 @@ def _package_classes(base):
 
 
 def test_the_samples_cover_every_frozen_class():
-    assert _package_classes(_Frozen) == {type(v) for v in _frozen_values() + RECORDS}
+    assert _package_classes(_Frozen) == {type(v) for v in _exact_values() + RECORDS}
+
+
+def test_every_frozen_class_is_exact_or_a_record():
+    for cls in _package_classes(_Frozen):
+        assert issubclass(cls, _Exact) != issubclass(cls, _Record), cls
 
 
 @pytest.mark.parametrize("index", range(len(RECORDS)), ids=[_name(r) for r in RECORDS])
 def test_record_equality_and_hash_follow_the_fields(index):
     record, twin = RECORDS[index], _records()[index][0]
     assert record is not twin and record == twin and not record != twin
-    try:
-        expected = hash(_fields(record))
-    except TypeError:  # a field that does not hash: so does the record not
-        with pytest.raises(TypeError):
-            hash(record)
+    if isinstance(record, _GroupRing):  # its one field is a dict
+        expected = hash(frozenset(record.terms.items()))
     else:
-        assert hash(record) == hash(twin) == expected
+        expected = hash(_fields(record))
+    assert hash(record) == hash(twin) == expected
     rebuild, args, state = record.__reduce__()
-    for field in record.__slots__:
+    for field in _slot_names(record):
         changed = rebuild(*args)
         changed.__setstate__({**state, field: object()})
-        assert changed != record and record != changed
+        if field.startswith("_"):  # derived data, neither compared nor hashed
+            assert changed == record and hash(changed) == hash(record)
+        else:
+            assert changed != record and record != changed
+
+
+def test_a_filled_memo_leaves_a_complex_equal_and_hashed_alike():
+    def circle():
+        return BasedChainComplex([1, 1], [Matrix([[RatFunc.var() - 1]])])
+
+    used, fresh = circle(), circle()
+    torsion(used)
+    analyze(used, 1)
+    assert used._memo and not fresh._memo
+    assert used == fresh and hash(used) == hash(fresh) and fresh in {used}
+    specs = [FamilySpec("circle", c, None, (1,)) for c in (used, fresh)]
+    assert specs[0] == specs[1] and hash(specs[0]) == hash(specs[1])
 
 
 def test_records_of_different_types_never_compare_equal():
@@ -363,7 +417,7 @@ COPIES = {
 
 
 @pytest.mark.parametrize("how", COPIES)
-@pytest.mark.parametrize("value", _frozen_values() + RECORDS, ids=_name)
+@pytest.mark.parametrize("value", _exact_values() + RECORDS, ids=_name)
 def test_copies_keep_type_equality_and_immutability(value, how):
     got = COPIES[how](value)
     assert type(got) is type(value) and got == value

@@ -126,6 +126,66 @@ def test_arithmetic_operators_are_written_once_in_exact():
     assert sorted(found) == sorted(OWN_OPERATORS)
 
 
+EQ_HASH = {"__eq__", "__hash__"}
+
+
+def eq_hash_definitions(sources: list[str]) -> tuple[set[str], list[tuple[str, str]]]:
+    """The classes of ``sources`` that derive ``_Record``, directly or not,
+    and (class, name) of each ``__eq__`` or ``__hash__`` that any class
+    defines or assigns, sorted."""
+    classes = {
+        n.name: n for src in sources for n in ast.walk(ast.parse(src)) if isinstance(n, ast.ClassDef)
+    }
+    records = {"_Record"}
+    while True:
+        more = {
+            name
+            for name, cls in classes.items()
+            if any(isinstance(b, ast.Name) and b.id in records for b in cls.bases)
+        }
+        if more <= records:
+            break
+        records |= more
+    defined = []
+    for name, cls in classes.items():
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [getattr(t, "id", "") for t in node.targets]
+            else:
+                continue
+            defined += [(name, n) for n in names if n in EQ_HASH]
+    return records - {"_Record"}, sorted(defined)
+
+
+def test_eq_hash_definition_finder():
+    sources = [
+        "class _Record:\n    def __eq__(self, o): pass\n    def __hash__(self): pass\n",
+        "class A(_Record):\n    __hash__ = None\nclass B(A):\n    def __eq__(self, o): pass\n"
+        "class C:\n    def __eq__(self, o): pass\n    _eq = __eq__\n",
+    ]
+    records, defined = eq_hash_definitions(sources)
+    assert records == {"A", "B"}
+    assert defined == [
+        ("A", "__hash__"), ("B", "__eq__"), ("C", "__eq__"), ("_Record", "__eq__"),
+        ("_Record", "__hash__"),
+    ]
+
+
+def test_records_take_equality_and_hashing_from_record():
+    """No record writes its own ``__eq__``, and only ``_GroupRing``, whose
+    field is a dict, its own ``__hash__``; the exact numbers, which
+    compare through coercion, write both."""
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    records, defined = eq_hash_definitions(sources)
+    values = {"Matrix", "Word", "BasedChainComplex", "_GroupRing", "GroupRingElem", "LaurentInt"}
+    assert len(records) == 20 and values <= records
+    assert [d for d in defined if d[0] in records] == [("_GroupRing", "__hash__")]
+    own = [(cls, name) for cls in ("GaussRat", "Poly", "RatFunc", "_Record") for name in EQ_HASH]
+    assert defined == sorted(own + [("_GroupRing", "__hash__")])
+
+
 def parse_error_sites(source: str) -> list[str]:
     """The scope of each ``ParseError(...)`` call: ``Class.method`` for a
     method, the function's name for a module-level function, ``<body>``
